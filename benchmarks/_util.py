@@ -39,9 +39,8 @@ _DSE_RESULT = None
 def dse_result():
     """The shared Table III sweep for the figure/table benches.
 
-    Routed through ``repro.exec`` (serial in-process memoization — the
-    parallel/cached paths get their own dedicated bench in
-    ``bench_exec_scaling.py``)."""
+    Routed through ``repro.exec`` and memoized in-process; the cached
+    path is timed by ``bench_table3_dse_space.py``."""
     global _DSE_RESULT
     if _DSE_RESULT is None:
         from repro.dse import explore

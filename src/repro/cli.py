@@ -18,11 +18,8 @@ Subcommands map one-to-one onto the paper's artifacts:
   workload x scheme x backend matrix).
 
 The grid-shaped subcommands (``dse``, ``stream``, ``experiments``) run on
-the :mod:`repro.exec` runtime and share four flags:
+the :mod:`repro.exec` runtime and share three flags:
 
-``--workers N``
-    Fan independent sweep points out over an ``N``-process pool
-    (``0`` = one worker per CPU; default: serial).
 ``--cache-dir PATH``
     Where the content-addressed result cache lives (default:
     ``$REPRO_CACHE_DIR``, else ``~/.cache/repro``).  Warm re-runs skip
@@ -69,6 +66,8 @@ everywhere):
 Configuration-taking subcommands (``validate``, ``report``) build their
 :class:`~repro.core.config.PolyMemConfig` through the single
 :meth:`PolyMemConfig.from_any` surface (``--config`` file, flags, or both).
+An invalid configuration prints ``polymem <cmd>: error: <message>`` on
+stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -106,15 +105,6 @@ def _add_config_args(sub) -> None:
     sub.add_argument("--ports", type=int, default=1, help="read ports")
 
 
-def _workers_arg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 = one worker per CPU), got {value}"
-        )
-    return value
-
-
 def _add_json_arg(sub, *, what: str = "the unified JSON report") -> None:
     """The shared ``--json [PATH]`` flag — one definition for every
     subcommand so semantics ('-' or no value: stdout) never drift."""
@@ -131,23 +121,6 @@ def _add_json_arg(sub, *, what: str = "the unified JSON report") -> None:
 
 def _add_exec_args(sub) -> None:
     """The shared repro.exec runtime flags (see the module docstring)."""
-    sub.add_argument(
-        "--workers",
-        type=_workers_arg,
-        default=None,
-        metavar="N",
-        help="process-pool workers for sweep points (0 = all CPUs; "
-        "default: serial; clamped to the CPU count)",
-    )
-    sub.add_argument(
-        "--chunk-size",
-        dest="chunk_size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="points per dispatch batch in parallel sweeps "
-        "(default: sized automatically from the per-point cost)",
-    )
     sub.add_argument(
         "--no-cache",
         action="store_true",
@@ -199,18 +172,6 @@ def _cache_from_args(args):
     return ResultCache(args.cache_dir or default_cache_dir())
 
 
-def _progress_from_args(args):
-    """A stderr progress line for parallel runs (quiet when serial)."""
-    if not getattr(args, "workers", None) or not sys.stderr.isatty():
-        return None
-
-    def progress(done, total, result):
-        end = "\n" if done == total else ""
-        print(f"\r  sweep {done}/{total}", end=end, file=sys.stderr, flush=True)
-
-    return progress
-
-
 def _emit_json(args, report) -> None:
     report.attach_telemetry()  # no-op unless a telemetry session is active
     if args.json_out is None:
@@ -223,17 +184,11 @@ def _emit_json(args, report) -> None:
 
 
 def _sweep_stats_line(sweep) -> str:
-    line = (
+    return (
         f"sweep: {len(sweep.results)} points "
         f"({sweep.n_cached} cached, {sweep.n_computed} computed) "
-        f"on {sweep.workers} worker(s) in {sweep.wall_seconds:.3f} s"
+        f"in {sweep.wall_seconds:.3f} s"
     )
-    if sweep.chunks:
-        line += (
-            f" [{sweep.chunks} chunks, warmup {sweep.warmup_seconds:.3f} s,"
-            f" ipc {sweep.ipc_seconds:.3f} s]"
-        )
-    return line
 
 
 def cmd_info(args) -> int:
@@ -284,10 +239,7 @@ def cmd_dse(args) -> int:
         result = load_dse_result(args.load)
     else:
         result = explore(
-            workers=args.workers,
             cache=_cache_from_args(args),
-            progress=_progress_from_args(args),
-            chunk_size=args.chunk_size,
             batch=args.batch,
             prune=args.prune,
             backend=args.backend,
@@ -348,10 +300,7 @@ def cmd_stream(args) -> int:
         points = sweep_fig10(
             harness=harness,
             runs=args.runs,
-            workers=args.workers,
             cache=_cache_from_args(args),
-            progress=_progress_from_args(args),
-            chunk_size=args.chunk_size,
         )
         print(f"\n{'copied KB':>10s} {'MB/s':>9s} {'of peak':>8s}")
         for pt in points:
@@ -707,12 +656,7 @@ def cmd_report(args) -> int:
 def cmd_experiments(args) -> int:
     from .experiments import run_scorecard
 
-    card = run_scorecard(
-        workers=args.workers,
-        cache=_cache_from_args(args),
-        progress=_progress_from_args(args),
-        chunk_size=args.chunk_size,
-    )
+    card = run_scorecard(cache=_cache_from_args(args))
     print(card.report.render())
     _emit_json(args, card.report)
     return 0 if card.ok else 1
@@ -1147,7 +1091,18 @@ def _print_span_profiles(tel) -> None:
 
 def main(argv=None) -> int:
     """CLI entry point."""
+    from .core.exceptions import ConfigurationError
+
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ConfigurationError as exc:
+        print(f"polymem {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
+    """Run the parsed command, inside a telemetry session when asked."""
     want_metrics = getattr(args, "metrics", False)
     trace_out = getattr(args, "trace_out", None)
     profile_spans = getattr(args, "profile_spans", None)

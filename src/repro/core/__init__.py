@@ -27,9 +27,7 @@ from .plan import (
     AccessPlan,
     AccessTrace,
     compile_plan,
-    plan_cache_keys,
     plan_cache_stats,
-    warm_plans_from_keys,
 )
 from .polymem import PolyMem
 from .regions import Region, RegionMap
@@ -39,8 +37,6 @@ from .shuffle import (
     FullCrossbar,
     InverseShuffle,
     Shuffle,
-    route_memo,
-    warm_routes,
 )
 
 __all__ = [
@@ -82,9 +78,5 @@ __all__ = [
     "is_conflict_free",
     "module_assignment",
     "pattern_offsets",
-    "plan_cache_keys",
     "plan_cache_stats",
-    "route_memo",
-    "warm_plans_from_keys",
-    "warm_routes",
 ]

@@ -50,16 +50,13 @@ __all__ = [
     "AccessTrace",
     "compile_plan",
     "compile_plan_batch",
-    "plan_cache_keys",
     "plan_cache_stats",
     "stream_tables",
-    "warm_plans_from_keys",
 ]
 
-#: every plan family ever compiled in this process, in compile order.
-#: Appended on cache *misses* only (the memoized body runs once per key),
-#: so it enumerates the warm set a parent process can export to workers —
-#: it is a superset of the live LRU contents when eviction has occurred.
+#: every plan family ever compiled in this process.  Appended on cache
+#: *misses* only (the memoized body runs once per key), so
+#: :func:`compile_plan_batch` uses it to skip families already built.
 _compiled_keys: dict[tuple, None] = {}
 
 #: plans pre-built by :func:`compile_plan_batch`, waiting to be adopted by
@@ -189,9 +186,9 @@ def compile_plan(
 
     The cache is process-wide: every PolyMem instance with the same
     geometry shares the same compiled tables (they are immutable).  The
-    LRU bound (256) is sized to hold the full Table III warm set (~112
-    families) plus runtime extras, so a parent that pre-warms before
-    forking workers keeps every family resident.
+    LRU bound (256) is sized to hold every plan family the validated
+    Table III sweep touches (~112) plus runtime extras, so a repeated
+    sweep in one process compiles nothing.
     """
     kind = PatternKind(kind)
     scheme = Scheme(scheme)
@@ -352,31 +349,8 @@ def compile_plan_batch(keys) -> dict[tuple, AccessPlan]:
     return {k: compile_plan(*k) for k in dict.fromkeys(normd)}
 
 
-def plan_cache_keys() -> list[tuple]:
-    """Every plan-family key compiled in this process, in compile order.
-
-    The exportable warm set of the fork-after-warm exec runtime: a parent
-    calls this after pre-compiling, ships the plain tuples to spawn-start
-    workers, and :func:`warm_plans_from_keys` re-materializes them there
-    (fork-start workers inherit the compiled tables copy-on-write and
-    never need the export).
-    """
-    return list(_compiled_keys)
-
-
-def warm_plans_from_keys(keys) -> int:
-    """Compile every plan family in *keys* (tuples as produced by
-    :func:`plan_cache_keys`); returns the number of families compiled
-    fresh (0 when everything was already warm)."""
-    before = compile_plan.cache_info().misses
-    for key in keys:
-        compile_plan(*key)
-    return compile_plan.cache_info().misses - before
-
-
 def plan_cache_stats() -> dict:
-    """Process-wide plan-cache accounting as plain JSON (the exec
-    runtime's per-worker cache telemetry reads the hit/miss deltas)."""
+    """Process-wide plan-cache accounting as plain JSON."""
     info = compile_plan.cache_info()
     return {
         "hits": info.hits,

@@ -28,17 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import PatternError, SimulationError
-from ..telemetry import context as _telemetry
 
 __all__ = [
     "Shuffle",
     "InverseShuffle",
     "FullCrossbar",
     "BenesNetwork",
-    "RouteMemo",
     "permutation_from_banks",
-    "route_memo",
-    "warm_routes",
 ]
 
 
@@ -116,79 +112,6 @@ class InverseShuffle(Shuffle):
         raise PatternError("values must be 1-D, or 2-D with 2-D banks")
 
 
-class RouteMemo:
-    """The process-wide Benes route memo, shared by every network instance.
-
-    Routes are a pure function of ``(lanes, permutation)`` — the hardware
-    analogue is fixed combinational control logic — so there is nothing
-    instance-specific to key on.  Sharing one memo per process means (a)
-    every :class:`BenesNetwork` with the same lane count reuses routes,
-    and (b) a parent that pre-routes the permutations of a sweep before
-    forking workers hands each worker a warm memo copy-on-write (the
-    fork-after-warm path of :mod:`repro.exec.runtime`).  ``hits`` /
-    ``misses`` mirror the ``benes.route_cache.*`` telemetry counters for
-    the exec runtime's per-worker cache accounting.
-    """
-
-    def __init__(self):
-        self._entries: dict[tuple[int, bytes], list[np.ndarray]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, lanes: int, key: bytes):
-        """The memoized stages for one permutation, or ``None``."""
-        entry = self._entries.get((lanes, key))
-        tel = _telemetry.active()
-        if entry is None:
-            self.misses += 1
-            if tel is not None:
-                tel.metrics.counter("benes.route_cache.misses").inc()
-            return None
-        self.hits += 1
-        if tel is not None:
-            tel.metrics.counter("benes.route_cache.hits").inc()
-        return entry
-
-    def store(self, lanes: int, key: bytes, stages: list[np.ndarray]) -> None:
-        self._entries[(lanes, key)] = stages
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = self.misses = 0
-
-    def stats(self) -> dict:
-        return {"size": len(self._entries), "hits": self.hits, "misses": self.misses}
-
-    def export_keys(self) -> list[tuple[int, list[int]]]:
-        """Routed permutations as ``(lanes, permutation list)`` pairs — the
-        exportable warm set :func:`warm_routes` replays in spawn-start
-        workers."""
-        return [
-            (lanes, np.frombuffer(key, dtype=np.int64).tolist())
-            for lanes, key in self._entries
-        ]
-
-
-#: the process-wide route memo (mirrors the plan cache's sharing model)
-route_memo = RouteMemo()
-
-
-def warm_routes(perms) -> int:
-    """Route every ``(lanes, permutation)`` pair in *perms* into
-    :data:`route_memo`; returns the number routed fresh."""
-    before = route_memo.misses
-    networks: dict[int, BenesNetwork] = {}
-    for lanes, perm in perms:
-        net = networks.get(lanes)
-        if net is None:
-            net = networks[lanes] = BenesNetwork(lanes)
-        net.route(np.asarray(perm, dtype=np.int64))
-    return route_memo.misses - before
-
-
 @dataclass(frozen=True)
 class CrossbarCost:
     """Hardware cost estimate of a shuffle realization."""
@@ -254,23 +177,9 @@ class BenesNetwork(Shuffle):
         The result has ``2*log2(n) - 1`` stages (a single 1-switch stage
         when n == 2).  Routing uses the looping algorithm expressed as a
         2-coloring of the input/output switch constraint graph.
-
-        Settings are memoized per ``(lanes, permutation)`` in the
-        process-wide :data:`route_memo` — the steady-state traffic of a
-        PRF repeats the same few reordering signals every cycle, so after
-        warm-up a route is one dict probe (the hardware analogue: the
-        switch-control signals are a pure function of the already-computed
-        bank assignment), and forked exec workers inherit every route the
-        parent has already computed.
         """
         perm = permutation_from_banks(np.asarray(perm))
-        key = np.ascontiguousarray(perm, dtype=np.int64).tobytes()
-        cached = route_memo.lookup(self.lanes, key)
-        if cached is None:
-            cached = self._route_two_coloring(perm.tolist())
-            route_memo.store(self.lanes, key, cached)
-        # stage arrays are shared; callers treat them as read-only settings
-        return list(cached)
+        return self._route_two_coloring(perm.tolist())
 
     def _route_two_coloring(self, perm: list[int]) -> list[np.ndarray]:
         """Route by 2-coloring the constraint graph between input and output

@@ -6,22 +6,21 @@ frequency, resource utilizations, and the derived bandwidth figures —
 everything Figures 4–8 plot.  Optionally each design is functionally
 validated with the paper's §IV-A unique-value read/write cycle.
 
-The sweep routes through :mod:`repro.exec`: pass ``workers`` to fan the
-grid out over a process pool and ``cache`` to skip previously computed
-points (``python -m repro dse --workers 4`` does both).
+The sweep routes through :mod:`repro.exec`: sibling points evaluate in
+one vectorized batch, and ``cache`` skips previously computed points
+(``python -m repro dse`` uses the on-disk cache by default).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
 from ..backend import DeviceBackend, get_backend
 from ..core.config import PolyMemConfig
 from ..core.schemes import Scheme
-from ..exec import ResultCache, RunResult, SweepResult, SweepTask, run_sweep
+from ..exec import ResultCache, SweepTask, run_sweep
 from ..hw.calibration import table_iv_frequency
 from ..hw.synthesis import SynthesisModel, default_model
 from ..telemetry import context as _telemetry
@@ -34,7 +33,6 @@ __all__ = [
     "explore",
     "evaluate_point",
     "evaluate_points_batch",
-    "warm_point",
 ]
 
 
@@ -126,9 +124,9 @@ def evaluate_point(
 ) -> dict:
     """Evaluate one grid point to its plain-JSON payload.
 
-    Module-level and picklable: this is the :class:`SweepTask` function the
-    process pool runs.  The synthesis model is resolved per process from
-    the *device* name (fit once, then cached by :func:`default_model`).
+    This is the scalar :class:`SweepTask` function of the DSE grid.  The
+    synthesis model is resolved from the *device* name (fit once, then
+    cached by :func:`default_model`).
     """
     model = _model if _model is not None else (
         default_model(device) if device else default_model()
@@ -207,56 +205,6 @@ def evaluate_points_batch(
     ]
 
 
-def warm_point(
-    config: PolyMemConfig,
-    validate: bool = False,
-    validate_rows: int = 16,
-    device: str | None = None,
-) -> None:
-    """:class:`SweepTask` ``warmup`` hook for :func:`evaluate_point`.
-
-    Fits the per-device synthesis model once (a few tens of ms the first
-    time, memoized afterwards) and, when the point will be validated,
-    pre-compiles the plan families its §IV-A cycle touches — so workers
-    forked after the parent's warm pass start with every shared cache hot.
-    """
-    default_model(device) if device else default_model()
-    if validate:
-        from ..maxpolymem.validation import warm_validation
-
-        warm_validation(config, max_rows=validate_rows)
-
-
-def _warm_point_family(
-    config: PolyMemConfig,
-    validate: bool = False,
-    validate_rows: int = 16,
-    device: str | None = None,
-    **_: object,
-) -> tuple:
-    """Dedup key for :func:`warm_point` (its ``warm_family`` attribute).
-
-    Everything the warm-up touches is keyed by the synthesis device and —
-    when validating — the plan-family axes ``(rows, cols, p, q, scheme)``;
-    read-port siblings in a chunk share one warm-up instead of re-running
-    it per config.
-    """
-    if not validate:
-        return (device,)
-    return (
-        config.rows,
-        config.cols,
-        config.p,
-        config.q,
-        config.scheme,
-        validate_rows,
-        device,
-    )
-
-
-warm_point.warm_family = _warm_point_family
-
-
 def _backend_device(backend: DeviceBackend):
     """The FPGA part a backend synthesizes on, or None for pure-link models.
 
@@ -332,10 +280,7 @@ def explore(
     model: SynthesisModel | None = None,
     validate: bool = False,
     validate_rows: int = 16,
-    workers: int | None = None,
     cache: ResultCache | None = None,
-    progress: Callable[[int, int, RunResult], None] | None = None,
-    chunk_size: int | None = None,
     batch: bool = True,
     prune: bool = False,
     backend: str | DeviceBackend | None = None,
@@ -343,22 +288,15 @@ def explore(
     """Run the full DSE sweep over *space* through :mod:`repro.exec`.
 
     With ``validate=True`` every point's design is built and put through
-    the §IV-A validation cycle on its first *validate_rows* logical rows
-    (slow serially — this is the workload ``workers`` parallelizes; see
-    ``benchmarks/bench_exec_scaling.py``).
+    the §IV-A validation cycle on its first *validate_rows* logical rows.
 
-    ``workers``/``cache``/``progress``/``chunk_size`` are forwarded to
-    :func:`repro.exec.run_sweep`; every task carries :func:`warm_point` so
-    parallel runs fork from pre-warmed caches.  Passing a custom *model*
-    forces serial, uncached evaluation (an ad-hoc estimator has no stable
-    cache identity and need not be picklable).
+    The grid runs through :func:`repro.exec.run_sweep`, which consults
+    *cache* first.  Passing a custom *model* forces uncached per-point
+    evaluation (an ad-hoc estimator has no stable cache identity).
 
     ``batch`` (the default) evaluates sibling grid points through
-    :func:`evaluate_points_batch` — one vectorized pass per dispatch
-    group, byte-identical payloads — and, when no pool, cache, or
-    progress callback is requested, bypasses the chunked sweep machinery
-    with a single direct batch call (``result.sweep`` still carries the
-    full accounting).  ``prune`` drops Pareto-dominated points *before*
+    :func:`evaluate_points_batch` — one vectorized pass for the whole
+    grid, byte-identical payloads.  ``prune`` drops Pareto-dominated points *before*
     evaluation: the frontier of the result is provably unchanged (see
     :func:`_prune_dominated`) but the point list is a subset, so it is
     off by default.
@@ -370,8 +308,6 @@ def explore(
     seed Vectis path untouched — and ``backend="vectis"`` resolves to the
     same device, so its payloads are byte-identical to the default's.
     """
-    import time
-
     backend_name: str | None = None
     if backend is not None:
         be = backend if isinstance(backend, DeviceBackend) else get_backend(backend)
@@ -390,39 +326,6 @@ def explore(
         values = [evaluate_point(cfg, _model=model, **params) for cfg in cfgs]
         sweep = None
         batched_points, batch_calls, scalar_points = 0, 0, len(cfgs)
-    elif (
-        batch
-        and workers is None
-        and cache is None
-        and progress is None
-    ):
-        device = space.device.name
-        t0 = time.perf_counter()
-        values = evaluate_points_batch(cfgs, device=device, **params)
-        wall = time.perf_counter() - t0
-        per = wall / len(cfgs) if cfgs else 0.0
-        sweep = SweepResult(
-            results=[
-                RunResult(
-                    experiment_id="dse.point",
-                    key=SweepTask(
-                        "dse.point",
-                        evaluate_point,
-                        cfg,
-                        params={**params, "device": device},
-                    ).cache_key(),
-                    value=value,
-                    seconds=per,
-                    cached=False,
-                )
-                for cfg, value in zip(cfgs, values)
-            ],
-            wall_seconds=wall,
-            workers=1,
-            batched_points=len(cfgs),
-            batch_calls=1,
-        )
-        batched_points, batch_calls, scalar_points = len(cfgs), 1, 0
     else:
         tasks = [
             SweepTask(
@@ -430,18 +333,11 @@ def explore(
                 evaluate_point,
                 cfg,
                 params={**params, "device": space.device.name},
-                warmup=warm_point,
                 batch_fn=evaluate_points_batch if batch else None,
             )
             for cfg in cfgs
         ]
-        sweep = run_sweep(
-            tasks,
-            workers=workers,
-            cache=cache,
-            progress=progress,
-            chunk_size=chunk_size,
-        )
+        sweep = run_sweep(tasks, cache=cache)
         values = sweep.values()
         batched_points = sweep.batched_points
         batch_calls = sweep.batch_calls

@@ -1,4 +1,4 @@
-"""repro.exec — the parallel, cached execution runtime for grid work.
+"""repro.exec — the cached, batched execution runtime for grid work.
 
 The paper's evaluation is one big grid walk: the Table III design-space
 sweep (→ Table IV, Figs 4–8), the §IV-A per-config validation cycles, the
@@ -7,13 +7,10 @@ package gives every entry point (CLI, benchmarks, tests) one way to run
 such grids:
 
 :func:`run_sweep` / :class:`SweepTask`
-    Warm-forked process-pool fan-out over independent points — parent-side
-    cache pre-warming inherited copy-on-write by workers (spawn platforms
-    replay it via a pool initializer, see :mod:`repro.exec.warm`), chunked
-    dispatch sized by a cost model, streaming result collection — with
-    deterministic result ordering, graceful serial fallback, progress
-    callbacks and wall-clock accounting (:class:`RunResult` /
-    :class:`SweepResult`).
+    One in-process pass over independent points: cache lookup first,
+    sibling points grouped into one vectorized ``batch_fn`` call, each
+    finished group persisted to the cache, deterministic result ordering
+    and wall-clock accounting (:class:`RunResult` / :class:`SweepResult`).
 :class:`ResultCache` / :func:`cache_key`
     A content-addressed on-disk cache keyed by a stable hash of
     *(experiment id, config, params, model version)* — warm re-runs skip
@@ -35,18 +32,7 @@ from .runtime import (
     RunResult,
     SweepResult,
     SweepTask,
-    plan_chunk_size,
-    resolve_workers,
     run_sweep,
-)
-from .warm import (
-    WarmSpec,
-    WarmState,
-    WarmupReport,
-    collect_warmups,
-    export_warm_state,
-    run_warmups,
-    warm_initializer,
 )
 
 __all__ = [
@@ -59,17 +45,8 @@ __all__ = [
     "RunResult",
     "SweepResult",
     "SweepTask",
-    "WarmSpec",
-    "WarmState",
-    "WarmupReport",
     "cache_key",
-    "collect_warmups",
     "default_cache_dir",
-    "export_warm_state",
-    "plan_chunk_size",
     "rel_error",
-    "resolve_workers",
     "run_sweep",
-    "run_warmups",
-    "warm_initializer",
 ]

@@ -167,22 +167,14 @@ class ResultCache:
         return out
 
     def put(self, key: str, value: Any) -> None:
-        """Store *value* under *key* (atomic rename; best effort on I/O
-        failure — a cache must never take the computation down)."""
-        path = self.path_for(key)
-        entry = {"format": _ENTRY_FORMAT, "key": key, "value": value}
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(json.dumps(entry))
-            tmp.replace(path)
-        except OSError:  # pragma: no cover - disk full / permissions
-            pass
+        """Store *value* under *key* (see :meth:`put_many`)."""
+        self.put_many({key: value})
 
     def put_many(self, entries: Mapping[str, Any]) -> None:
         """Batch store: one ``mkdir`` per fan-out prefix, then one atomic
-        write per entry — the post-compute persistence of a whole result
-        chunk costs one directory round-trip instead of one per point."""
+        rename per entry — persisting a whole dispatch group costs one
+        directory round-trip instead of one per point.  Best effort on
+        I/O failure: a cache must never take the computation down."""
         made: set[str] = set()
         for key, value in entries.items():
             prefix = key[:2]

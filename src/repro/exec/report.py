@@ -111,7 +111,6 @@ class Report:
         self.meta["sweep_wall_seconds"] = round(
             self.meta.get("sweep_wall_seconds", 0.0) + sweep.wall_seconds, 6
         )
-        self.meta["workers"] = max(self.meta.get("workers", 1), sweep.workers)
 
     def attach_telemetry(self, telemetry=None) -> None:
         """Merge a telemetry snapshot into ``meta["telemetry"]``.
@@ -191,7 +190,6 @@ class Report:
             out.write(
                 f"sweep: {self.meta['sweep_points']} points, "
                 f"{self.meta['sweep_cached']} cached, "
-                f"{self.meta.get('workers', 1)} worker(s), "
                 f"{self.meta['sweep_wall_seconds']:.3f} s\n"
             )
         return out.getvalue()

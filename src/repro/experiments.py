@@ -7,16 +7,14 @@ paper-vs-measured scorecard with pass/fail marks.  The benches under
 single entry point.
 
 The scorecard routes its grid work (the Table III sweep, the §IV-A
-validation cycles) through :mod:`repro.exec`, so ``--workers`` fans it out
-over processes and a warm cache makes re-runs skip straight to the
-answers.  The printed table is a renderer over the unified
+validation cycles) through :mod:`repro.exec`, so a warm cache makes
+re-runs skip straight to the answers.  The printed table is a renderer over the unified
 :class:`repro.exec.Report` JSON schema (``--json`` emits it raw).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .exec import Report, ReportEntry, ResultCache, rel_error
 
@@ -215,13 +213,12 @@ def _stream_rows() -> list[ExperimentRow]:
 
 
 def _validation_rows(
-    workers: int | None = None, cache: ResultCache | None = None,
-    chunk_size: int | None = None,
+    cache: ResultCache | None = None,
 ) -> tuple[list[ExperimentRow], object]:
     from .core.config import KB, PolyMemConfig
     from .core.schemes import Scheme
     from .exec import SweepTask, run_sweep
-    from .maxpolymem.validation import validate_config, warm_validation
+    from .maxpolymem.validation import validate_config
 
     cfgs = [
         PolyMemConfig(16 * KB, p=2, q=4, scheme=scheme, read_ports=2)
@@ -233,11 +230,10 @@ def _validation_rows(
             validate_config,
             cfg,
             params={"max_rows": 8, "style": "fused"},
-            warmup=warm_validation,
         )
         for cfg in cfgs
     ]
-    sweep = run_sweep(tasks, workers=workers, cache=cache, chunk_size=chunk_size)
+    sweep = run_sweep(tasks, cache=cache)
     passed = sum(
         v["passed"] and not v["mismatches"] for v in sweep.values()
     )
@@ -268,33 +264,22 @@ class Scorecard:
         return all(r.ok for r in self.rows)
 
 
-def run_scorecard(
-    workers: int | None = None,
-    cache: ResultCache | None = None,
-    progress: Callable | None = None,
-    chunk_size: int | None = None,
-) -> Scorecard:
+def run_scorecard(cache: ResultCache | None = None) -> Scorecard:
     """Run every experiment through :mod:`repro.exec`.
 
-    ``workers`` fans the Table III sweep and the validation grid out over
-    a warm-forked process pool; ``cache`` makes warm re-runs skip every
-    sweep point whose inputs did not change; ``chunk_size`` overrides the
-    automatic dispatch batch sizing.
+    ``cache`` makes warm re-runs skip every sweep point whose inputs did
+    not change.
     """
     from .dse import explore
 
-    result = explore(
-        workers=workers, cache=cache, progress=progress, chunk_size=chunk_size
-    )
+    result = explore(cache=cache)
     rows: list[ExperimentRow] = []
     rows += _table1_rows()
     rows += _table4_rows()
     rows += _bandwidth_rows(result)
     rows += _utilization_rows(result)
     rows += _stream_rows()
-    val_rows, val_sweep = _validation_rows(
-        workers=workers, cache=cache, chunk_size=chunk_size
-    )
+    val_rows, val_sweep = _validation_rows(cache=cache)
     rows += val_rows
     report = scorecard_report(rows)
     if result.sweep is not None:
@@ -303,16 +288,9 @@ def run_scorecard(
     return Scorecard(rows=rows, report=report)
 
 
-def run_all(
-    workers: int | None = None,
-    cache: ResultCache | None = None,
-    progress: Callable | None = None,
-    chunk_size: int | None = None,
-) -> list[ExperimentRow]:
+def run_all(cache: ResultCache | None = None) -> list[ExperimentRow]:
     """Run every experiment and return the scorecard rows."""
-    return run_scorecard(
-        workers=workers, cache=cache, progress=progress, chunk_size=chunk_size
-    ).rows
+    return run_scorecard(cache=cache).rows
 
 
 def scorecard_report(rows: list[ExperimentRow]) -> Report:

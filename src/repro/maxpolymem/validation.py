@@ -12,14 +12,14 @@ using every pattern the scheme supports, and compared against the expected
 layout.
 
 :func:`validate_configs` runs the cycle over a whole grid of
-configurations through :mod:`repro.exec` — in parallel and cached when
+configurations through :mod:`repro.exec` — batched, and cached when
 asked — which is how the paper "validate[s] each design" across the DSE.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -39,26 +39,13 @@ __all__ = [
     "validate_config",
     "validate_configs",
     "validate_points_batch",
-    "warm_validation",
 ]
 
 
-def warm_validation(config: PolyMemConfig, max_rows=None, style=None, **_: object) -> None:
-    """Pre-compile the plan families one §IV-A cycle touches.
-
-    This is the :class:`~repro.exec.SweepTask` ``warmup`` hook for the
-    validation grid: the fill phase uses aligned ``RECTANGLE`` accesses and
-    the readback phase every supported pattern whose condition holds, so
-    warming exactly that set in the parent lets forked workers start with
-    every :func:`~repro.core.plan.compile_plan` family already resident.
-    Extra keyword arguments (``max_rows``/``style``/...) are accepted and
-    ignored so the hook matches any caller's task params.
-    """
-    compile_plan_batch(_validation_plan_keys(config))
-
-
 def _validation_plan_keys(config: PolyMemConfig) -> list[tuple]:
-    """The plan-family keys one §IV-A cycle touches."""
+    """The plan-family keys one §IV-A cycle touches: the fill phase's
+    aligned ``RECTANGLE`` accesses plus every supported readback pattern
+    whose condition holds."""
     p, q = config.p, config.q
     kinds = {PatternKind.RECTANGLE}
     for entry in SCHEME_SPECS[config.scheme].supported:
@@ -68,16 +55,6 @@ def _validation_plan_keys(config: PolyMemConfig) -> list[tuple]:
         (config.rows, config.cols, p, q, config.scheme, kind, 1)
         for kind in kinds
     ]
-
-
-def _warm_validation_family(config: PolyMemConfig, **_: object) -> tuple:
-    """Warmup dedup key: the compiled plan families are blind to the read
-    port count, so sibling configs differing only in ports share one
-    warm-up (see :func:`repro.exec.warm.collect_warmups`)."""
-    return (config.rows, config.cols, config.p, config.q, config.scheme)
-
-
-warm_validation.warm_family = _warm_validation_family
 
 
 @dataclass
@@ -189,8 +166,8 @@ def validate_config(
     style: str = "fused",
 ) -> dict:
     """Build + validate one configuration, returning the plain-JSON
-    payload (module-level and picklable: the :class:`~repro.exec.SweepTask`
-    function for the validation grid)."""
+    payload (the :class:`~repro.exec.SweepTask` function for the
+    validation grid)."""
     from .design import build_design
 
     design = build_design(config, style=style, clock_source="model")
@@ -392,21 +369,15 @@ def validate_configs(
     configs: Iterable[PolyMemConfig],
     max_rows: int | None = 16,
     style: str = "fused",
-    workers: int | None = None,
     cache=None,
-    progress: Callable | None = None,
-    chunk_size: int | None = None,
     batch: bool = True,
 ) -> list[ValidationReport]:
     """The §IV-A cycle over a grid of configurations via :mod:`repro.exec`.
 
     Returns one :class:`ValidationReport` per config, in input order.
-    ``workers``/``cache``/``progress``/``chunk_size`` go to
-    :func:`repro.exec.run_sweep`; every task carries
-    :func:`warm_validation` so parallel runs fork from pre-warmed caches.
-    With ``batch`` (the default), sibling tasks in one chunk evaluate
-    through :func:`validate_points_batch` in a single vectorized call;
-    payloads are byte-identical either way.
+    ``cache`` goes to :func:`repro.exec.run_sweep`.  With ``batch`` (the
+    default), sibling tasks evaluate through :func:`validate_points_batch`
+    in a single vectorized call; payloads are byte-identical either way.
     """
     from ..exec import SweepTask, run_sweep
 
@@ -416,14 +387,11 @@ def validate_configs(
             validate_config,
             cfg,
             params={"max_rows": max_rows, "style": style},
-            warmup=warm_validation,
             batch_fn=validate_points_batch if batch else None,
         )
         for cfg in configs
     ]
-    sweep = run_sweep(
-        tasks, workers=workers, cache=cache, progress=progress, chunk_size=chunk_size
-    )
+    sweep = run_sweep(tasks, cache=cache)
     return [
         ValidationReport(
             config_label=v["config_label"],

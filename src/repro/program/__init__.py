@@ -42,7 +42,6 @@ from .fuse import (
     KernelCache,
     fusion_plan,
     kernel_cache,
-    warm_kernels,
 )
 from .ir import (
     AccessOp,
@@ -88,7 +87,6 @@ __all__ = [
     "execute",
     "fusion_plan",
     "kernel_cache",
-    "warm_kernels",
     "op_slots",
     "slot_disjoint",
     "validate_program",

@@ -58,7 +58,6 @@ __all__ = [
     "KernelCache",
     "fusion_plan",
     "kernel_cache",
-    "warm_kernels",
 ]
 
 #: version tag of the kernel-key format; bump on any change to the key
@@ -110,10 +109,7 @@ class KernelCache:
     def ensure(self, key: str, build) -> tuple:
         """The kernel under *key*, building (and caching) it on a miss.
 
-        Returns ``(kernel, hit)``.  This is the pre-warm hook of the
-        fork-after-warm exec runtime: a parent process can ensure every
-        group kernel a task list will need before forking workers, which
-        then find the cache warm copy-on-write.
+        Returns ``(kernel, hit)``.
         """
         kernel = self.get(key)
         if kernel is not None:
@@ -541,23 +537,3 @@ def fusion_plan(compiled, mems: Mapping[str, Any]) -> FusionPlan:
         m.counter("program.fusion.fallback_steps").inc(plan.n_fallback_steps)
     return plan
 
-
-def warm_kernels(compiled, mems: Mapping[str, Any]) -> int:
-    """Pre-build every group kernel *compiled* needs into
-    :data:`kernel_cache` (the exec runtime's KernelCache pre-warm hook).
-
-    Warming in the parent before the worker pool forks makes the first
-    fused execution in every worker a pure cache hit; returns the number
-    of kernels built fresh.
-    """
-    from .passes import warm_plans
-
-    warm_plans(compiled, mems)
-    built = 0
-    for group in _split_groups(compiled.segments):
-        key = group_key(group, mems)
-        _, hit = kernel_cache.ensure(
-            key, lambda g=group: _build_group_kernel(g, mems)
-        )
-        built += not hit
-    return built

@@ -279,9 +279,9 @@ def fig10_point(
 ) -> dict:
     """One closed-form Fig. 10 point as a plain-JSON payload.
 
-    Module-level and picklable — the :class:`~repro.exec.SweepTask`
-    function of the Fig. 10 size sweep (the design is reduced to the five
-    scalars the analytic cycle model needs, so workers never rebuild it).
+    The :class:`~repro.exec.SweepTask` function of the Fig. 10 size sweep
+    (the design is reduced to the five scalars the analytic cycle model
+    needs, which also form the point's cache identity).
     """
     cycles = vectors + read_latency + PIPELINE_SLACK_CYCLES
     m = StreamMeasurement(
@@ -305,17 +305,14 @@ def sweep_fig10(
     sizes_kb: list[float] | None = None,
     runs: int = STREAM_COPY.runs,
     harness: StreamHarness | None = None,
-    workers: int | None = None,
     cache=None,
-    progress=None,
-    chunk_size: int | None = None,
 ) -> list[Fig10Point]:
     """Regenerate Fig. 10: Copy bandwidth vs copied data size.
 
     Uses the validated analytic cycle model (the full-size cycle-accurate
     run is covered by the integration tests), executed as one
-    :func:`repro.exec.run_sweep` grid so the CLI's ``--workers`` /
-    ``--cache-dir`` flags apply here too.
+    :func:`repro.exec.run_sweep` grid so the CLI's ``--cache-dir`` /
+    ``--no-cache`` flags apply here too.
     """
     from ..exec import SweepTask, run_sweep
     from .apps import COPY
@@ -345,7 +342,5 @@ def sweep_fig10(
                 },
             )
         )
-    sweep = run_sweep(
-        tasks, workers=workers, cache=cache, progress=progress, chunk_size=chunk_size
-    )
+    sweep = run_sweep(tasks, cache=cache)
     return [Fig10Point(**v) for v in sweep.values()]

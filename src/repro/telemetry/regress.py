@@ -76,12 +76,6 @@ GATE_TABLE: dict[str, GateSpec] = {
     "access.fused_vs_replay": GateSpec(
         ">=", 2.0, "fused program backend vs direct replay (4096-access stream)"
     ),
-    "exec.scaling_1_to_4": GateSpec(
-        ">=", 2.0, "warm-fork sweep speedup 1 -> 4 workers (>= 2 CPUs)"
-    ),
-    "exec.no_regression_1cpu": GateSpec(
-        "<=", 1.05, "4-worker wall vs 1-worker wall on a single-CPU machine"
-    ),
     "exec.warm_cache_seconds": GateSpec(
         "<=", 1.0, "fully-cached Table III re-run wall seconds"
     ),
@@ -109,9 +103,8 @@ def evaluate_gate(
     ``{name, value, op, threshold, ok, detail}``.
 
     Known names take their operator/threshold from :data:`GATE_TABLE`
-    (explicit arguments override — conditional gates like the exec
-    scaling fallback pass their branch explicitly); unknown names must
-    spell out both.
+    (explicit arguments override, so a conditional gate can record the
+    branch it took); unknown names must spell out both.
     """
     spec = GATE_TABLE.get(name)
     if op is None:

@@ -4,8 +4,8 @@
 renders a snapshot's raw counters plus the *derived* quantities the
 paper reasons in: achieved vs. theoretical bandwidth (Fig. 10), stall
 and scalar-fallback percentages (batched engine), cache hit rates
-(plans, Benes routes, exec results), PCIe overhead share (§V's ~300 ns
-amortization), and exec worker utilization.
+(plans, fused kernels, exec results) and PCIe overhead share (§V's
+~300 ns amortization).
 
 Accepted inputs: a raw telemetry snapshot (``repro.telemetry/1``) or a
 ``repro.exec.report/1`` JSON whose ``meta.telemetry`` block carries one.
@@ -81,7 +81,6 @@ def derived_metrics(snapshot: dict) -> dict[str, float]:
 
     for key, hits, misses in (
         ("plan_cache.hit_rate", "polymem.plan_cache.hits", "polymem.plan_cache.misses"),
-        ("route_cache.hit_rate", "benes.route_cache.hits", "benes.route_cache.misses"),
         (
             "kernel_cache.hit_rate",
             "program.fusion.kernel_cache.hits",
@@ -114,13 +113,6 @@ def derived_metrics(snapshot: dict) -> dict[str, float]:
     candidates = c.get("dse.batch.candidates", 0)
     if candidates:
         out["dse.prune_rate"] = c.get("dse.batch.pruned", 0) / candidates
-
-    wall = c.get("exec.wall_seconds", 0.0)
-    workers = _gauge_value(g, "exec.workers")
-    if wall and workers:
-        out["exec.worker_utilization"] = c.get("exec.compute_seconds", 0.0) / (
-            wall * workers
-        )
     return out
 
 
@@ -151,11 +143,6 @@ def derived_values(snapshot: dict) -> list[tuple[str, str]]:
     )
     if plan_rate is not None:
         out.append(("plan-cache hit rate", f"{100.0 * plan_rate:.1f}%"))
-    route_rate = _rate(
-        c.get("benes.route_cache.hits", 0), c.get("benes.route_cache.misses", 0)
-    )
-    if route_rate is not None:
-        out.append(("Benes route-cache hit rate", f"{100.0 * route_rate:.1f}%"))
     kernel_rate = _rate(
         c.get("program.fusion.kernel_cache.hits", 0),
         c.get("program.fusion.kernel_cache.misses", 0),
@@ -229,33 +216,6 @@ def derived_values(snapshot: dict) -> list[tuple[str, str]]:
     exec_rate = _rate(c.get("exec.cache.hits", 0), c.get("exec.cache.misses", 0))
     if exec_rate is not None:
         out.append(("exec cache hit rate", f"{100.0 * exec_rate:.1f}%"))
-    wall = c.get("exec.wall_seconds", 0.0)
-    workers = _gauge_value(g, "exec.workers")
-    if wall and workers:
-        util = c.get("exec.compute_seconds", 0.0) / (wall * workers)
-        out.append(("exec worker utilization", f"{100.0 * util:.1f}%"))
-    if wall and c.get("exec.chunks", 0):
-        warmup = c.get("exec.warmup_seconds", 0.0)
-        ipc = c.get("exec.ipc_seconds", 0.0)
-        out.append(
-            (
-                "exec warm-fork overhead",
-                f"warmup {warmup:.3f} s ({100.0 * warmup / wall:.1f}% of wall), "
-                f"ipc {ipc:.3f} s over {c.get('exec.chunks', 0)} chunks",
-            )
-        )
-    for cache_name, label in (
-        ("plan_cache", "worker plan-cache hit rate"),
-        ("route_cache", "worker route-cache hit rate"),
-        ("kernel_cache", "worker kernel-cache hit rate"),
-    ):
-        rate = _rate(
-            c.get(f"exec.worker.{cache_name}.hits", 0),
-            c.get(f"exec.worker.{cache_name}.misses", 0),
-        )
-        if rate is not None:
-            out.append((label, f"{100.0 * rate:.1f}%"))
-
     return out
 
 

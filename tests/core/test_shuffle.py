@@ -150,39 +150,3 @@ class TestBenesNetwork:
         banks = np.stack([rng.permutation(4) for _ in range(3)])
         vals = rng.integers(0, 100, (3, 4))
         assert (bn(vals, banks) == Shuffle(4)(vals, banks)).all()
-
-    def test_route_memoized_per_permutation(self, rng):
-        """Repeat routes hit the process-wide memo and stay correct."""
-        from repro.core.shuffle import route_memo
-
-        route_memo.clear()
-        bn = BenesNetwork(8)
-        perm = rng.permutation(8)
-        first = bn.route(perm)
-        assert len(route_memo) == 1
-        second = bn.route(perm.copy())  # different array, same bytes key
-        assert len(route_memo) == 1
-        assert route_memo.hits == 1 and route_memo.misses == 1
-        assert all(np.array_equal(a, b) for a, b in zip(first, second))
-        v = rng.integers(0, 100, 8)
-        assert (bn.apply_route(v, second) == Shuffle(8)(v, perm)).all()
-        bn.route(rng.permutation(8))
-        assert len(route_memo) == 2
-
-    def test_route_memo_shared_across_instances(self, rng):
-        """Two networks of the same width share routes (the property the
-        exec runtime's fork-after-warm relies on)."""
-        from repro.core.shuffle import route_memo
-
-        route_memo.clear()
-        perm = rng.permutation(8)
-        a, b = BenesNetwork(8), BenesNetwork(8)
-        a.route(perm)
-        misses_after_first = route_memo.misses
-        stages = b.route(perm)
-        assert route_memo.misses == misses_after_first  # b reused a's route
-        v = rng.integers(0, 100, 8)
-        assert (b.apply_route(v, stages) == Shuffle(8)(v, perm)).all()
-        # different widths never collide, even for equal permutations
-        BenesNetwork(4).route(np.arange(4)[::-1].copy())
-        assert len(route_memo) == 2

@@ -205,7 +205,7 @@ class TestExploreEquivalence:
         assert _points_json(explore()) == _points_json(scalar_result)
 
     def test_sweep_path_points_identical(self, scalar_result):
-        batched = explore(workers=1)
+        batched = explore()
         assert _points_json(batched) == _points_json(scalar_result)
         assert batched.sweep.batched_points == len(batched.points)
         assert batched.sweep.batch_calls >= 1
@@ -216,13 +216,14 @@ class TestExploreEquivalence:
         assert result.sweep.n_cached == 0
         assert result.sweep.n_computed == len(result.points)
         assert result.sweep.batched_points == len(result.points)
+        # the whole default grid is one dispatch group: one batch_fn call
+        assert result.sweep.batch_calls == 1
 
     def test_payload_json_matches_scalar_sweep(self, scalar_result):
         """Cache keys and payloads — not just the points — are identical,
         so batched and scalar runs share cache entries."""
         assert (
             explore().sweep.payload_json()
-            == explore(workers=1).sweep.payload_json()
             == scalar_result.sweep.payload_json()
         )
 

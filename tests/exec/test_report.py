@@ -1,5 +1,7 @@
 """Tests for the unified repro.exec report schema."""
 
+import re
+
 import pytest
 
 from repro.core.exceptions import ConfigurationError
@@ -91,7 +93,7 @@ class TestReport:
     def test_render_sweep_meta(self):
         from repro.exec import SweepTask, run_sweep
 
-        def _noop(config):  # serial-only, no pickling needed
+        def _noop(config):
             return {"v": config}
 
         sweep = run_sweep([SweepTask("t", _noop, i) for i in range(3)])
@@ -99,7 +101,8 @@ class TestReport:
         r.add_sweep_meta(sweep)
         r.add_sweep_meta(sweep)
         assert r.meta["sweep_points"] == 6
-        assert "sweep: 6 points, 0 cached, 1 worker(s)" in r.render()
+        assert re.search(r"^sweep: 6 points, 0 cached, \d+\.\d{3} s$",
+                         r.render(), re.MULTILINE)
 
 
 def test_entries_from_series():

@@ -1,27 +1,16 @@
-"""Tests for the repro.exec sweep runtime.
-
-Includes the ISSUE-1 equivalence requirement: the full Table III sweep
-produces byte-identical SweepResults at workers=1 and workers=4, and the
-ISSUE-7 extensions: chunked dispatch equivalence, the CPU-count clamp,
-and streaming persistence of completed chunks when a worker raises.
-
-Tests that need a real multi-worker pool pretend the machine has many
-CPUs (``many_cpus``) — ``resolve_workers`` clamps to ``os.cpu_count()``,
-and CI runners may have only one core.
-"""
-
-import os
+"""Tests for the repro.exec sweep runtime: cache lookup, batch dispatch,
+deterministic ordering, and group-granular persistence when a task
+raises."""
 
 import pytest
 
 from repro.dse import explore
 from repro.dse.space import PAPER_SPACE
-from repro.exec import ResultCache, SweepTask, resolve_workers, run_sweep
-from repro.exec.runtime import MIN_PARALLEL_TASKS, plan_chunk_size
+from repro.exec import ResultCache, SweepTask, run_sweep
 
 
 def square(config, offset=0):
-    """Module-level (picklable) toy task: config is a plain int here."""
+    """Toy task: config is a plain int here."""
     return {"square": config * config + offset}
 
 
@@ -36,100 +25,24 @@ def _tasks(n, offset=0):
     ]
 
 
-@pytest.fixture
-def many_cpus(monkeypatch):
-    """Pretend the host has 32 CPUs so the clamp never forces serial."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 32)
-
-
-class TestResolveWorkers:
-    def test_none_and_one_are_serial(self):
-        assert resolve_workers(None, 100) == 1
-        assert resolve_workers(1, 100) == 1
-
-    def test_zero_means_all_cpus(self):
-        assert resolve_workers(0, 100) == min(os.cpu_count() or 1, 100)
-
-    def test_clamped_to_task_count(self, many_cpus):
-        assert resolve_workers(16, MIN_PARALLEL_TASKS) == MIN_PARALLEL_TASKS
-
-    def test_clamped_to_cpu_count(self, monkeypatch, caplog):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        with caplog.at_level("INFO", logger="repro.exec.runtime"):
-            assert resolve_workers(16, 100) == 2
-        assert any("clamping workers 16 -> 2" in r.message for r in caplog.records)
-
-    def test_tiny_grids_stay_serial(self, many_cpus):
-        assert resolve_workers(8, MIN_PARALLEL_TASKS - 1) == 1
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_workers(-2, 10)
-
-
-class TestPlanChunkSize:
-    def test_explicit_size_wins(self):
-        assert plan_chunk_size(100, 4, chunk_size=7) == 7
-
-    def test_explicit_size_validated(self):
-        with pytest.raises(ValueError):
-            plan_chunk_size(100, 4, chunk_size=0)
-
-    def test_balance_bound_without_cost_estimate(self):
-        # 90 points / (4 workers * 4 chunks-per-worker) -> 6 per chunk
-        assert plan_chunk_size(90, 4) == 6
-
-    def test_cheap_tasks_coarsen_up_to_balance_bound(self):
-        # 1 ms/point would allow 200-point chunks, but load balance caps it
-        assert plan_chunk_size(90, 4, mean_task_seconds=0.001) == 6
-
-    def test_expensive_tasks_split_finer(self):
-        # 0.15 s/point -> ~2 points reach the target chunk cost
-        assert plan_chunk_size(90, 4, mean_task_seconds=0.15) == 2
-
-    def test_never_below_one(self):
-        assert plan_chunk_size(3, 4, mean_task_seconds=10.0) == 1
-
-
 class TestRunSweep:
     def test_serial_order_and_values(self):
         sweep = run_sweep(_tasks(6))
-        assert sweep.workers == 1
         assert sweep.values() == [{"square": i * i} for i in range(6)]
         assert sweep.n_computed == 6 and sweep.n_cached == 0
         assert sweep.wall_seconds >= 0
         assert sweep.compute_seconds >= 0
 
-    def test_parallel_matches_serial_byte_for_byte(self, many_cpus):
-        serial = run_sweep(_tasks(10))
-        parallel = run_sweep(_tasks(10), workers=4)
-        assert parallel.workers > 1
-        assert parallel.payload_json() == serial.payload_json()
-        assert parallel.values() == serial.values()
-
-    def test_chunked_matches_unchunked_byte_for_byte(self, many_cpus):
-        serial = run_sweep(_tasks(11))
-        for size in (1, 3, 11, 50):
-            chunked = run_sweep(_tasks(11), workers=4, chunk_size=size)
-            assert chunked.payload_json() == serial.payload_json(), size
-        auto = run_sweep(_tasks(11), workers=4)  # cost-model sizing
-        assert auto.payload_json() == serial.payload_json()
-
-    def test_chunk_accounting(self, many_cpus):
-        sweep = run_sweep(_tasks(10), workers=4, chunk_size=3)
-        # pilot point runs in the parent; 9 remaining points -> 3 chunks
-        assert sweep.chunks == 3
-        assert sweep.warmup_seconds >= 0.0
-        assert sweep.ipc_seconds >= 0.0
-        serial = run_sweep(_tasks(10))
-        assert serial.chunks == 0 and serial.ipc_seconds == 0.0
-
-    def test_results_keep_task_order(self, many_cpus):
-        tasks = _tasks(12)
-        sweep = run_sweep(tasks, workers=3)
+    def test_results_keep_task_order(self):
+        # scalar and batched tasks interleave; results still follow tasks
+        tasks = [
+            t for pair in zip(_tasks(6), _batch_tasks(6, offset=1)) for t in pair
+        ]
+        sweep = run_sweep(tasks)
         for task, result in zip(tasks, sweep.results):
             assert result.key == task.cache_key()
             assert result.experiment_id == task.experiment_id
+            assert result.value == square(task.config, **task.params)
 
     def test_cache_hits_skip_computation(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -154,58 +67,28 @@ class TestRunSweep:
         assert changed.n_computed == 5
         assert changed.values() == [{"square": i * i + 1} for i in range(5)]
 
-    def test_progress_callback(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        run_sweep(_tasks(3), cache=cache)
-        seen = []
-        run_sweep(
-            _tasks(6),
-            cache=cache,
-            progress=lambda done, total, result: seen.append((done, total)),
-        )
-        assert [d for d, _ in seen] == list(range(1, 7))
-        assert all(t == 6 for _, t in seen)
-
-    def test_progress_streams_in_parallel(self, many_cpus):
-        """Parallel progress fires once per point as chunks land — not in
-        one burst after the whole sweep (the pre-ISSUE-7 behaviour)."""
-        seen = []
-        run_sweep(
-            _tasks(10),
-            workers=2,
-            chunk_size=2,
-            progress=lambda done, total, result: seen.append((done, result)),
-        )
-        assert [d for d, _ in seen] == list(range(1, 11))
-        assert sorted(r.value["square"] for _, r in seen) == sorted(
-            i * i for i in range(10)
-        )
-
     def test_worker_exception_propagates_serial(self):
         tasks = _tasks(3) + [SweepTask("test.boom", boom, 99)]
         with pytest.raises(ValueError, match="boom on 99"):
             run_sweep(tasks)
 
-    def test_worker_exception_propagates_parallel(self, many_cpus):
-        tasks = _tasks(4) + [SweepTask("test.boom", boom, 99)]
-        with pytest.raises(ValueError, match="boom on 99"):
-            run_sweep(tasks, workers=2)
-
-    def test_completed_chunks_persist_through_failure(self, many_cpus, tmp_path):
-        """A late worker crash must not lose earlier points: every chunk
-        that completed before the failure is already in the cache, so the
-        re-run resumes instead of starting over (the ISSUE-7 satellite)."""
+    def test_completed_chunks_persist_through_failure(self, tmp_path):
+        """A late failure must not lose earlier points: every dispatch
+        group that finished before the raising one is already in the
+        cache, so the re-run resumes instead of starting over."""
         cache = ResultCache(tmp_path / "cache")
-        good = _tasks(8)
-        tasks = good + [SweepTask("test.boom", boom, 99)]
+        scalar = _tasks(4)
+        batched = _batch_tasks(5, offset=7)
+        later = _tasks(3, offset=100)
+        tasks = scalar + batched + [SweepTask("test.boom", boom, 99)] + later
         with pytest.raises(ValueError, match="boom on 99"):
-            # chunk_size=1 with 2 workers: the boom chunk is dispatched
-            # last, after every square chunk has started
-            run_sweep(tasks, workers=2, cache=cache, chunk_size=1)
-        persisted = sum(t.cache_key() in cache for t in good)
-        assert persisted == len(good)
-        resumed = run_sweep(good, cache=cache)
-        assert resumed.n_cached == len(good)
+            run_sweep(tasks, cache=cache)
+        done = scalar + batched
+        assert all(t.cache_key() in cache for t in done)
+        assert not any(t.cache_key() in cache for t in later)
+        resumed = run_sweep(done + later, cache=cache)
+        assert resumed.n_cached == len(done)
+        assert resumed.n_computed == len(later)
 
     def test_explicit_key_overrides_derived(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -219,32 +102,19 @@ class TestRunSweep:
 
 
 class TestTableIIIEquivalence:
-    """ISSUE-1: the full Table III sweep is byte-identical at 1 vs 4 workers."""
-
-    def test_full_sweep_workers_1_vs_4(self, many_cpus):
-        serial = explore(workers=1)
-        parallel = explore(workers=4)
-        assert len(serial.points) == PAPER_SPACE.size()
-        assert serial.sweep is not None and parallel.sweep is not None
-        assert parallel.sweep.payload_json() == serial.sweep.payload_json()
-        assert [p.config.label() for p in parallel.points] == [
-            p.config.label() for p in serial.points
-        ]
-        assert [p.model_mhz for p in parallel.points] == [
-            p.model_mhz for p in serial.points
-        ]
+    """The cached Table III sweep is byte-identical to the computed one."""
 
     def test_cached_sweep_equals_computed(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        cold = explore(workers=2, cache=cache)
-        warm = explore(workers=2, cache=cache)
+        cold = explore(cache=cache)
+        warm = explore(cache=cache)
         assert warm.sweep.n_cached == PAPER_SPACE.size()
         assert warm.sweep.payload_json() == cold.sweep.payload_json()
         assert warm.points == cold.points
 
 
 def square_batch(configs, offset=0):
-    """Module-level (picklable) vectorized twin of :func:`square`."""
+    """Vectorized twin of :func:`square`."""
     return [{"square": c * c + offset} for c in configs]
 
 
@@ -301,11 +171,3 @@ class TestBatchDispatch:
     def test_payload_count_mismatch_raises(self):
         with pytest.raises(RuntimeError, match="payloads"):
             run_sweep(_batch_tasks(4, batch_fn=square_batch_short))
-
-    def test_parallel_chunks_use_batch_path(self, many_cpus):
-        serial = run_sweep(_tasks(40))
-        parallel = run_sweep(_batch_tasks(40), workers=4, chunk_size=10)
-        assert parallel.payload_json() == serial.payload_json()
-        # every point except the scalar cost-probe pilot goes batched
-        assert parallel.batched_points == 39
-        assert parallel.batch_calls >= 4

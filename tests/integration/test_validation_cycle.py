@@ -7,8 +7,8 @@ the capacity axis only changes bank depth, which the addressing tests
 already cover exhaustively.
 
 The grid runs through the :mod:`repro.exec` runtime (the same path
-``python -m repro experiments --workers N`` uses), exercising the
-process-pool fan-out and the result cache end to end.
+``python -m repro experiments`` uses), exercising the batched dispatch
+and the result cache end to end.
 """
 
 import pytest
@@ -31,19 +31,17 @@ def _grid_configs():
 
 def test_validation_cycle_grid(tmp_path):
     """Every (scheme x lanes x ports) design validates; the grid runs on
-    the repro.exec runtime with a process pool and a result cache."""
+    the repro.exec runtime with a result cache."""
     configs = _grid_configs()
     cache = ResultCache(tmp_path / "cache")
-    reports = validate_configs(
-        configs, max_rows=16, workers=2, cache=cache
-    )
+    reports = validate_configs(configs, max_rows=16, cache=cache)
     assert len(reports) == len(configs)
     for cfg, report in zip(configs, reports):
         assert report.config_label == cfg.label()
         assert report.passed, report.mismatches
 
     # warm cache: identical outcome without recomputing a single design
-    again = validate_configs(configs, max_rows=16, workers=2, cache=cache)
+    again = validate_configs(configs, max_rows=16, cache=cache)
     assert [r.config_label for r in again] == [r.config_label for r in reports]
     assert all(r.passed for r in again)
     assert cache.hits >= len(configs)

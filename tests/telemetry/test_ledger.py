@@ -198,11 +198,7 @@ class TestMaybeRecordSweep:
     def sweep(self):
         return SimpleNamespace(
             wall_seconds=1.0,
-            warmup_seconds=0.1,
-            ipc_seconds=0.05,
             compute_seconds=0.8,
-            workers=2,
-            chunks=3,
             n_cached=0,
             batched_points=90,
             results=[1, 2, 3],
@@ -224,7 +220,8 @@ class TestMaybeRecordSweep:
         entry = maybe_record_sweep(["dse", "dse"], self.sweep(), snap)
         assert entry.bench == "sweep.dse"
         assert entry.params == {"experiments": ["dse"], "points": 3}
-        assert entry.timings["wall_seconds"] == 1.0
+        assert entry.timings == {"wall_seconds": 1.0, "compute_seconds": 0.8}
+        assert entry.provenance["flags"] == {"cached": 0, "batched_points": 90}
         (stored,) = Ledger(path).entries()
         assert stored.bench == "sweep.dse"
 
@@ -234,3 +231,76 @@ class TestMaybeRecordSweep:
             ["stream", "dse"], self.sweep(), {"format": SNAPSHOT_FORMAT}
         )
         assert entry.bench == "sweep.mixed"
+
+
+#: one sweep line as the process-pool runtime wrote it (``sweep_fig10`` at
+#: two workers): pool-era timings, flags, counters, gauge and histogram
+PARENT_FORMAT_SWEEP_LINE = json.dumps({
+    "bench": "sweep.stream.fig10",
+    "format": LEDGER_FORMAT,
+    "gates": [],
+    "params": {"experiments": ["stream.fig10"], "points": 20},
+    "provenance": {
+        "backend": "vectis",
+        "flags": {"batched_points": 0, "cached": 0, "chunks": 7, "workers": 2},
+        "git": {"dirty": None, "sha": None},
+        "host": {"cpus": 2, "hostname": "vm", "machine": "x86_64",
+                 "platform": "Linux", "python": "3.11.7"},
+        "model_version": "2026.08.1",
+    },
+    "results": [],
+    "run_id": "adddad50c22547d5b09459e6dc27c79f",
+    "timings": {"compute_seconds": 0.00036, "ipc_seconds": 0.0326,
+                "wall_seconds": 0.0191, "warmup_seconds": 0.00005},
+    "ts": 1792197555.86,
+    "telemetry": {
+        "format": SNAPSHOT_FORMAT,
+        "label": "stream",
+        "metrics": {
+            "counters": {
+                "exec.cache.hits": 0,
+                "exec.cache.misses": 20,
+                "exec.chunks": 7,
+                "exec.compute_seconds": 0.00036,
+                "exec.ipc_seconds": 0.0326,
+                "exec.points": 20,
+                "exec.wall_seconds": 0.0191,
+                "exec.warmup_seconds": 0.00005,
+                "exec.worker.plan_cache.hits": 0,
+                "exec.worker.plan_cache.misses": 0,
+            },
+            "gauges": {"exec.workers": {"max": 2, "min": 2, "n": 1, "value": 2}},
+            "histograms": {
+                "exec.chunk_size": {"buckets": {"1": 1, "4": 6}, "count": 7,
+                                    "max": 3, "mean": 2.71, "min": 1,
+                                    "sum": 19.0},
+            },
+        },
+    },
+})
+
+
+class TestParentFormatLedgerLine:
+    """Ledger lines written before the pool was removed still load and
+    render: their worker/chunk fields are plain data, not schema."""
+
+    def test_loads_and_renders(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.telemetry import derived_metrics, render_summary
+
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(PARENT_FORMAT_SWEEP_LINE + "\n")
+        (entry,) = Ledger(path).entries()
+        assert entry.bench == "sweep.stream.fig10"
+        assert entry.timings["warmup_seconds"] == 0.00005
+        assert entry.provenance["flags"]["workers"] == 2
+
+        text = render_summary(entry.telemetry)
+        assert "exec.workers" in text and "exec.chunks" in text
+        assert "exec cache hit rate  0.0%" in text
+        assert "worker" not in text.split("derived", 1)[1]
+        assert "exec.worker_utilization" not in derived_metrics(entry.telemetry)
+
+        assert main(["telemetry", "ledger", str(path)]) == 0
+        assert "sweep.stream.fig10" in capsys.readouterr().out
+        assert main(["telemetry", "diff", str(path), str(path)]) == 0

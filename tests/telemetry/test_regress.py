@@ -32,9 +32,9 @@ class TestEvaluateGate:
         assert evaluate_gate("telemetry.guard_share", 0.2)["ok"] is False
 
     def test_explicit_overrides_beat_the_table(self):
-        # the exec clamped-to-serial branch records an always-true bound
+        # a conditional branch records its own always-true bound
         g = evaluate_gate(
-            "exec.scaling_1_to_4", 0.9, op=">=", threshold=0.0, detail="clamped"
+            "sim.batched_vs_scalar", 0.9, op=">=", threshold=0.0, detail="clamped"
         )
         assert g["ok"] is True and g["threshold"] == 0.0
         assert g["detail"] == "clamped"
@@ -103,8 +103,8 @@ class TestRegress:
             tmp_path,
             [
                 (
-                    "bench_exec",
-                    "exec.scaling_1_to_4",
+                    "bench_sim",
+                    "sim.batched_vs_scalar",
                     0.9,
                     {"op": ">=", "threshold": 0.0},
                 )

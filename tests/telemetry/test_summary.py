@@ -66,11 +66,11 @@ class TestDerivedValues:
         got = dict(derived_values(snapshot(counters={
             "polymem.plan_cache.hits": 9,
             "polymem.plan_cache.misses": 1,
-            "benes.route_cache.hits": 1,
-            "benes.route_cache.misses": 3,
+            "program.fusion.kernel_cache.hits": 1,
+            "program.fusion.kernel_cache.misses": 3,
         })))
         assert got["plan-cache hit rate"] == "90.0%"
-        assert got["Benes route-cache hit rate"] == "25.0%"
+        assert got["fusion kernel-cache hit rate"] == "25.0%"
 
     def test_achieved_vs_peak_bandwidth(self):
         got = dict(derived_values(snapshot(gauges={
@@ -92,7 +92,9 @@ class TestDerivedValues:
             "10.0 us over 4 calls, 512 B payload (10.0% call overhead)"
         )
 
-    def test_exec_worker_utilization(self):
+    def test_exec_cache_hit_rate(self):
+        # an older snapshot still carrying the exec.workers gauge derives
+        # the cache hit rate and nothing from the gauge
         got = dict(derived_values(snapshot(
             counters={
                 "exec.cache.hits": 3,
@@ -102,8 +104,7 @@ class TestDerivedValues:
             },
             gauges={"exec.workers": {"value": 4}},
         )))
-        assert got["exec cache hit rate"] == "75.0%"
-        assert got["exec worker utilization"] == "75.0%"
+        assert got == {"exec cache hit rate": "75.0%"}
 
     def test_empty_snapshot_derives_nothing(self):
         assert derived_values(snapshot()) == []
@@ -172,13 +173,18 @@ class TestPartialSnapshots:
         # a gauge record of the wrong shape feeds the derived computation:
         # the quantity is skipped, the rest of the summary still renders
         snap = snapshot(
-            counters={"exec.wall_seconds": 2.0, "exec.compute_seconds": 1.0},
-            gauges={"exec.workers": "four"},
+            counters={"sim.cycles.batched": 10},
+            gauges={
+                "stream.achieved_mbps": "fast",
+                "stream.peak_mbps": {"value": 15360.0},
+            },
         )
         text = render_summary(snap)
-        assert "exec.workers" in text  # the raw row still renders, as n/a
-        assert "exec worker utilization" not in text
-        assert "exec.worker_utilization" not in derived_metrics(snap)
+        # the raw row still renders, as n/a
+        assert "stream.achieved_mbps  n/a / n/a / n/a" in text
+        assert "achieved vs peak bandwidth" not in text
+        assert "simulated cycles" in text
+        assert "stream.achieved_vs_peak" not in derived_metrics(snap)
 
 
 class TestRenderSummary:

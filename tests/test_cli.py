@@ -88,6 +88,27 @@ class TestCommands:
         ) == 0
         assert "INFEASIBLE" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["validate", "-p", "3", "-q", "4"], "not a whole number of 3x4"),
+            (["whatif", "-p", "3"], "not a whole number of 3x4"),
+            (["validate", "-p", "0"], "lane grid must be positive"),
+            (["report", "--ports", "0"], "need >= 1 read port"),
+        ],
+        ids=["validate-p3-q4", "whatif-p3", "validate-p0", "report-ports0"],
+    )
+    def test_bad_configuration_is_a_diagnostic(self, argv, message, capsys):
+        """An invalid configuration exits 2 with one stderr line, not a
+        traceback."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"polymem {argv[0]}: error: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestExecFlags:
     """The shared repro.exec flags on dse/stream/experiments."""
 
@@ -95,18 +116,17 @@ class TestExecFlags:
         parser = build_parser()
         for cmd in ("dse", "stream", "experiments"):
             args = parser.parse_args(
-                [cmd, "--workers", "2", "--no-cache", "--cache-dir", "/tmp/c"]
+                [cmd, "--no-cache", "--cache-dir", "/tmp/c"]
             )
-            assert args.workers == 2
             assert args.no_cache is True
             assert args.cache_dir == "/tmp/c"
             assert args.json_out is None
             args = parser.parse_args([cmd, "--json"])
             assert args.json_out == "-"
 
-    def test_dse_workers_and_cache(self, tmp_path, capsys):
+    def test_dse_cache(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
-        argv = ["dse", "--workers", "2", "--cache-dir", str(cache_dir)]
+        argv = ["dse", "--cache-dir", str(cache_dir)]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "90 points (0 cached, 90 computed)" in out
@@ -153,7 +173,7 @@ class TestExecFlags:
 
     def test_experiments_warm_cache_skips_sweep(self, tmp_path, capsys):
         path = tmp_path / "scorecard.json"
-        argv = ["experiments", "--workers", "2",
+        argv = ["experiments",
                 "--cache-dir", str(tmp_path / "cache"), "--json", str(path)]
         assert main(argv) == 0
         cold = Report.from_json(path.read_text())
@@ -303,13 +323,13 @@ class TestTelemetryFlags:
         assert "telemetry summary" in out
         assert "derived" in out
 
-    def test_telemetry_summary_rejects_plain_json(self, tmp_path):
-        from repro.core.exceptions import ConfigurationError
-
+    def test_telemetry_summary_rejects_plain_json(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text("{}")
-        with pytest.raises(ConfigurationError):
-            main(["telemetry", "summary", str(path)])
+        assert main(["telemetry", "summary", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("polymem telemetry: error: ")
+        assert "not a telemetry snapshot" in err
 
     def test_dse_accepts_telemetry_flags(self, capsys):
         assert main(["dse", "--metrics"]) == 0
