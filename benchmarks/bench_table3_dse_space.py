@@ -1,11 +1,12 @@
 """Table III — the DSE parameter grid, batched vs scalar evaluation.
 
 Regenerates the parameter table and the feasible exploration columns
-(which must match Table IV's 18 columns exactly), then benchmarks the
-vectorized config-space evaluation against the scalar per-point path on
-the full validated Table III sweep: one batched table build and one
-slot-image validation pass per config family instead of 90 independent
-design builds.  Finally it re-runs the validated sweep against a fully
+(which must match Table IV's 18 columns exactly), then benchmarks
+``explore()`` — the vectorized config-space evaluation — against an
+explicit scalar per-point sweep (the same ``dse.point`` tasks without a
+``batch_fn``) on the full validated Table III sweep: one batched table
+build and one slot-image validation pass per config family instead of
+90 independent design builds.  Finally it re-runs the validated sweep against a fully
 warm result cache, which must recompute nothing and finish in well under
 a second.
 
@@ -35,9 +36,10 @@ from _util import gate as declare_gate
 from _util import save_report
 
 from repro.dse import dse_report, explore
+from repro.dse.explore import DsePoint, DseResult, evaluate_point
 from repro.dse.pareto import pareto_frontier
 from repro.dse.space import PAPER_SPACE
-from repro.exec import Report, ReportEntry, ResultCache
+from repro.exec import Report, ReportEntry, ResultCache, SweepTask, run_sweep
 from repro.hw.calibration import TABLE_IV_COLUMNS
 
 #: rows validated per design: enough to exercise every pattern/port, small
@@ -64,11 +66,28 @@ def regenerate():
     return cols, out.getvalue()
 
 
+def _scalar_explore():
+    """The per-point reference: ``explore()``'s ``dse.point`` sweep with
+    no ``batch_fn``, so every point runs :func:`evaluate_point`."""
+    cfgs = list(PAPER_SPACE.points(feasible_only=True))
+    params = {
+        "validate": True,
+        "validate_rows": VALIDATE_ROWS,
+        "device": PAPER_SPACE.device.name,
+    }
+    sweep = run_sweep(
+        [SweepTask("dse.point", evaluate_point, cfg, params=params) for cfg in cfgs]
+    )
+    points = [DsePoint(config=cfg, **v) for cfg, v in zip(cfgs, sweep.values())]
+    return DseResult(space=PAPER_SPACE, points=points, sweep=sweep)
+
+
 def _timed_explore(batch: bool = True, cache=None):
     t0 = time.perf_counter()
-    result = explore(
-        validate=True, validate_rows=VALIDATE_ROWS, batch=batch, cache=cache
-    )
+    if batch:
+        result = explore(validate=True, validate_rows=VALIDATE_ROWS, cache=cache)
+    else:
+        result = _scalar_explore()
     return result, time.perf_counter() - t0
 
 

@@ -49,16 +49,13 @@ They (plus ``program dump``) also share the :mod:`repro.telemetry` flags:
     (and print to stderr when no ``--trace-out`` is given), localizing
     a regression to a span *and* the Python frames under it.
 
-``program dump`` adds two flags of its own on top of ``--json`` (same
+``program dump`` adds one flag of its own on top of ``--json`` (same
 semantics as above — one helper, :func:`_add_json_arg`, defines the flag
-everywhere):
+everywhere), and always includes the fusion plan summary — groups
+formed, fused vs fallback steps with the reason for each fallback,
+kernel-cache hits/misses — for programs with live memories bound
+(describe-only programs cannot be fusion-planned):
 
-``--backend {interp,fused}``
-    Which engine backend to compile the dump for (default: the engine
-    default, ``fused``).  With ``fused``, the dump includes the fusion
-    plan summary — groups formed, fused vs fallback steps, kernel-cache
-    hits/misses — for programs with live memories bound; describe-only
-    programs cannot be fusion-planned.
 ``--stats``
     Dry per-segment cycle/element counts derived from the compiled
     trace shapes (no execution).
@@ -74,22 +71,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
 from .core.config import PolyMemConfig
 from .core.schemes import Scheme
 
 __all__ = ["main", "build_parser"]
-
-
-def _config_from_args(args) -> PolyMemConfig:
-    """Deprecated: use :meth:`PolyMemConfig.from_any` directly."""
-    warnings.warn(
-        "cli._config_from_args is deprecated; use PolyMemConfig.from_any",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return PolyMemConfig.from_any(args)
 
 
 def _add_config_args(sub) -> None:
@@ -240,7 +226,6 @@ def cmd_dse(args) -> int:
     else:
         result = explore(
             cache=_cache_from_args(args),
-            batch=args.batch,
             prune=args.prune,
             backend=args.backend,
         )
@@ -500,7 +485,7 @@ def cmd_program_dump(args) -> int:
     compiled = compile_program(program)
     stats = _segment_stats(compiled, mems) if args.stats else None
     fusion = None
-    if args.backend == "fused" and mems:
+    if mems:
         from .program import fusion_plan, warm_plans
 
         warm_plans(compiled, mems)
@@ -511,7 +496,6 @@ def cmd_program_dump(args) -> int:
         doc = {
             "program": program.name,
             "metadata": dict(program.metadata),
-            "backend": args.backend,
             "memories": list(compiled.mems),
             "access_cycles": compiled.access_cycles,
             "ops": [_describe_op(op) for op in program.ops],
@@ -577,13 +561,18 @@ def cmd_program_dump(args) -> int:
                   f"cycles={step.n}{ports}")
     if fusion is not None:
         cache = fusion["kernel_cache"]
-        print(f"  fusion ({args.backend} backend): {fusion['groups']} "
+        print(f"  fusion: {fusion['groups']} "
               f"group(s) over {fusion['fused_segments']} segment(s)")
         print(f"    fused steps: {fusion['fused_steps']}, "
               f"fallback steps: {fusion['fallback_steps']}")
+        reasons = ", ".join(
+            f"{reason} {count}"
+            for reason, count in fusion["fallback_reasons"].items()
+        )
+        print(f"    fallback reasons: {reasons or 'none'}")
         print(f"    kernel cache: {cache['plan_hits']} hit(s), "
               f"{cache['plan_misses']} miss(es), {cache['size']} resident")
-    elif args.backend == "fused":
+    else:
         print("  fusion: unavailable (describe-only program, no live "
               "memories)")
     if stats is not None:
@@ -835,13 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse.add_argument("--save", help="persist the sweep to a JSON file")
     p_dse.add_argument("--load", help="render from a saved sweep instead")
     p_dse.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="evaluate sibling grid points in vectorized batches "
-        "(byte-identical payloads; --no-batch forces the scalar path)",
-    )
-    p_dse.add_argument(
         "--prune",
         action=argparse.BooleanOptionalAction,
         default=False,
@@ -945,15 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pdump.add_argument("kernel", choices=list(DEMO_NAMES))
     _add_json_arg(p_pdump, what="the dump as JSON")
-    from .program.engine import BACKENDS, DEFAULT_BACKEND
-
-    p_pdump.add_argument(
-        "--backend",
-        default=DEFAULT_BACKEND,
-        choices=list(BACKENDS),
-        help="engine backend to compile the dump for; 'fused' includes "
-        "the fusion plan summary (default: %(default)s)",
-    )
     p_pdump.add_argument(
         "--stats",
         action="store_true",

@@ -281,7 +281,6 @@ def explore(
     validate: bool = False,
     validate_rows: int = 16,
     cache: ResultCache | None = None,
-    batch: bool = True,
     prune: bool = False,
     backend: str | DeviceBackend | None = None,
 ) -> DseResult:
@@ -294,10 +293,11 @@ def explore(
     *cache* first.  Passing a custom *model* forces uncached per-point
     evaluation (an ad-hoc estimator has no stable cache identity).
 
-    ``batch`` (the default) evaluates sibling grid points through
-    :func:`evaluate_points_batch` — one vectorized pass for the whole
-    grid, byte-identical payloads.  ``prune`` drops Pareto-dominated points *before*
-    evaluation: the frontier of the result is provably unchanged (see
+    Sibling grid points evaluate through :func:`evaluate_points_batch` —
+    one vectorized pass for the whole grid, byte-identical to per-point
+    :func:`evaluate_point` (the reference
+    ``tests/dse/test_batch_equivalence.py`` pins it against).  ``prune``
+    drops Pareto-dominated points *before* evaluation: the frontier of the result is provably unchanged (see
     :func:`_prune_dominated`) but the point list is a subset, so it is
     off by default.
 
@@ -333,7 +333,7 @@ def explore(
                 evaluate_point,
                 cfg,
                 params={**params, "device": space.device.name},
-                batch_fn=evaluate_points_batch if batch else None,
+                batch_fn=evaluate_points_batch,
             )
             for cfg in cfgs
         ]

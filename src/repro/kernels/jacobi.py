@@ -18,8 +18,6 @@ did.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..core.config import PolyMemConfig
@@ -31,7 +29,7 @@ from ..program import AccessProgram
 from ..program.builder import build
 from .base import KernelReport
 
-__all__ = ["jacobi_reference", "jacobi_program", "jacobi_solve"]
+__all__ = ["jacobi_reference", "jacobi_solve"]
 
 
 def _bits(x: np.ndarray) -> np.ndarray:
@@ -124,19 +122,6 @@ def _jacobi_program(
             values=lambda env, it=it: env[f"wb{it}"],
         )
     return prog, pm
-
-
-def jacobi_program(
-    grid: np.ndarray, iterations: int, p: int = 2, q: int = 4
-) -> tuple[AccessProgram, PolyMem]:
-    """Deprecated: use ``repro.program.builder.build("kernel.jacobi", ...)``."""
-    warnings.warn(
-        "jacobi_program() is deprecated; use "
-        "repro.program.builder.build('kernel.jacobi', grid=..., iterations=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _jacobi_program(grid, iterations, p, q)
 
 
 def jacobi_solve(

@@ -16,8 +16,6 @@ runs through the shared execution engine.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..core.config import PolyMemConfig
@@ -30,7 +28,7 @@ from ..program import AccessProgram
 from ..program.builder import build
 from .base import KernelReport
 
-__all__ = ["matmul", "matmul_program", "matmul_scalar_cycles"]
+__all__ = ["matmul", "matmul_scalar_cycles"]
 
 
 def _matmul_program(
@@ -96,19 +94,6 @@ def _matmul_program(
         .compute(_einsum, label="einsum")
     )
     return prog, pm
-
-
-def matmul_program(
-    a: np.ndarray, b: np.ndarray, p: int = 2, q: int = 4
-) -> tuple[AccessProgram, PolyMem]:
-    """Deprecated: use ``repro.program.builder.build("kernel.matmul", ...)``."""
-    warnings.warn(
-        "matmul_program() is deprecated; use "
-        "repro.program.builder.build('kernel.matmul', a=..., b=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _matmul_program(a, b, p, q)
 
 
 def matmul(

@@ -11,8 +11,6 @@ to one-read-one-Compute access programs (``build("kernel.reduce_rows")``,
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..core.config import PolyMemConfig
@@ -26,9 +24,7 @@ from .base import KernelReport
 
 __all__ = [
     "reduce_rows",
-    "reduce_rows_program",
     "reduce_columns",
-    "reduce_columns_program",
     "load_matrix",
 ]
 
@@ -70,17 +66,6 @@ def _reduce_rows_program(pm: PolyMem) -> AccessProgram:
     )
 
 
-def reduce_rows_program(pm: PolyMem) -> AccessProgram:
-    """Deprecated: use ``repro.program.builder.build("kernel.reduce_rows", ...)``."""
-    warnings.warn(
-        "reduce_rows_program() is deprecated; use "
-        "repro.program.builder.build('kernel.reduce_rows', pm=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _reduce_rows_program(pm)
-
-
 def reduce_rows(pm: PolyMem) -> tuple[np.ndarray, KernelReport]:
     """Per-row sums: streams ROW accesses (batch path)."""
     res = build("kernel.reduce_rows", pm=pm).run()
@@ -104,17 +89,6 @@ def _reduce_columns_program(pm: PolyMem) -> AccessProgram:
             label="sum",
         )
     )
-
-
-def reduce_columns_program(pm: PolyMem) -> AccessProgram:
-    """Deprecated: use ``repro.program.builder.build("kernel.reduce_columns", ...)``."""
-    warnings.warn(
-        "reduce_columns_program() is deprecated; use "
-        "repro.program.builder.build('kernel.reduce_columns', pm=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _reduce_columns_program(pm)
 
 
 def reduce_columns(pm: PolyMem) -> tuple[np.ndarray, KernelReport]:

@@ -6,12 +6,10 @@ anchors — the capability the paper's multimedia motivation leans on.
 :func:`stencil_sweep` applies an arbitrary (2r+1)² convolution kernel
 (integer weights, zero boundary) by lowering one rectangle access per
 shifted window per output tile to an
-:class:`~repro.program.AccessProgram` (see :func:`stencil_program`).
+:class:`~repro.program.AccessProgram` (``build("kernel.stencil")``).
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -25,7 +23,6 @@ from ..program.builder import build
 from .base import KernelReport
 
 __all__ = [
-    "stencil_program",
     "stencil_sweep",
     "stencil_reference",
     "stencil_serial_cycles",
@@ -119,19 +116,6 @@ def _stencil_program(
     prog.read(PatternKind.RECTANGLE, ai_all, aj_all, tag="tiles")
     prog.compute(_accumulate, label="accumulate")
     return prog, pm
-
-
-def stencil_program(
-    image: np.ndarray, weights: np.ndarray, p: int = 2, q: int = 4
-) -> tuple[AccessProgram, PolyMem]:
-    """Deprecated: use ``repro.program.builder.build("kernel.stencil", ...)``."""
-    warnings.warn(
-        "stencil_program() is deprecated; use "
-        "repro.program.builder.build('kernel.stencil', image=..., weights=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _stencil_program(image, weights, p, q)
 
 
 def stencil_sweep(

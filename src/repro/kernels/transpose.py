@@ -10,8 +10,6 @@ two-memory :class:`~repro.program.AccessProgram` (``src`` / ``dst``,
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..core.config import PolyMemConfig
@@ -23,7 +21,7 @@ from ..program import AccessProgram
 from ..program.builder import build
 from .base import KernelReport
 
-__all__ = ["transpose", "transpose_program", "transpose_serial_cycles"]
+__all__ = ["transpose", "transpose_serial_cycles"]
 
 
 def _transpose_program(
@@ -77,19 +75,6 @@ def _transpose_program(
         )
     )
     return prog, {"src": src, "dst": dst}
-
-
-def transpose_program(
-    matrix: np.ndarray, p: int = 2, q: int = 4
-) -> tuple[AccessProgram, dict[str, PolyMem]]:
-    """Deprecated: use ``repro.program.builder.build("kernel.transpose", ...)``."""
-    warnings.warn(
-        "transpose_program() is deprecated; use "
-        "repro.program.builder.build('kernel.transpose', matrix=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _transpose_program(matrix, p, q)
 
 
 def transpose(

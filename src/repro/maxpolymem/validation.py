@@ -189,23 +189,21 @@ def conflict_free_chunk(
     stride: int = 1,
     *,
     policy: str = "allow",
-    vectorized: bool = True,
 ) -> np.ndarray:
     """Conflict-freedom of one shared access chunk across N configs.
 
     Returns an ``(N, B)`` boolean mask: entry ``[n, b]`` is True when the
     *kind* access anchored at ``(anchors_i[b], anchors_j[b])`` is in
-    bounds *and* bank-conflict-free for ``configs[n]``.  The vectorized
-    path compiles every plan family through one
-    :func:`~repro.core.plan.compile_plan_batch` build and, per lane grid,
-    stacks the residue ``ok`` tables of the distinct families so the whole
-    chunk resolves in one fancy-indexed gather; ``vectorized=False`` is
-    the scalar per-anchor reference the hypothesis parity suite pins the
-    fast path against (bit-identical masks and errors).
+    bounds *and* bank-conflict-free for ``configs[n]`` — the verdict of
+    ``plan.fits(i, j) and plan.conflict_free(i, j)`` per anchor, which the
+    hypothesis parity suite pins this against.  Every plan family
+    compiles through one :func:`~repro.core.plan.compile_plan_batch`
+    build and, per lane grid, the residue ``ok`` tables of the distinct
+    families stack so the whole chunk resolves in one fancy-indexed
+    gather.
 
     ``policy="forbid"`` raises :class:`~repro.core.exceptions.ConflictError`
-    for the first failing ``(config, anchor)`` in config-major order —
-    identical across both paths.
+    for the first failing ``(config, anchor)`` in config-major order.
     """
     configs = list(configs)
     kind = PatternKind(kind)
@@ -218,27 +216,20 @@ def conflict_free_chunk(
         (cfg.rows, cfg.cols, cfg.p, cfg.q, cfg.scheme, kind, stride)
         for cfg in configs
     ]
-    if not vectorized:
-        for n, key in enumerate(keys):
-            plan = compile_plan(*key)
-            for b in range(ai.size):
-                i, j = int(ai[b]), int(aj[b])
-                out[n, b] = plan.fits(i, j) and plan.conflict_free(i, j)
-    else:
-        plans = compile_plan_batch(keys)
-        by_grid: dict[tuple[int, int], list[int]] = {}
-        for n, key in enumerate(keys):
-            by_grid.setdefault((key[2], key[3]), []).append(n)
-        for (p, q), ns in by_grid.items():
-            period = p * q
-            ri = ai % period
-            rj = aj % period
-            distinct = list(dict.fromkeys(keys[n] for n in ns))
-            # (D, B): every distinct family's residue verdicts in one pass
-            ok_rows = np.stack([plans[k].ok for k in distinct])[:, ri, rj]
-            row_of = {k: d for d, k in enumerate(distinct)}
-            for n in ns:
-                out[n] = plans[keys[n]].fits_mask(ai, aj) & ok_rows[row_of[keys[n]]]
+    plans = compile_plan_batch(keys)
+    by_grid: dict[tuple[int, int], list[int]] = {}
+    for n, key in enumerate(keys):
+        by_grid.setdefault((key[2], key[3]), []).append(n)
+    for (p, q), ns in by_grid.items():
+        period = p * q
+        ri = ai % period
+        rj = aj % period
+        distinct = list(dict.fromkeys(keys[n] for n in ns))
+        # (D, B): every distinct family's residue verdicts in one pass
+        ok_rows = np.stack([plans[k].ok for k in distinct])[:, ri, rj]
+        row_of = {k: d for d, k in enumerate(distinct)}
+        for n in ns:
+            out[n] = plans[keys[n]].fits_mask(ai, aj) & ok_rows[row_of[keys[n]]]
     if policy == "forbid":
         bad = np.argwhere(~out)
         if bad.size:
@@ -370,14 +361,14 @@ def validate_configs(
     max_rows: int | None = 16,
     style: str = "fused",
     cache=None,
-    batch: bool = True,
 ) -> list[ValidationReport]:
     """The §IV-A cycle over a grid of configurations via :mod:`repro.exec`.
 
     Returns one :class:`ValidationReport` per config, in input order.
-    ``cache`` goes to :func:`repro.exec.run_sweep`.  With ``batch`` (the
-    default), sibling tasks evaluate through :func:`validate_points_batch`
-    in a single vectorized call; payloads are byte-identical either way.
+    ``cache`` goes to :func:`repro.exec.run_sweep`.  Sibling tasks
+    evaluate through :func:`validate_points_batch` in a single vectorized
+    call, byte-identical to per-config :func:`validate_config` (the
+    reference ``tests/dse/test_batch_equivalence.py`` pins it against).
     """
     from ..exec import SweepTask, run_sweep
 
@@ -387,7 +378,7 @@ def validate_configs(
             validate_config,
             cfg,
             params={"max_rows": max_rows, "style": style},
-            batch_fn=validate_points_batch if batch else None,
+            batch_fn=validate_points_batch,
         )
         for cfg in configs
     ]

@@ -27,7 +27,6 @@ to stream at full rate; with one port the cycle model doubles.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,16 +85,6 @@ class PrfMachine:
             raise PatternError(
                 f"shape mismatch: {[f'{r.name}{r.shape}' for r in regs]}"
             )
-
-    def _operand_program(self, *regs: VectorRegister) -> AccessProgram:
-        """Deprecated: use ``repro.program.builder.build("prf.operands", ...)``."""
-        warnings.warn(
-            "PrfMachine._operand_program() is deprecated; use "
-            "repro.program.builder.build('prf.operands', machine=..., regs=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._lower_operands(*regs)
 
     def _lower_operands(self, *regs: VectorRegister) -> AccessProgram:
         """Lower operand streaming to an access program.

@@ -17,12 +17,11 @@ chunk proof — *lowers* to this IR instead of hand-assembling
 
 Programs are constructed through one builder surface
 (:mod:`repro.program.builder`: :func:`~repro.program.builder.build` and
-the fluent :class:`~repro.program.builder.ProgramBuilder`), and the
-engine runs them on one of two backends
-(:data:`~repro.program.engine.BACKENDS`): ``"fused"`` — the default —
+the fluent :class:`~repro.program.builder.ProgramBuilder`).  The engine
 JIT-specializes barrier-free segment groups into precomputed
-fancy-index kernels (:mod:`repro.program.fuse`), while ``"interp"``
-replays step by step as the bit-exact reference.
+fancy-index kernels (:mod:`repro.program.fuse`); any step it cannot
+prove bit-identical replays through :meth:`PolyMem.replay`, itself
+bit-identical to per-cycle :meth:`PolyMem.step`.
 
 Demo lowerings live in :mod:`repro.program.lower` (imported lazily —
 it depends on the kernel modules, which import this package).
@@ -30,13 +29,7 @@ it depends on the kernel modules, which import this package).
 
 from .analysis import op_slots, slot_disjoint
 from .builder import BuiltProgram, ProgramBuilder, SPEC_NAMES, build
-from .engine import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    Observer,
-    ProgramResult,
-    execute,
-)
+from .engine import Observer, ProgramResult, execute
 from .fuse import (
     FusionPlan,
     KernelCache,
@@ -64,14 +57,12 @@ from .report import CycleScope, KernelReport
 __all__ = [
     "AccessOp",
     "AccessProgram",
-    "BACKENDS",
     "Barrier",
     "BuiltProgram",
     "CompiledProgram",
     "CompiledSegment",
     "Compute",
     "CycleScope",
-    "DEFAULT_BACKEND",
     "FusionPlan",
     "KernelCache",
     "KernelReport",

@@ -1,21 +1,14 @@
-"""One builder surface for every access program.
-
-Program construction used to be scattered across per-module
-``*_program`` free functions (``matmul_program``, ``schedule_program``,
-``job_program``, …), each with its own positional signature and its own
-idea of what to return.  This module replaces them with a single entry
-point:
+"""One builder surface for every access program:
 
 * :func:`build` — resolve a *spec* (a registered lowering name such as
   ``"kernel.matmul"``, a demo name from :mod:`repro.program.lower`, a
   ready :class:`~repro.program.ir.AccessProgram`, or a
   :class:`ProgramBuilder`) into a :class:`BuiltProgram`: the program,
-  its bound memories, and the execution defaults (backend, observers);
+  its bound memories, and the default observers;
 * :class:`ProgramBuilder` — a fluent, keyword-only construction API for
   hand-rolled programs (``ProgramBuilder("x").read(...).using(pm).run()``).
 
-The old ``*_program`` names still work as thin deprecation shims that
-warn and forward here; see ``docs/program_api.md`` for the mapping.
+``docs/program_api.md`` lists the spec names and their parameters.
 
 >>> import numpy as np
 >>> from repro.program.builder import build
@@ -120,16 +113,15 @@ class BuiltProgram:
 
     What :func:`build` returns: ``program`` is the lowered
     :class:`AccessProgram`, ``mems`` the memory-name mapping the spec
-    produced (empty for describe-only programs), ``backend`` /
-    ``observers`` the defaults :meth:`run` applies.
+    produced (empty for describe-only programs), ``observers`` the
+    default :meth:`run` applies.
     """
 
-    __slots__ = ("program", "mems", "backend", "observers")
+    __slots__ = ("program", "mems", "observers")
 
-    def __init__(self, program: AccessProgram, mems: dict, backend, observers):
+    def __init__(self, program: AccessProgram, mems: dict, observers):
         self.program = program
         self.mems = mems
-        self.backend = backend
         self.observers = observers
 
     def compile(self):
@@ -144,7 +136,6 @@ class BuiltProgram:
         mems=None,
         env: Mapping[str, Any] | None = None,
         result_elements: int | None = None,
-        backend: str | None = None,
         observers=None,
     ) -> ProgramResult:
         """Execute through the shared engine; keyword overrides only."""
@@ -160,14 +151,10 @@ class BuiltProgram:
             observers=self.observers if observers is None else observers,
             env=env,
             result_elements=result_elements,
-            backend=self.backend if backend is None else backend,
         )
 
     def __repr__(self) -> str:
-        return (
-            f"BuiltProgram({self.program.name!r}, mems={sorted(self.mems)}, "
-            f"backend={self.backend!r})"
-        )
+        return f"BuiltProgram({self.program.name!r}, mems={sorted(self.mems)})"
 
 
 class ProgramBuilder:
@@ -234,9 +221,8 @@ class ProgramBuilder:
     def program(self) -> AccessProgram:
         return self._program
 
-    def build(self, *, backend: str | None = None, observers=()) -> BuiltProgram:
-        return BuiltProgram(self._program, dict(self._mems), backend,
-                            tuple(observers))
+    def build(self, *, observers=()) -> BuiltProgram:
+        return BuiltProgram(self._program, dict(self._mems), tuple(observers))
 
     def run(self, **kwargs) -> ProgramResult:
         """Build and execute in one call (see :meth:`BuiltProgram.run`)."""
@@ -246,7 +232,6 @@ class ProgramBuilder:
 def build(
     spec,
     *,
-    backend: str | None = None,
     observers=(),
     mems=None,
     **params,
@@ -262,12 +247,12 @@ def build(
     * an :class:`AccessProgram` — bound as-is (pass ``mems=``);
     * a :class:`ProgramBuilder` — its program plus ``using()`` bindings.
 
-    ``backend`` / ``observers`` become the defaults of
-    :meth:`BuiltProgram.run`; ``mems`` (one memory or a name mapping)
-    overrides the spec's own binding.
+    ``observers`` become the default of :meth:`BuiltProgram.run`;
+    ``mems`` (one memory or a name mapping) overrides the spec's own
+    binding.
     """
     if isinstance(spec, ProgramBuilder):
-        built = spec.build(backend=backend, observers=observers)
+        built = spec.build(observers=observers)
         program, spec_mems = built.program, built.mems
     elif isinstance(spec, AccessProgram):
         program, spec_mems = spec, {}
@@ -297,4 +282,4 @@ def build(
         )
     if mems is not None:
         spec_mems = dict(mems) if isinstance(mems, Mapping) else {"default": mems}
-    return BuiltProgram(program, dict(spec_mems), backend, tuple(observers))
+    return BuiltProgram(program, dict(spec_mems), tuple(observers))

@@ -1,24 +1,19 @@
 """One execution engine for every access program.
 
 :func:`execute` runs a compiled :class:`~repro.program.ir.AccessProgram`
-against one or more :class:`~repro.core.polymem.PolyMem` instances:
-each :class:`~repro.program.passes.TraceStep` is replayed whole
-(:meth:`PolyMem.replay` — bit-identical to per-cycle stepping), tagged
-read outputs are published into the execution *environment*, and
+against one or more :class:`~repro.core.polymem.PolyMem` instances.  It
+first specializes the compiled segments into cached index-table kernels
+(:func:`repro.program.fuse.fusion_plan`) and drives those: tagged read
+outputs are published into the execution *environment*, and
 :class:`~repro.program.ir.Compute` boundaries run host work over it.
-Cycle/element accounting flows through one
-:class:`~repro.program.report.CycleScope`, so every caller gets the same
-:class:`~repro.program.report.KernelReport` shape from the same place.
-
-Two backends share this engine.  ``backend="interp"`` is the bit-exact
-reference above; ``backend="fused"`` (the default) first specializes the
-compiled segments into cached index-table kernels
-(:func:`repro.program.fuse.fusion_plan`) and drives those instead —
-same results, state, statistics, errors and observer hook order, minus
-the per-execution re-derivation.  Anything fusion cannot prove
-bit-identical (invalid cycles, describe-only writes, ``forbid``
-collisions) stays on the interpreting replay path even under
-``backend="fused"``, so cycle accounting never drifts.
+Any step fusion cannot prove bit-identical (invalid cycles,
+describe-only writes, ``forbid`` collisions, …) runs through
+:meth:`PolyMem.replay` instead — bit-identical to per-cycle
+:meth:`PolyMem.step`, the Fig. 3 reference — so results, state,
+statistics and errors never drift.  Cycle/element accounting flows
+through one :class:`~repro.program.report.CycleScope`, so every caller
+gets the same :class:`~repro.program.report.KernelReport` shape from the
+same place.
 
 Instrumentation attaches through :class:`Observer` — per-segment and
 per-trace callbacks (stats, tracing, future fault injection) instead of
@@ -39,12 +34,7 @@ from .ir import AccessProgram, Compute
 from .passes import CompiledProgram, compile_program, warm_plans
 from .report import CycleScope, KernelReport
 
-__all__ = ["BACKENDS", "DEFAULT_BACKEND", "Observer", "ProgramResult", "execute"]
-
-#: the engine's execution backends: the interpreting reference and the
-#: kernel-fusing fast path (see module docstring)
-BACKENDS = ("interp", "fused")
-DEFAULT_BACKEND = "fused"
+__all__ = ["Observer", "ProgramResult", "execute"]
 
 
 class Observer:
@@ -119,29 +109,15 @@ def execute(
     observers=(),
     env: Mapping[str, Any] | None = None,
     result_elements: int | None = None,
-    *,
-    backend: str | None = None,
 ) -> ProgramResult:
     """Execute *program* against *polymem* (one PolyMem, or a mapping of
     memory names to PolyMems for multi-memory programs).
-
-    ``backend`` selects the execution strategy: ``"fused"`` (the
-    default) specializes the program into cached index-table kernels,
-    ``"interp"`` replays each trace step through the bit-exact
-    interpreting reference.  Both produce identical results, memory
-    state, statistics and errors.
 
     Returns a :class:`ProgramResult`: the final environment (tagged read
     outputs and Compute products) plus the :class:`KernelReport`.  The
     ``result_elements`` of the report come from the explicit argument,
     else the environment's/metadata's ``"result_elements"`` key, else 0.
     """
-    if backend is None:
-        backend = DEFAULT_BACKEND
-    if backend not in BACKENDS:
-        raise ProgramError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
     compiled = (
         program
         if isinstance(program, CompiledProgram)
@@ -154,28 +130,24 @@ def execute(
         observers = (*observers, TelemetryObserver(tel))
     prog = compiled.program
     mems = _resolve_mems(compiled, polymem)
-    warm_plans(compiled, mems)
-    fused = fusion_plan(compiled, mems) if backend == "fused" else None
-    env = dict(env or {})
     scope_mems = [mems[name] for name in compiled.mems]
     if not scope_mems:  # access-free program: account against any memory
+        if not mems:
+            raise ProgramError(
+                f"program {prog.name!r} accesses no memory and none is "
+                f"bound; pass a PolyMem to account its cycles against"
+            )
         scope_mems = [next(iter(mems.values()))]
+    warm_plans(compiled, mems)
+    plan = fusion_plan(compiled, mems)
+    env = dict(env or {})
     with CycleScope(scope_mems[0], prog.name, *scope_mems[1:]) as scope:
         for observer in observers:
             observer.on_program_start(compiled, mems)
         for segment in compiled.segments:
             for observer in observers:
                 observer.on_segment_start(segment)
-            if fused is not None:
-                fused.run_segment(segment, mems, env, observers)
-            else:
-                for step in segment.steps:
-                    mem = mems[step.mem]
-                    outputs = mem.replay(step.trace(env))
-                    for tag, port, start, stop in step.bindings:
-                        env[tag] = outputs[port][start:stop]
-                    for observer in observers:
-                        observer.on_trace(segment, step, outputs, mem)
+            plan.run_segment(segment, mems, env, observers)
             if isinstance(segment.boundary, Compute):
                 product = segment.boundary.fn(env)
                 if isinstance(product, dict):

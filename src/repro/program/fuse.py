@@ -1,8 +1,8 @@
-"""The fusion backend: specialized NumPy kernels for compiled programs.
+"""The fusion pass: specialized NumPy kernels for compiled programs.
 
-The interpreting engine dispatches each :class:`~repro.program.passes.
-TraceStep` through :meth:`PolyMem.replay`, which re-derives the same
-anchor-dependent machinery on every execution: the slot-index tables of
+Dispatching each :class:`~repro.program.passes.TraceStep` through
+:meth:`PolyMem.replay` re-derives the same anchor-dependent machinery on
+every execution: the slot-index tables of
 each stream, the validity masks, and the read/write collision structure
 (a dense last-writer table or an event sort).  For a program that is
 executed more than once — parameter sweeps, benchmark repetitions, the
@@ -24,9 +24,12 @@ memories into a *group kernel*:
   one scatter;
 * anything the fast path cannot prove bit-identical — invalid cycles,
   out-of-range ports, describe-only writes, ``forbid``-policy same-cycle
-  collisions, empty steps — stays on the interpreting
+  collisions, empty steps — stays on the
   :meth:`~repro.core.polymem.PolyMem.replay` path, so error behaviour,
-  partial state and cycle accounting are exact.
+  partial state and cycle accounting are exact.  Each such step records
+  why (one of :data:`FALLBACK_REASONS`), surfaced by
+  :meth:`FusionPlan.summary` and the ``program.fusion.fallback.<reason>``
+  telemetry counters.
 
 Group kernels are cached content-addressed in the module-level
 :data:`kernel_cache`, keyed the way :mod:`repro.exec.cache` keys sweep
@@ -54,6 +57,7 @@ from ..core.plan import AccessTrace, _Stream
 from ..telemetry import context as _telemetry
 
 __all__ = [
+    "FALLBACK_REASONS",
     "FusionPlan",
     "KernelCache",
     "fusion_plan",
@@ -65,6 +69,17 @@ __all__ = [
 KEY_FORMAT = "repro.program.fuse/1"
 
 _MISS = object()
+
+#: why a step stays on the replay path instead of a fused kernel
+FALLBACK_REASONS = (
+    "empty_trace",          # replay's zero-cycle path charges nothing
+    "port_out_of_range",    # replay raises the exact PortError
+    "invalid_cycle",        # out-of-bounds or conflicting access
+    "describe_only_write",  # no values: execution raises ProgramError
+    "lane_width_mismatch",  # replay raises the write-shape PatternError
+    "forbid_collision",     # same-cycle read/write under "forbid"
+    "plan_error",           # the plan tables raised a PolyMemError
+)
 
 
 class KernelCache:
@@ -226,19 +241,20 @@ class _StepTables:
 
 
 def _classify_step(step, pm):
-    """Build the fast-path tables for *step*, or ``None`` to keep it on
-    the interpreting replay path.
+    """Build the fast-path tables for *step*, or name why it stays on the
+    replay path.
 
     Returns ``("reads", tables)`` for a fusable read-only step (joinable
-    into a gather run) or ``("write", _StepTables)`` for a fusable step
-    with a write stream.
+    into a gather run), ``("write", _StepTables)`` for a fusable step
+    with a write stream, or ``("replay", reason)`` with *reason* one of
+    :data:`FALLBACK_REASONS`.
     """
     n = step.n
     if n == 0:
-        return None  # replay's empty-trace path charges nothing; keep it
+        return ("replay", "empty_trace")
     for port in step.reads:
         if not 0 <= port < pm.read_ports:
-            return None  # replay raises the exact PortError
+            return ("replay", "port_out_of_range")
     try:
         bad = np.zeros(n, dtype=bool)
         read_tabs = {}
@@ -248,36 +264,72 @@ def _classify_step(step, pm):
             read_tabs[port] = slots
         if step.write is None:
             if bad.any():
-                return None  # serial error path owns invalid cycles
+                return ("replay", "invalid_cycle")
             return ("reads", read_tabs)
         kind, ai, aj, stride, pieces = step.write
         if any(src is None for _, _, src in pieces):
-            return None  # describe-only: execution must raise ProgramError
+            return ("replay", "describe_only_write")
         w_slots, w_valid = _Stream(kind, ai, aj, stride).tables(pm.plan)
         bad |= ~w_valid
     except PolyMemError:
-        return None
+        return ("replay", "plan_error")
     if step.concrete:
         w = step.write_values({})
         if w.shape[1] != pm.lanes:
-            return None  # replay flags bad[0] and re-raises serially
+            return ("replay", "lane_width_mismatch")
     if bad.any():
-        return None
-    # the same event structure replay sorts per call, computed once:
-    # write events keyed slot * (n + 1) + cycle (unique — one cycle's
-    # write slots are distinct), reads binary-search their predecessor
+        return ("replay", "invalid_cycle")
+    forwards = _forward_indices(read_tabs, w_slots, pm)
+    if forwards is None:
+        return ("replay", "forbid_collision")
+    return ("write", _StepTables(read_tabs, w_slots.ravel(), forwards))
+
+
+def _forward_indices(read_tabs, w_slots, pm):
+    """Per read port, the ``(flat_result_index, flat_value_index)`` pairs
+    of same-trace writes each read element observes, or ``None`` when a
+    ``forbid`` collision must take replay's serial error path.
+
+    The same structure replay derives per call, computed once: a read at
+    cycle t sees the latest write to its slot at a cycle < t (<= t under
+    ``write_first``).  When no slot is written twice a dense per-slot
+    table answers that with one gather; otherwise write events keyed
+    ``slot * (n + 1) + cycle`` (unique — one cycle's write slots are
+    distinct) are sorted and each read binary-searches its predecessor.
+    """
+    n, lanes = w_slots.shape
     t_col = np.arange(n, dtype=np.int64)[:, None]
+    flat_w = w_slots.ravel()
+    forbid = pm.collision_policy == "forbid"
+    inclusive = pm.collision_policy == "write_first"
+    forwards = {}
+    total_slots = lanes * pm.banks.bank_depth
+    if total_slots <= pm.DENSE_SLOT_LIMIT:
+        # sentinel flat_w.size: "written after every cycle" (cycle n);
+        # int32 halves the table the reads gather from
+        order = np.arange(flat_w.size, dtype=np.int32)
+        last = np.full(total_slots, flat_w.size, dtype=np.int32)
+        last[flat_w] = order
+        if np.array_equal(last[flat_w], order):  # no slot written twice
+            for port, r_slots in read_tabs.items():
+                w_idx = last[r_slots]
+                w_t = w_idx // lanes
+                if forbid and (w_t == t_col).any():
+                    return None
+                hit = w_t <= t_col if inclusive else w_t < t_col
+                if hit.any():
+                    forwards[port] = (np.flatnonzero(hit), w_idx[hit])
+            return forwards
     kw = (w_slots * (n + 1) + t_col).ravel()
     w_order = np.argsort(kw)
     kw_sorted = kw[w_order]
-    if pm.collision_policy == "forbid":
+    if forbid:
         for r_slots in read_tabs.values():
             kr = (r_slots * (n + 1) + t_col).ravel()
             pos = np.minimum(np.searchsorted(kw_sorted, kr), kw_sorted.size - 1)
             if (kw_sorted[pos] == kr).any():
-                return None  # same-cycle collision: serial error path
-    forwards = {}
-    bound = t_col + 1 if pm.collision_policy == "write_first" else t_col
+                return None
+    bound = t_col + 1 if inclusive else t_col
     for port, r_slots in read_tabs.items():
         kr = (r_slots * (n + 1) + bound).ravel()
         pos = np.searchsorted(kw_sorted, kr, side="left") - 1
@@ -285,8 +337,7 @@ def _classify_step(step, pm):
         hit = (pos >= 0) & (kw_sorted[clipped] // (n + 1) == r_slots.ravel())
         if hit.any():
             forwards[port] = (np.flatnonzero(hit), w_order[clipped[hit]])
-    tables = _StepTables(read_tabs, w_slots.ravel(), forwards)
-    return ("write", tables)
+    return forwards
 
 
 def _build_group_kernel(segments, mems: Mapping[str, Any]) -> tuple:
@@ -294,7 +345,8 @@ def _build_group_kernel(segments, mems: Mapping[str, Any]) -> tuple:
 
     Units are ``("run", step_indices, {port: concatenated_slots})`` for a
     fused read gather, ``("write", step_index, _StepTables)`` for a fused
-    read+write step, or ``("interp", step_index)`` for the replay path.
+    read+write step, or ``("replay", step_index, reason)`` for the
+    replay path.
     """
     kernel = []
     for seg in segments:
@@ -316,22 +368,17 @@ def _build_group_kernel(segments, mems: Mapping[str, Any]) -> tuple:
             run, run_mem, run_ports = [], None, None
 
         for idx, step in enumerate(seg.steps):
-            classified = _classify_step(step, mems[step.mem])
-            if classified is None:
+            tag, payload = _classify_step(step, mems[step.mem])
+            if tag != "reads":  # a write step's tables or a replay reason
                 flush_run()
-                units.append(("interp", idx))
+                units.append((tag, idx, payload))
                 continue
-            tag, tables = classified
-            if tag == "write":
-                flush_run()
-                units.append(("write", idx, tables))
-                continue
-            ports = tuple(tables)
+            ports = tuple(payload)
             if run and (step.mem != run_mem or ports != run_ports):
                 flush_run()
             if not run:
                 run_mem, run_ports = step.mem, ports
-            run.append((idx, tables))
+            run.append((idx, payload))
         flush_run()
         kernel.append(tuple(units))
     return tuple(kernel)
@@ -365,7 +412,7 @@ class FusionPlan:
 
     __slots__ = (
         "units", "n_groups", "n_fused_steps", "n_fallback_steps",
-        "cache_hits", "cache_misses",
+        "fallback_reasons", "cache_hits", "cache_misses",
     )
 
     def __init__(self, units, n_groups, cache_hits, cache_misses):
@@ -375,10 +422,15 @@ class FusionPlan:
         self.cache_misses = cache_misses
         self.n_fused_steps = 0
         self.n_fallback_steps = 0
+        self.fallback_reasons: dict[str, int] = {}
         for seg_units in units.values():
             for unit in seg_units:
-                if unit[0] == "interp":
+                if unit[0] == "replay":
                     self.n_fallback_steps += 1
+                    reason = unit[2]
+                    self.fallback_reasons[reason] = (
+                        self.fallback_reasons.get(reason, 0) + 1
+                    )
                 elif unit[0] == "run":
                     self.n_fused_steps += len(unit[1])
                 else:
@@ -390,16 +442,17 @@ class FusionPlan:
         return sum(
             1
             for seg_units in self.units.values()
-            if any(unit[0] != "interp" for unit in seg_units)
+            if any(unit[0] != "replay" for unit in seg_units)
         )
 
     def summary(self) -> dict:
-        """Plain-JSON fusion statistics (the CLI's ``--backend fused`` view)."""
+        """Plain-JSON fusion statistics (what ``program dump`` prints)."""
         return {
             "groups": self.n_groups,
             "fused_segments": self.n_fused_segments,
             "fused_steps": self.n_fused_steps,
             "fallback_steps": self.n_fallback_steps,
+            "fallback_reasons": dict(sorted(self.fallback_reasons.items())),
             "kernel_cache": {
                 "plan_hits": self.cache_hits,
                 "plan_misses": self.cache_misses,
@@ -418,14 +471,15 @@ class FusionPlan:
     def run_segment(self, segment, mems, env, observers) -> None:
         """Execute one segment's steps through its kernel units.
 
-        Bit-identical to the interpreting loop: same outputs, bindings,
-        memory state, statistics, error behaviour and observer hook
-        order — fused units only skip the per-execution re-derivation of
-        index tables and collision structure.
+        Bit-identical to replaying every step through
+        :meth:`PolyMem.replay`: same outputs, bindings, memory state,
+        statistics, error behaviour and observer hook order — fused units
+        only skip the per-execution re-derivation of index tables and
+        collision structure.
         """
         tel = _telemetry.active()
         for unit in self.units[segment.index]:
-            if unit[0] == "interp":
+            if unit[0] == "replay":
                 step = segment.steps[unit[1]]
                 mem = mems[step.mem]
                 outputs = mem.replay(step.trace(env))
@@ -452,7 +506,7 @@ class FusionPlan:
                 step = segment.steps[idx]
                 mem = mems[step.mem]
                 # resolving late-bound values can raise ProgramError —
-                # at the same point the interp path would (trace build)
+                # at the same point replay would (trace build)
                 values = step.write_values(env)
                 if values.shape[1] != mem.lanes:
                     self._replay_resolved(step, values, mem)
@@ -497,7 +551,7 @@ class FusionPlan:
     def _replay_resolved(step, values, mem) -> None:
         """Re-issue a lane-width-mismatched write through replay's serial
         error path, with the already-resolved values (callables are only
-        invoked once, matching the interp path)."""
+        invoked once, as on the replay path)."""
         trace = AccessTrace()
         for port, (kind, ai, aj, stride) in step.reads.items():
             trace.read(kind, ai, aj, port=port, stride=stride)
@@ -507,7 +561,7 @@ class FusionPlan:
 
 
 def fusion_plan(compiled, mems: Mapping[str, Any]) -> FusionPlan:
-    """Specialize *compiled* against *mems*: the fused backend's entry.
+    """Specialize *compiled* against *mems*: the engine's fast path.
 
     Groups the segment list at barriers, fetches (or builds and caches)
     each group's kernel from :data:`kernel_cache`, and returns the
@@ -535,5 +589,7 @@ def fusion_plan(compiled, mems: Mapping[str, Any]) -> FusionPlan:
         m.counter("program.fusion.segments").inc(plan.n_fused_segments)
         m.counter("program.fusion.steps").inc(plan.n_fused_steps)
         m.counter("program.fusion.fallback_steps").inc(plan.n_fallback_steps)
+        for reason, count in plan.fallback_reasons.items():
+            m.counter(f"program.fusion.fallback.{reason}").inc(count)
     return plan
 

@@ -21,8 +21,8 @@ registry in :mod:`repro.program.lower`) — then compiled by
 The pipeline guarantees bit-identical behaviour to hand-built traces:
 compilation only groups and coalesces accesses in ways
 :meth:`~repro.core.polymem.PolyMem.replay` proves equivalent, and the
-fused backend (:mod:`repro.program.fuse`) falls back to interpretation
-for any step it cannot prove bit-identical.
+fusion pass (:mod:`repro.program.fuse`) falls back to ``replay`` for
+any step it cannot prove bit-identical.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ parallel access against a PolyMem holding the data and verifies
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "ExecutionResult",
     "execute_schedule",
     "memory_for_trace",
-    "schedule_program",
 ]
 
 
@@ -94,17 +92,6 @@ def _schedule_program(schedule: Schedule) -> AccessProgram:
     aj = np.fromiter((a.j for a in accesses), dtype=np.int64, count=n)
     kind = kinds[0] if len(set(kinds)) == 1 else kinds
     return prog.read(kind, ai, aj, tag="data")
-
-
-def schedule_program(schedule: Schedule) -> AccessProgram:
-    """Deprecated: use ``repro.program.builder.build("schedule.accesses", ...)``."""
-    warnings.warn(
-        "schedule_program() is deprecated; use "
-        "repro.program.builder.build('schedule.accesses', schedule=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _schedule_program(schedule)
 
 
 def execute_schedule(

@@ -24,7 +24,6 @@ Stage semantics (paper §V):
 from __future__ import annotations
 
 import enum
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
@@ -181,16 +180,6 @@ class StreamController(Kernel):
     def band_capacity_vectors(self) -> int:
         """Lane-vectors one array band can hold."""
         return self.band_rows * (self.config.cols // self.lanes)
-
-    def job_program(self, job: Job) -> AccessProgram:
-        """Deprecated: use ``repro.program.builder.build("stream.job", ...)``."""
-        warnings.warn(
-            "StreamController.job_program() is deprecated; use "
-            "repro.program.builder.build('stream.job', controller=..., job=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._job_program(job)
 
     def _job_program(self, job: Job) -> AccessProgram:
         """Lower *job*'s full access stream to a describe-only program.

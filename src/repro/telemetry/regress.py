@@ -71,10 +71,10 @@ GATE_TABLE: dict[str, GateSpec] = {
         ">=", 2.0, "batched trace replay vs per-access scalar step()"
     ),
     "access.program_vs_scalar": GateSpec(
-        ">=", 2.0, "interp access-program pipeline vs scalar step()"
+        ">=", 2.0, "access-program pipeline on a cold kernel cache vs scalar step()"
     ),
     "access.fused_vs_replay": GateSpec(
-        ">=", 2.0, "fused program backend vs direct replay (4096-access stream)"
+        ">=", 2.0, "fused program path vs direct replay (4096-access stream)"
     ),
     "exec.warm_cache_seconds": GateSpec(
         "<=", 1.0, "fully-cached Table III re-run wall seconds"

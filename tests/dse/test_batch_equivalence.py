@@ -17,10 +17,20 @@ from hypothesis import strategies as st
 from repro.core.config import KB, PolyMemConfig
 from repro.core.exceptions import ConflictError
 from repro.core.patterns import PatternKind
+from repro.core.plan import compile_plan
 from repro.core.schemes import Scheme
-from repro.dse.explore import evaluate_point, evaluate_points_batch, explore
+from repro.dse.explore import (
+    DsePoint,
+    DseResult,
+    _prune_dominated,
+    evaluate_point,
+    evaluate_points_batch,
+    explore,
+)
 from repro.dse.pareto import pareto_frontier
 from repro.dse.space import PAPER_SPACE, DesignSpace
+from repro.exec import SweepTask, run_sweep
+from repro.hw.synthesis import default_model
 from repro.maxpolymem.validation import (
     conflict_free_chunk,
     validate_config,
@@ -56,6 +66,39 @@ def _frontier_key(result):
     ]
 
 
+def _scalar_chunk(configs, kind, ai, aj, *, policy="allow"):
+    """The per-anchor reference ``conflict_free_chunk`` is pinned to."""
+    out = np.empty((len(configs), ai.size), dtype=bool)
+    for n, cfg in enumerate(configs):
+        plan = compile_plan(cfg.rows, cfg.cols, cfg.p, cfg.q, cfg.scheme, kind)
+        for b in range(ai.size):
+            i, j = int(ai[b]), int(aj[b])
+            out[n, b] = plan.fits(i, j) and plan.conflict_free(i, j)
+            if policy == "forbid" and not out[n, b]:
+                raise ConflictError(
+                    f"{cfg.label()}: {kind.value} access at ({i}, {j}) is "
+                    f"out of bounds or bank-conflicting"
+                )
+    return out
+
+
+def _scalar_explore(space=PAPER_SPACE, *, prune=False, **params):
+    """``explore()`` on the per-point reference: the same ``dse.point``
+    sweep with no ``batch_fn``, so every point runs ``evaluate_point``."""
+    cfgs = list(space.points(feasible_only=True))
+    if prune:
+        cfgs, _ = _prune_dominated(cfgs, default_model(space.device.name))
+    params = {"validate": False, "validate_rows": 16, **params,
+              "device": space.device.name}
+    sweep = run_sweep(
+        [SweepTask("dse.point", evaluate_point, cfg, params=params)
+         for cfg in cfgs]
+    )
+    assert sweep.batched_points == 0
+    points = [DsePoint(config=cfg, **v) for cfg, v in zip(cfgs, sweep.values())]
+    return DseResult(space=space, points=points, sweep=sweep)
+
+
 class TestConflictFreeChunk:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -75,26 +118,23 @@ class TestConflictFreeChunk:
         configs = ALL_CONFIGS[start::step]
         ai = np.array([a for a, _ in anchors], dtype=np.int64)
         aj = np.array([b for _, b in anchors], dtype=np.int64)
-        fast = conflict_free_chunk(configs, kind, ai, aj, vectorized=True)
-        slow = conflict_free_chunk(configs, kind, ai, aj, vectorized=False)
+        fast = conflict_free_chunk(configs, kind, ai, aj)
+        slow = _scalar_chunk(configs, kind, ai, aj)
         assert fast.dtype == slow.dtype == np.dtype(bool)
         assert (fast == slow).all()
 
     @pytest.mark.parametrize("kind", CHUNK_KINDS)
     def test_forbid_policy_error_parity(self, kind):
-        """Both paths raise the same ConflictError for the same first
-        failure (config-major order)."""
+        """The fast path raises the reference's ConflictError for the
+        same first failure (config-major order)."""
         rng = np.random.default_rng(7)
         configs = ALL_CONFIGS[::9]
         ai = rng.integers(0, 64, size=32)
         aj = rng.integers(0, 64, size=32)
         messages = []
-        for vectorized in (True, False):
+        for chunk in (conflict_free_chunk, _scalar_chunk):
             try:
-                conflict_free_chunk(
-                    configs, kind, ai, aj, policy="forbid",
-                    vectorized=vectorized,
-                )
+                chunk(configs, kind, ai, aj, policy="forbid")
                 messages.append(None)
             except ConflictError as err:
                 messages.append(str(err))
@@ -199,7 +239,7 @@ class TestEvaluateBatchParity:
 class TestExploreEquivalence:
     @pytest.fixture(scope="class")
     def scalar_result(self):
-        return explore(batch=False)
+        return _scalar_explore()
 
     def test_fast_path_points_identical(self, scalar_result):
         assert _points_json(explore()) == _points_json(scalar_result)
@@ -236,7 +276,7 @@ class TestExploreEquivalence:
         )
         kwargs = dict(space=space, validate=True, validate_rows=8)
         assert _points_json(explore(**kwargs)) == _points_json(
-            explore(batch=False, **kwargs)
+            _scalar_explore(**kwargs)
         )
 
     @settings(max_examples=6, deadline=None)
@@ -256,7 +296,7 @@ class TestExploreEquivalence:
             schemes=tuple(sorted(schemes, key=lambda s: s.value)),
         )
         assert _points_json(explore(space=space)) == _points_json(
-            explore(space=space, batch=False)
+            _scalar_explore(space)
         )
 
 
@@ -286,7 +326,7 @@ class TestPruning:
                                     q.lut_pct, q.bram_pct)
 
     def test_frontier_exact_scalar_path_too(self, full):
-        assert _frontier_key(explore(prune=True, batch=False)) == _frontier_key(
+        assert _frontier_key(_scalar_explore(prune=True)) == _frontier_key(
             full
         )
 

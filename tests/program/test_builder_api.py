@@ -1,10 +1,5 @@
-"""The redesigned builder surface and its deprecation shims.
-
-``repro.program.build`` is the one entry point for program
-construction; every pre-builder ``*_program`` free function must keep
-working as a thin shim that emits ``DeprecationWarning`` and forwards
-to the same lowering.
-"""
+"""The builder surface: ``repro.program.build`` is the one entry point
+for program construction."""
 
 import numpy as np
 import pytest
@@ -37,13 +32,6 @@ class TestBuild:
     def test_unknown_spec(self):
         with pytest.raises(ProgramError, match="unknown program spec"):
             build("kernel.nope")
-
-    def test_backend_override_threads_through(self):
-        a = _matrix()
-        fused = build("kernel.matmul", a=a, b=a, backend="fused").run()
-        interp = build("kernel.matmul", a=a, b=a, backend="interp").run()
-        assert np.array_equal(fused["c"], interp["c"])
-        assert fused.report == interp.report
 
     def test_describe_only_spec_refuses_to_run(self):
         from repro.program.lower import lower_demo
@@ -78,65 +66,6 @@ class TestProgramBuilder:
 
     def test_build_through_build(self):
         builder = ProgramBuilder("empty").barrier()
-        built = build(builder, backend="interp")
-        assert built.backend == "interp"
+        built = build(builder)
+        assert built.program is builder.program
         assert len(built.program) == 1
-
-
-class TestDeprecationShims:
-    """Every old name warns and forwards to the identical lowering."""
-
-    def test_kernel_shims(self):
-        a = _matrix()
-        from repro.kernels.jacobi import jacobi_program
-        from repro.kernels.matmul import matmul_program
-        from repro.kernels.reduction import (
-            load_matrix,
-            reduce_columns_program,
-            reduce_rows_program,
-        )
-        from repro.kernels.stencil import stencil_program
-        from repro.kernels.transpose import transpose_program
-
-        with pytest.warns(DeprecationWarning, match="matmul_program"):
-            prog, _ = matmul_program(a, a)
-        assert prog.name == "matmul"
-        with pytest.warns(DeprecationWarning, match="stencil_program"):
-            prog, _ = stencil_program(a, np.ones((3, 3), np.uint64))
-        assert prog.name == "stencil"
-        with pytest.warns(DeprecationWarning, match="jacobi_program"):
-            prog, _ = jacobi_program(np.zeros((8, 8), np.float64), 1)
-        assert prog.name.startswith("jacobi")
-        with pytest.warns(DeprecationWarning, match="transpose_program"):
-            prog, _ = transpose_program(a)
-        assert prog.name == "transpose"
-        pm = load_matrix(a)
-        with pytest.warns(DeprecationWarning, match="reduce_rows_program"):
-            assert reduce_rows_program(pm).name == "reduce_rows"
-        with pytest.warns(DeprecationWarning, match="reduce_columns_program"):
-            assert reduce_columns_program(pm).name == "reduce_columns"
-
-    def test_schedule_shim(self):
-        from repro.schedule import customize, row_trace
-        from repro.schedule.executor import schedule_program
-
-        trace = row_trace(4, 32)
-        best = customize(trace, lane_grids=[(2, 4)]).best
-        with pytest.warns(DeprecationWarning, match="schedule_program"):
-            prog = schedule_program(best)
-        assert prog.name == f"schedule:{best.trace_name}"
-
-    def test_stream_shim(self):
-        from repro.core.config import PolyMemConfig
-        from repro.core.schemes import Scheme
-        from repro.stream_bench.controller import Job, Mode, StreamController
-
-        config = PolyMemConfig(
-            12 * 32 * 8, p=2, q=4, scheme=Scheme.RoCo, read_ports=2,
-            rows=12, cols=32,
-        )
-        ctrl = StreamController("controller", config)
-        job = Job(Mode.COPY, vectors=8)
-        with pytest.warns(DeprecationWarning, match="job_program"):
-            prog = ctrl.job_program(job)
-        assert prog is not None

@@ -1,39 +1,37 @@
-"""Property suite: the fused backend vs the interpreting reference.
+"""Property suite: fused kernel units vs the engine's per-step replay.
 
-``execute(..., backend="fused")`` claims bit-identical behaviour to
-``backend="interp"`` — results, memory state, cycle/port statistics,
-error behaviour (type and message), and the shared telemetry counters.
-The fused path only skips the per-execution re-derivation of index
-tables and collision structure; anything it cannot prove identical
-(invalid cycles, describe-only writes, ``forbid`` collisions) falls back
-to the interpreting replay path step by step.
+:meth:`FusionPlan.run_segment` claims each fused unit is bit-identical
+to replaying its step through ``PolyMem.replay`` — results, memory state,
+cycle/port statistics, error behaviour (type and message) and the
+telemetry counters both paths emit.  The reference here is the engine
+itself with every step forced onto its replay fallback (the interpreting
+path), so the two runs differ only in the units under test.
 
-The suite drives randomized programs — including the deliberately
-invalid anchors, strides, multi-port reads and every collision policy of
-the engine-equivalence strategy — through both backends on twin
-memories, pins every production demo lowering, and unit-tests the
-content-addressed kernel cache (reuse across executions, LRU eviction).
+Complements ``test_engine_equivalence.py``, whose oracle is serial
+``PolyMem.step()``: that pins the engine to the Fig. 3 datapath, this
+pins the fast path to the fallback it shares a run loop with, including
+the ``program.*`` counters serial stepping does not emit.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.program.fuse as fuse
-from repro.core.config import PolyMemConfig
 from repro.core.exceptions import PolyMemError
-from repro.core.patterns import PatternKind
-from repro.core.polymem import PolyMem
-from repro.core.schemes import Scheme
-from repro.program import AccessProgram, KernelCache, execute
+from repro.program import KernelCache, execute
 from repro.program.lower import DEMO_NAMES, lower_demo
 from repro.telemetry import Telemetry, session
 
-LANE_GRIDS = [(2, 2), (2, 4)]
+from .test_engine_equivalence import (
+    _assert_same_env,
+    _assert_same_state,
+    _build_program,
+    _memory,
+    program_cases,
+)
 
-#: counters whose values are backend-independent by contract; the
-#: backend-specific ones (polymem.cycles.replay vs .fused, replay.calls,
+#: counters whose values are path-independent by contract; the
+#: path-specific ones (polymem.cycles.replay vs .fused, replay.calls,
 #: plan-cache traffic, program.fusion.*) are excluded by construction
 SHARED_COUNTERS = (
     "polymem.parallel_accesses",
@@ -47,117 +45,41 @@ SHARED_COUNTERS = (
 )
 
 
-def _memory(p, q, scheme, rows, cols, policy, read_ports, seed):
-    cfg = PolyMemConfig(
-        rows * cols * 8,
-        p=p,
-        q=q,
-        scheme=scheme,
-        rows=rows,
-        cols=cols,
-        read_ports=read_ports,
-    )
-    pm = PolyMem(cfg, collision_policy=policy)
-    rng = np.random.default_rng(seed)
-    pm.load(rng.integers(0, 2**63, size=(rows, cols), dtype=np.uint64))
-    pm.reset_stats()
-    return pm
-
-
-def _run_backend(program, mems, backend):
+def _run(program, mems, *, replay_only):
     """Execute under a private telemetry session; returns
-    ``(result, err, shared_counter_values)``."""
-    tel = Telemetry(label=f"fusion-eq-{backend}")
+    ``(result, err, shared_counter_values)``.
+
+    With *replay_only*, every step is classified onto the replay path
+    and kernels go to a private cache, so the process-wide one never
+    holds an all-replay kernel."""
+    tel = Telemetry(label=f"fusion-eq-{'replay' if replay_only else 'fused'}")
     err = None
     res = None
-    try:
-        with session(tel):
-            res = execute(program, mems, backend=backend)
-    except PolyMemError as e:
-        err = (type(e), str(e))
+    with pytest.MonkeyPatch.context() as mp:
+        if replay_only:
+            mp.setattr(fuse, "_classify_step",
+                       lambda step, pm: ("replay", "forced"))
+            mp.setattr(fuse, "kernel_cache", KernelCache())
+        try:
+            with session(tel):
+                res = execute(program, mems)
+        except PolyMemError as e:
+            err = (type(e), str(e))
     counters = tel.snapshot()["metrics"]["counters"]
     shared = {name: counters.get(name, 0) for name in SHARED_COUNTERS}
     return res, err, shared
 
 
-def _assert_same_state(mems_a, mems_b):
-    assert set(mems_a) == set(mems_b)
-    for name in mems_a:
-        a, b = mems_a[name], mems_b[name]
-        assert a.cycles == b.cycles
-        assert a.write_stats == b.write_stats
-        assert a.read_stats == b.read_stats
-        assert np.array_equal(a.dump(), b.dump())
-
-
-def _assert_same_env(env_a, env_b):
-    assert set(env_a) == set(env_b)
-    for tag, val in env_a.items():
-        other = env_b[tag]
-        if isinstance(val, np.ndarray):
-            assert np.array_equal(val, other), tag
-        else:
-            assert np.all(val == other), tag
-
-
-@st.composite
-def program_cases(draw):
-    p, q = draw(st.sampled_from(LANE_GRIDS))
-    lanes = p * q
-    rows = cols = lanes * 4
-    scheme = draw(st.sampled_from(list(Scheme)))
-    policy = draw(st.sampled_from(PolyMem.COLLISION_POLICIES))
-    read_ports = draw(st.integers(1, 2))
-    seed = draw(st.integers(0, 2**32))
-    n_ops = draw(st.integers(1, 6))
-    ops = []
-    for _ in range(n_ops):
-        choice = draw(
-            st.sampled_from(["read", "read", "read", "write", "write",
-                             "compute", "barrier"])
-        )
-        if choice in ("compute", "barrier"):
-            ops.append((choice,))
-            continue
-        n = draw(st.integers(1, 5))
-        # mostly valid anchors; -1 and rows-1 exercise the error and
-        # fallback paths (invalid cycles stay on the interp path even
-        # under backend="fused")
-        anchors = st.lists(
-            st.integers(-1, rows - 1), min_size=n, max_size=n
-        )
-        kind = draw(st.sampled_from(list(PatternKind)))
-        stride = draw(st.sampled_from([1, 1, 1, 2]))
-        ai = np.asarray(draw(anchors), dtype=np.int64)
-        aj = np.asarray(draw(anchors), dtype=np.int64)
-        if choice == "read":
-            port = draw(st.integers(0, read_ports - 1))
-            ops.append(("read", kind, ai, aj, port, stride))
-        else:
-            values = np.random.default_rng(
-                draw(st.integers(0, 2**32))
-            ).integers(0, 2**63, size=(n, lanes), dtype=np.uint64)
-            ops.append(("write", kind, ai, aj, values, stride))
-    return (p, q, scheme, rows, cols, policy, read_ports, seed, ops)
-
-
-def _build_program(ops):
-    prog = AccessProgram("fuzz")
-    tag_i = 0
-    for op in ops:
-        if op[0] == "read":
-            _, kind, ai, aj, port, stride = op
-            prog.read(kind, ai, aj, port=port, stride=stride,
-                      tag=f"t{tag_i}")
-            tag_i += 1
-        elif op[0] == "write":
-            _, kind, ai, aj, values, stride = op
-            prog.write(kind, ai, aj, values=values, stride=stride)
-        elif op[0] == "compute":
-            prog.compute(lambda env: {}, label="nop")
-        else:
-            prog.barrier()
-    return prog
+def _assert_fused_matches_replay(prog_f, mems_f, prog_i, mems_i):
+    res_f, err_f, tel_f = _run(prog_f, mems_f, replay_only=False)
+    res_i, err_i, tel_i = _run(prog_i, mems_i, replay_only=True)
+    assert err_f == err_i
+    _assert_same_state(mems_f, mems_i)
+    assert tel_f == tel_i
+    if err_f is None:
+        _assert_same_env(res_f.env, res_i.env)
+        assert res_f.report == res_i.report
+    return err_f
 
 
 class TestFusedMatchesInterp:
@@ -166,26 +88,14 @@ class TestFusedMatchesInterp:
     def test_randomized_programs(self, case):
         p, q, scheme, rows, cols, policy, read_ports, seed, ops = case
         args = (p, q, scheme, rows, cols, policy, read_ports, seed)
-        pm_fused = _memory(*args)
-        pm_interp = _memory(*args)
         prog = _build_program(ops)
-        res_f, err_f, tel_f = _run_backend(
-            prog, {"default": pm_fused}, "fused"
+        _assert_fused_matches_replay(
+            prog, {"default": _memory(*args)}, prog, {"default": _memory(*args)}
         )
-        res_i, err_i, tel_i = _run_backend(
-            prog, {"default": pm_interp}, "interp"
-        )
-        assert err_f == err_i
-        _assert_same_state({"d": pm_fused}, {"d": pm_interp})
-        assert tel_f == tel_i
-        if err_f is None:
-            _assert_same_env(res_f.env, res_i.env)
-            assert res_f.report.cycles == res_i.report.cycles
-            assert res_f.report == res_i.report
 
 
 class TestProductionLowerings:
-    """Every production demo runs bit-identically on both backends."""
+    """Every production demo runs bit-identically on both paths."""
 
     DEMOS = [n for n in DEMO_NAMES if n != "stream_copy"]  # describe-only
 
@@ -193,95 +103,4 @@ class TestProductionLowerings:
     def test_demo_fused_matches_interp(self, name):
         prog_f, mems_f = lower_demo(name)
         prog_i, mems_i = lower_demo(name)
-        res_f, err_f, tel_f = _run_backend(prog_f, mems_f, "fused")
-        res_i, err_i, tel_i = _run_backend(prog_i, mems_i, "interp")
-        assert err_f is None and err_i is None
-        _assert_same_state(mems_f, mems_i)
-        assert tel_f == tel_i
-        _assert_same_env(res_f.env, res_i.env)
-        assert res_f.report == res_i.report
-
-
-def _square_read_program(rows, seed, tag="out"):
-    """A fully fusable read+write stream over one memory."""
-    rng = np.random.default_rng(seed)
-    n = 16
-    ai = rng.integers(0, rows, size=n, dtype=np.int64)
-    aj = np.zeros(n, dtype=np.int64)
-    values = rng.integers(0, 2**63, size=(n, 8), dtype=np.uint64)
-    prog = AccessProgram("cache-case")
-    prog.read(PatternKind.ROW, ai, aj, tag=tag)
-    prog.write(PatternKind.ROW, ai, aj, values=values)
-    return prog
-
-
-class TestKernelCache:
-    def _memory(self):
-        return _memory(2, 4, Scheme.ReRo, 32, 32, "read_first", 1, 7)
-
-    def test_reuse_across_executions(self, monkeypatch):
-        cache = KernelCache(maxsize=8)
-        monkeypatch.setattr(fuse, "kernel_cache", cache)
-        prog = _square_read_program(32, seed=1)
-        execute(prog, self._memory(), backend="fused")
-        assert (cache.hits, cache.misses) == (0, 1)
-        # structurally identical program, different data: one hit
-        execute(prog, self._memory(), backend="fused")
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_different_structure_misses(self, monkeypatch):
-        cache = KernelCache(maxsize=8)
-        monkeypatch.setattr(fuse, "kernel_cache", cache)
-        execute(_square_read_program(32, seed=1), self._memory(),
-                backend="fused")
-        # different anchors -> different content address
-        execute(_square_read_program(32, seed=2), self._memory(),
-                backend="fused")
-        assert (cache.hits, cache.misses) == (0, 2)
-
-    def test_lru_eviction_and_refill(self, monkeypatch):
-        cache = KernelCache(maxsize=1)
-        monkeypatch.setattr(fuse, "kernel_cache", cache)
-        prog_a = _square_read_program(32, seed=1)
-        prog_b = _square_read_program(32, seed=2)
-        execute(prog_a, self._memory(), backend="fused")  # miss, resident
-        execute(prog_b, self._memory(), backend="fused")  # miss, evicts a
-        assert cache.evictions == 1
-        assert len(cache) == 1
-        # a was evicted: rebuilt (miss), which in turn evicts b
-        execute(prog_a, self._memory(), backend="fused")
-        assert cache.misses == 3 and cache.hits == 0
-        assert cache.evictions == 2
-        # results stay correct through eviction churn
-        pm = self._memory()
-        res = execute(prog_a, pm, backend="fused")
-        ref = execute(prog_a, self._memory(), backend="interp")
-        _assert_same_env(res.env, ref.env)
-
-    def test_kernels_hold_no_data(self, monkeypatch):
-        """A cached kernel is valid for any memory contents."""
-        cache = KernelCache(maxsize=4)
-        monkeypatch.setattr(fuse, "kernel_cache", cache)
-        prog = _square_read_program(32, seed=3)
-        execute(prog, self._memory(), backend="fused")
-        pm_hit = _memory(2, 4, Scheme.ReRo, 32, 32, "read_first", 1, 99)
-        pm_ref = _memory(2, 4, Scheme.ReRo, 32, 32, "read_first", 1, 99)
-        res = execute(prog, pm_hit, backend="fused")
-        ref = execute(prog, pm_ref, backend="interp")
-        assert cache.hits == 1
-        _assert_same_env(res.env, ref.env)
-        _assert_same_state({"d": pm_hit}, {"d": pm_ref})
-
-    def test_counters_reach_telemetry(self, monkeypatch):
-        cache = KernelCache(maxsize=8)
-        monkeypatch.setattr(fuse, "kernel_cache", cache)
-        prog = _square_read_program(32, seed=4)
-        tel = Telemetry(label="kernel-cache")
-        with session(tel):
-            execute(prog, self._memory(), backend="fused")
-            execute(prog, self._memory(), backend="fused")
-        c = tel.snapshot()["metrics"]["counters"]
-        assert c["program.fusion.kernel_cache.misses"] == 1
-        assert c["program.fusion.kernel_cache.hits"] == 1
-        assert c["program.fusion.groups"] == 2
-        assert c["program.fusion.steps"] >= 1
+        assert _assert_fused_matches_replay(prog_f, mems_f, prog_i, mems_i) is None

@@ -237,14 +237,6 @@ class TestExecFlags:
         }
         assert all("elements_in" in e.metrics for e in profiles)
 
-    def test_config_from_args_shim_warns(self):
-        from repro.cli import _config_from_args
-
-        args = build_parser().parse_args(["report", "--capacity-kb", "4"])
-        with pytest.warns(DeprecationWarning, match="from_any"):
-            cfg = _config_from_args(args)
-        assert cfg.capacity_bytes == 4096
-
     def test_validate_json_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "polymem.json"
         cfg.write_text(json.dumps(
@@ -368,6 +360,41 @@ class TestProgramDumpStats:
     def test_stats_off_by_default(self, capsys):
         assert main(["program", "dump", "matmul", "--json"]) == 0
         assert "stats" not in json.loads(capsys.readouterr().out)
+
+
+class TestProgramDumpFusion:
+    def test_text_shows_fused_and_fallback_steps(self, capsys):
+        assert main(["program", "dump", "matmul"]) == 0
+        out = capsys.readouterr().out
+        assert "fusion: 1 group(s)" in out
+        assert "fused steps: 1, fallback steps: 0" in out
+        assert "fallback reasons: none" in out
+
+    def test_json_shows_fused_and_fallback_steps(self, capsys):
+        assert main(["program", "dump", "matmul", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "backend" not in doc
+        fusion = doc["fusion"]
+        assert fusion["fused_steps"] == 1
+        assert fusion["fallback_steps"] == 0
+        assert fusion["fallback_reasons"] == {}
+
+    def test_describe_only_program_is_unavailable(self, capsys):
+        assert main(["program", "dump", "stream_copy"]) == 0
+        assert "fusion: unavailable" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["program", "dump", "matmul", "--backend", "fused"],
+            ["dse", "--no-batch"],
+        ],
+    )
+    def test_removed_path_switches_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestTelemetryObservatory:
