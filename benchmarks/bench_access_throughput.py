@@ -143,6 +143,11 @@ def _program_pass(pm, stream, cold=False):
     return out, time.perf_counter() - t0
 
 
+#: interleaved repeats of the batched passes; the few-ms passes share a
+#: noisy host, so ratios between them are medians of per-repeat ratios
+_BATCHED_REPEATS = 15
+
+
 def _measure(label, p, q, scheme, accesses):
     results = {}
     walls = {}
@@ -152,22 +157,32 @@ def _measure(label, p, q, scheme, accesses):
         "program_cold": lambda pm, s: _program_pass(pm, s, cold=True),
         "program": _program_pass,
     }
-    for path in ("scalar", "planned", "replay", "program_cold", "program"):
-        if path in batched:
-            # best-of-5: the whole pass is a few ms, so take the min to
-            # shed scheduler noise (the serial passes self-average over
-            # hundreds of ms)
-            wall = np.inf
-            for _ in range(5):
-                pm, stream = _workload(p, q, scheme, accesses)
-                out, w = batched[path](pm, stream)
-                wall = min(wall, w)
-        else:
-            pm, stream = _workload(p, q, scheme, accesses)
-            out, wall = _serial_pass(pm, stream, use_plans=(path == "planned"))
-        results[path] = out
-        walls[path] = wall
+    for path in ("scalar", "planned"):
+        # the serial passes self-average over hundreds of ms
+        pm, stream = _workload(p, q, scheme, accesses)
+        results[path], walls[path] = _serial_pass(
+            pm, stream, use_plans=(path == "planned")
+        )
         cycles[path] = pm.cycles
+    # the batched passes run back to back within each repeat, in an order
+    # reversed every other repeat, so host noise and order effects land on
+    # both sides of a per-repeat ratio alike; throughput is
+    # best-of-repeats, ratios between batched paths are the median of the
+    # per-repeat ratios
+    rep_walls = {path: [] for path in batched}
+    order = list(batched.items())
+    for r in range(_BATCHED_REPEATS):
+        for path, fn in order if r % 2 == 0 else order[::-1]:
+            pm, stream = _workload(p, q, scheme, accesses)
+            results[path], w = fn(pm, stream)
+            rep_walls[path].append(w)
+            cycles[path] = pm.cycles
+    for path, ws in rep_walls.items():
+        walls[path] = min(ws)
+
+    def vs_replay(path):
+        return float(np.median(np.divide(rep_walls["replay"], rep_walls[path])))
+
     assert np.array_equal(results["scalar"], results["planned"])
     assert np.array_equal(results["scalar"], results["replay"])
     assert np.array_equal(results["scalar"], results["program_cold"])
@@ -193,9 +208,9 @@ def _measure(label, p, q, scheme, accesses):
         "planned_speedup": aps["planned"] / aps["scalar"],
         "replay_vs_planned": aps["replay"] / aps["planned"],
         "replay_vs_scalar": aps["replay"] / aps["scalar"],
-        "program_cold_vs_replay": aps["program_cold"] / aps["replay"],
+        "program_cold_vs_replay": vs_replay("program_cold"),
         "program_vs_scalar": aps["program_cold"] / aps["scalar"],
-        "program_vs_replay": aps["program"] / aps["replay"],
+        "program_vs_replay": vs_replay("program"),
     }
 
 
@@ -203,7 +218,8 @@ _HEADER = (
     "PRF access-path throughput — scalar/planned step vs replay vs program\n"
     "(one ROW read + one RECTANGLE write per cycle; results and cycle\n"
     "counts bit-identical by assertion; program timed on a cold and a\n"
-    "warm kernel cache)\n\n"
+    f"warm kernel cache; batched a/s best of {_BATCHED_REPEATS} interleaved repeats,\n"
+    "prog/replay the median of per-repeat ratios)\n\n"
     f"{'config':>14s} {'accesses':>9s} {'scalar a/s':>11s} "
     f"{'planned a/s':>12s} {'replay a/s':>12s} {'cold a/s':>12s} "
     f"{'program a/s':>12s} {'replay/step':>12s} {'prog/replay':>13s}\n"

@@ -24,8 +24,8 @@ from ..core.config import KB, PolyMemConfig
 from ..core.exceptions import ConfigurationError, SchemeError
 from ..core.schemes import Scheme, validate_lane_grid
 from ..hw.bram import polymem_bram_usage
-from ..hw.fpga import FpgaDevice, VIRTEX6_SX475T
-from ..hw.synthesis import SynthesisModel
+from ..hw.fpga import FpgaDevice, VIRTEX6_SX475T, devices
+from ..hw.synthesis import SynthesisModel, default_model
 
 __all__ = [
     "DeviceWhatIf",
@@ -123,10 +123,13 @@ def feasibility_frontier(
 ) -> list[FeasibilityPoint]:
     """Evaluate the full grid on *device* (feasible and infeasible points).
 
-    The synthesis model is refit per device (cheap; cached per process by
-    the caller if needed).
+    A registered device reuses its per-process :func:`default_model`; an
+    unregistered one gets a fresh :class:`SynthesisModel`.
     """
-    model = SynthesisModel(device)
+    if devices().get(device.name) == device:
+        model = default_model(device.name)
+    else:
+        model = SynthesisModel(device)
     points = []
     for cap in capacities_kb:
         for lanes in lane_counts:

@@ -11,7 +11,11 @@ published numbers (:mod:`repro.hw.calibration`):
   (``sqrt(BRAM blocks)`` — the empirically observed sub-linear growth of
   routing delay with memory footprint), crossbar interaction
   (``lanes * ports``), and MAF complexity.  Fit by NNLS over all 90 cells
-  of Table IV.
+  of Table IV.  The fit's coefficients ship in :data:`FREQ_COEF_TABLE`,
+  keyed by the SHA-256 of the exact fit inputs, so building a model
+  costs a table lookup; only inputs the table does not know (a changed
+  Table IV cell or feature) run the live ``scipy.optimize.nnls`` fit,
+  which is imported then and counted as ``hw.fit.live.table_miss``.
 * **logic (slice) utilization** — intercept + first-principles crossbar
   LUT share + per-port and per-capacity terms, fit to the five §IV-C prose
   data points.
@@ -25,15 +29,16 @@ recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import nnls
 
 from ..core.config import PolyMemConfig
 from ..core.schemes import Scheme
+from ..telemetry import context as _telemetry
 from . import calibration
 from .bram import polymem_bram_usage, polymem_bram_usage_many
 from .crossbar import design_shuffles
@@ -52,6 +57,23 @@ MAF_COMPLEXITY: dict[Scheme, int] = {
 
 #: LUT%-to-logic% ratio pinned by the paper's <38% logic / <28% LUT caps
 LUT_TO_LOGIC_RATIO = calibration.LUT_MAX_PCT / calibration.LOGIC_MAX_PCT
+
+#: ``scipy.optimize.nnls`` coefficients of the Table IV frequency fit,
+#: keyed by :func:`freq_fit_digest` of the fit inputs.  Both registered
+#: devices build the same inputs, so one entry serves both.  A stale
+#: table cannot change a result: inputs it does not know take the live
+#: fit.  tests/hw/test_synthesis.py pins every entry to the live fit bit
+#: for bit and prints the line to paste here when they differ.
+FREQ_COEF_TABLE: dict[str, tuple[float, ...]] = {
+    "5fc6e7e7ebb061f55e6008db6c9068bb172348d3a0385d88ff7d47729ec1bdd4": (
+        0.0,
+        0.4965191998107905,
+        0.0,
+        0.2635748785255781,
+        0.4243574962577771,
+        0.0,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -84,6 +106,23 @@ def _freq_features(cfg: PolyMemConfig, device: FpgaDevice) -> np.ndarray:
     )
 
 
+def freq_fit_inputs(device: FpgaDevice) -> tuple[np.ndarray, np.ndarray]:
+    """The frequency fit's design matrix and target periods (ns): one row
+    per Table IV cell."""
+    cells = calibration.table_iv_grid()
+    X = np.stack([_freq_features(cfg, device) for cfg, _ in cells])
+    periods = np.array([1e3 / mhz for _, mhz in cells])
+    return X, periods
+
+
+def freq_fit_digest(X: np.ndarray, periods: np.ndarray) -> str:
+    """SHA-256 of the exact fit inputs: the key of :data:`FREQ_COEF_TABLE`."""
+    h = hashlib.sha256(repr(X.shape).encode())
+    h.update(X.tobytes())
+    h.update(periods.tobytes())
+    return h.hexdigest()
+
+
 def _logic_features(cfg: PolyMemConfig, device: FpgaDevice) -> np.ndarray:
     xb_pct = 100.0 * design_shuffles(cfg).total_luts / device.luts
     cap_kb = cfg.capacity_bytes / 1024
@@ -101,8 +140,10 @@ def _logic_features(cfg: PolyMemConfig, device: FpgaDevice) -> np.ndarray:
 class SynthesisModel:
     """The calibrated frequency/area estimator for one device.
 
-    Coefficients are fit once per device and cached; estimation is then a
-    cheap dot product, so DSE sweeps stay fast.
+    Frequency coefficients come from :data:`FREQ_COEF_TABLE` (a live NNLS
+    fit when the table misses), logic coefficients from a 5-point
+    least-squares solve; estimation is then a cheap dot product, so DSE
+    sweeps stay fast.
     """
 
     def __init__(self, device: FpgaDevice = VIRTEX6_SX475T):
@@ -112,10 +153,17 @@ class SynthesisModel:
 
     # -- calibration -------------------------------------------------------
     def _fit_frequency(self):
-        cells = calibration.table_iv_grid()
-        X = np.stack([_freq_features(cfg, self.device) for cfg, _ in cells])
-        periods = np.array([1e3 / mhz for _, mhz in cells])  # ns
-        coef, _ = nnls(X, periods)
+        X, periods = freq_fit_inputs(self.device)
+        coef = FREQ_COEF_TABLE.get(freq_fit_digest(X, periods))
+        if coef is not None:
+            coef = np.array(coef)
+        else:
+            tel = _telemetry.active()
+            if tel is not None:
+                tel.metrics.counter("hw.fit.live.table_miss").inc()
+            from scipy.optimize import nnls
+
+            coef, _ = nnls(X, periods)
         pred = X @ coef
         resid = pred - periods
         ss_res = float((resid**2).sum())
@@ -130,7 +178,7 @@ class SynthesisModel:
             "max_abs_pct_err": float(
                 np.abs(pred_mhz / true_mhz - 1).max() * 100
             ),
-            "n_points": len(cells),
+            "n_points": len(periods),
         }
         return coef, stats
 

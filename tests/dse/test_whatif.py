@@ -1,7 +1,9 @@
 """Tests for cross-device feasibility exploration."""
 
+import dataclasses
 
 from repro.core.schemes import Scheme
+from repro.dse import whatif
 from repro.dse.whatif import FeasibilityPoint, feasibility_frontier, max_capacity_kb
 from repro.hw.fpga import VIRTEX6_LX240T, VIRTEX6_SX475T
 
@@ -60,3 +62,21 @@ class TestFrontier:
         )
         assert len(pts) == 2 * 4
         assert pts[0].bram_pct > 0
+
+    def test_registered_device_reuses_default_model(self, monkeypatch):
+        def refit(device):
+            raise AssertionError(f"refit for registered {device.name}")
+
+        monkeypatch.setattr(whatif, "SynthesisModel", refit)
+        for device in (VIRTEX6_SX475T, VIRTEX6_LX240T):
+            assert len(feasibility_frontier(device)) == 5 * 2 * 4
+
+    def test_unregistered_device_gets_own_model(self, monkeypatch):
+        custom = dataclasses.replace(VIRTEX6_SX475T, luts=VIRTEX6_SX475T.luts // 2)
+        built = []
+        real = whatif.SynthesisModel
+        monkeypatch.setattr(
+            whatif, "SynthesisModel", lambda d: built.append(d) or real(d)
+        )
+        assert len(feasibility_frontier(custom)) == 5 * 2 * 4
+        assert built == [custom]

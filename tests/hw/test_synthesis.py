@@ -1,5 +1,10 @@
 """Tests for the calibrated synthesis model and its paper-shape claims."""
 
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
 from repro.core.config import KB, PolyMemConfig
@@ -7,7 +12,15 @@ from repro.core.schemes import Scheme
 from repro.hw import calibration
 from repro.hw.crossbar import design_shuffles
 from repro.hw.fpga import VIRTEX6_SX475T, devices
-from repro.hw.synthesis import LUT_TO_LOGIC_RATIO, SynthesisModel, default_model
+from repro.hw.synthesis import (
+    FREQ_COEF_TABLE,
+    LUT_TO_LOGIC_RATIO,
+    SynthesisModel,
+    default_model,
+    freq_fit_digest,
+    freq_fit_inputs,
+)
+from repro.telemetry import Telemetry, session
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +89,68 @@ class TestFrequencyModel:
         m1, m2 = SynthesisModel(), SynthesisModel()
         cfg = cfg_for(8, 1024, 2)
         assert m1.frequency_mhz(cfg) == m2.frequency_mhz(cfg)
+
+
+def _live_coef(device):
+    from scipy.optimize import nnls
+
+    return nnls(*freq_fit_inputs(device))[0]
+
+
+class TestCoefficientTable:
+    """The shipped NNLS coefficients stand in for the live fit exactly."""
+
+    @pytest.mark.parametrize("name", sorted(devices()))
+    def test_table_equals_live_fit(self, name):
+        device = devices()[name]
+        key = freq_fit_digest(*freq_fit_inputs(device))
+        live = _live_coef(device)
+        entry = f"    {key!r}: {tuple(float(c) for c in live)!r},"
+        assert key in FREQ_COEF_TABLE, f"table misses; paste:\n{entry}"
+        np.testing.assert_array_equal(
+            np.array(FREQ_COEF_TABLE[key]),
+            live,
+            err_msg=f"stale table entry; paste:\n{entry}",
+        )
+        np.testing.assert_array_equal(SynthesisModel(device)._freq_coef, live)
+
+    def test_table_hit_counts_no_live_fit(self):
+        tel = Telemetry()
+        with session(tel):
+            SynthesisModel()
+        assert "hw.fit.live.table_miss" not in tel.snapshot()["metrics"]["counters"]
+
+    def test_changed_cell_misses_and_fits_live(self, monkeypatch):
+        row = list(calibration.TABLE_IV_MHZ[Scheme.ReO])
+        row[0] += 1
+        monkeypatch.setitem(calibration.TABLE_IV_MHZ, Scheme.ReO, tuple(row))
+        key = freq_fit_digest(*freq_fit_inputs(VIRTEX6_SX475T))
+        assert key not in FREQ_COEF_TABLE
+        tel = Telemetry()
+        with session(tel):
+            model = SynthesisModel(VIRTEX6_SX475T)
+        counters = tel.snapshot()["metrics"]["counters"]
+        assert counters["hw.fit.live.table_miss"] == 1
+        np.testing.assert_array_equal(
+            model._freq_coef, _live_coef(VIRTEX6_SX475T)
+        )
+
+    def test_cli_never_imports_scipy_optimize(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import repro, repro.cli, repro.dse, repro.backend\n"
+            "from repro.hw.synthesis import default_model\n"
+            "default_model()\n"
+            "assert repro.cli.main(['whatif']) == 0\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, REPRO_CACHE_DIR=str(tmp_path)),
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestLogicModel:
