@@ -35,37 +35,14 @@ Quickstart::
     row = pm.read(PatternKind.ROW, 0, 0)
 """
 
-from .core import (
-    KB,
-    MB,
-    AccessPattern,
-    AccessRequest,
-    ConflictAnalyzer,
-    ConflictError,
-    PatternKind,
-    PolyMem,
-    PolyMemConfig,
-    PolyMemError,
-    Scheme,
-    all_schemes,
-    is_conflict_free,
-)
+from ._lazy import export_lazily
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "KB",
-    "MB",
-    "AccessPattern",
-    "AccessRequest",
-    "ConflictAnalyzer",
-    "ConflictError",
-    "PatternKind",
-    "PolyMem",
-    "PolyMemConfig",
-    "PolyMemError",
-    "Scheme",
-    "all_schemes",
-    "is_conflict_free",
-    "__version__",
-]
+__all__ = export_lazily(__name__, {
+    "core": (
+        "KB", "MB", "AccessPattern", "AccessRequest", "ConflictAnalyzer",
+        "ConflictError", "PatternKind", "PolyMem", "PolyMemConfig",
+        "PolyMemError", "Scheme", "all_schemes", "is_conflict_free",
+    ),
+}) + ["__version__"]

@@ -1,17 +1,10 @@
 """Productivity analysis (paper §III-C, Table II)."""
 
-from .productivity import (
-    PAPER_TABLE_II,
-    ModuleRow,
-    count_loc,
-    productivity_table,
-    render_table,
-)
+from .._lazy import export_lazily
 
-__all__ = [
-    "ModuleRow",
-    "PAPER_TABLE_II",
-    "count_loc",
-    "productivity_table",
-    "render_table",
-]
+__all__ = export_lazily(__name__, {
+    "productivity": (
+        "PAPER_TABLE_II", "ModuleRow", "count_loc", "productivity_table",
+        "render_table",
+    ),
+})

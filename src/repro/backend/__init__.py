@@ -19,98 +19,55 @@ here may import ``hw`` at module-import time.
 
 from __future__ import annotations
 
-from .base import (
-    AchievedBandwidth,
-    AddressStream,
-    DeviceBackend,
-    Feasibility,
-    LinkModel,
-    backend_names,
-    default_backend_name,
-    get_backend,
-    register_backend,
-)
-from .vectis import VECTIS, BoardConstants
+from .._lazy import export_lazily
+from . import base as _base
 
-__all__ = [
-    "AchievedBandwidth",
-    "AddressStream",
-    "BoardConstants",
-    "BurstLayout",
-    "DeviceBackend",
-    "DramChannelBackend",
-    "DramChannelModel",
-    "Feasibility",
-    "FpgaBramBackend",
-    "LinkModel",
-    "Lx240tBramBackend",
-    "ShardedPolyMemBackend",
-    "VECTIS",
-    "VectisBramBackend",
-    "backend_names",
-    "default_backend_name",
-    "get_backend",
-    "plan_layout",
-    "register_backend",
-]
-
-#: names re-exported lazily (module import would cycle through repro.hw)
-_LAZY = {
-    "FpgaBramBackend": ("fpga", "FpgaBramBackend"),
-    "VectisBramBackend": ("fpga", "VectisBramBackend"),
-    "Lx240tBramBackend": ("fpga", "Lx240tBramBackend"),
-    "DramChannelModel": ("dram", "DramChannelModel"),
-    "DramChannelBackend": ("dram", "DramChannelBackend"),
-    "ShardedPolyMemBackend": ("sharded", "ShardedPolyMemBackend"),
-    "BurstLayout": ("layout", "BurstLayout"),
-    "plan_layout": ("layout", "plan_layout"),
-}
+__all__ = export_lazily(__name__, {
+    "base": (
+        "AchievedBandwidth", "AddressStream", "DeviceBackend", "Feasibility",
+        "LinkModel", "backend_names", "default_backend_name", "get_backend",
+        "register_backend",
+    ),
+    "vectis": ("VECTIS", "BoardConstants"),
+    "fpga": ("FpgaBramBackend", "VectisBramBackend", "Lx240tBramBackend"),
+    "dram": ("DramChannelModel", "DramChannelBackend"),
+    "sharded": ("ShardedPolyMemBackend",),
+    "layout": ("BurstLayout", "plan_layout"),
+})
 
 
-def __getattr__(name: str):
-    try:
-        module, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    from importlib import import_module
-
-    return getattr(import_module(f".{module}", __name__), attr)
-
-
-def _vectis() -> DeviceBackend:
+def _vectis() -> _base.DeviceBackend:
     from .fpga import VectisBramBackend
 
     return VectisBramBackend()
 
 
-def _lx240t() -> DeviceBackend:
+def _lx240t() -> _base.DeviceBackend:
     from .fpga import Lx240tBramBackend
 
     return Lx240tBramBackend()
 
 
-def _dram() -> DeviceBackend:
+def _dram() -> _base.DeviceBackend:
     from .dram import DDR3_LMEM, DramChannelBackend
 
     return DramChannelBackend(DDR3_LMEM, name="dram")
 
 
-def _hbm2() -> DeviceBackend:
+def _hbm2() -> _base.DeviceBackend:
     from .dram import HBM2_STACK, DramChannelBackend
 
     return DramChannelBackend(HBM2_STACK, name="hbm2")
 
 
-def _dual_dfe() -> DeviceBackend:
+def _dual_dfe() -> _base.DeviceBackend:
     from .sharded import ShardedPolyMemBackend
 
     return ShardedPolyMemBackend(n_shards=2, name="dual-dfe")
 
 
-register_backend("vectis", _vectis)
-register_backend("lx240t", _lx240t)
-register_backend("dram", _dram)
-register_backend("hbm2", _hbm2)
-register_backend("dual-dfe", _dual_dfe)
+_base.register_backend("vectis", _vectis)
+_base.register_backend("lx240t", _lx240t)
+_base.register_backend("dram", _dram)
+_base.register_backend("hbm2", _hbm2)
+_base.register_backend("dual-dfe", _dual_dfe)

@@ -72,13 +72,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core.config import PolyMemConfig
-from .core.schemes import Scheme
-
 __all__ = ["main", "build_parser"]
 
 
 def _add_config_args(sub) -> None:
+    from .core.schemes import Scheme
+
     sub.add_argument(
         "--config", help="PolyMem configuration file (key=value or JSON)"
     )
@@ -194,6 +193,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .core.config import PolyMemConfig
     from .maxpolymem import build_design, validate_design
 
     cfg = PolyMemConfig.from_any(args)
@@ -593,6 +593,7 @@ def cmd_program_dump(args) -> int:
 
 def cmd_whatif(args) -> int:
     from .backend import backend_names
+    from .core.config import PolyMemConfig
     from .dse import whatif_devices
     from .exec import Report, ReportEntry
 
@@ -636,6 +637,7 @@ def cmd_whatif(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .core.config import PolyMemConfig
     from .hw.report import synthesis_report_text
 
     print(synthesis_report_text(PolyMemConfig.from_any(args)))
@@ -796,43 +798,37 @@ def cmd_productivity(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="polymem",
-        description="PolyMem: polymorphic parallel memories "
-        "(MAX-PolyMem reproduction)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _info_args(p) -> None:
+    p.add_argument("-p", type=int, default=2)
+    p.add_argument("-q", type=int, default=4)
+    p.set_defaults(fn=cmd_info)
 
-    p_info = sub.add_parser("info", help="package and scheme overview")
-    p_info.add_argument("-p", type=int, default=2)
-    p_info.add_argument("-q", type=int, default=4)
-    p_info.set_defaults(fn=cmd_info)
 
-    p_val = sub.add_parser("validate", help="run the §IV-A validation cycle")
-    _add_config_args(p_val)
-    p_val.add_argument("--style", default="fused", choices=["fused", "modular"])
-    p_val.add_argument("--max-rows", type=int, default=32)
-    p_val.set_defaults(fn=cmd_validate)
+def _validate_args(p) -> None:
+    _add_config_args(p)
+    p.add_argument("--style", default="fused", choices=["fused", "modular"])
+    p.add_argument("--max-rows", type=int, default=32)
+    p.set_defaults(fn=cmd_validate)
 
-    p_dse = sub.add_parser("dse", help="design-space exploration (§IV)")
-    p_dse.add_argument(
+
+def _dse_args(p) -> None:
+    from .backend import backend_names
+
+    p.add_argument(
         "--source", default="both", choices=["model", "paper", "both"]
     )
-    p_dse.add_argument("--figures", action="store_true",
-                       help="also print the Fig. 4-8 series")
-    p_dse.add_argument("--save", help="persist the sweep to a JSON file")
-    p_dse.add_argument("--load", help="render from a saved sweep instead")
-    p_dse.add_argument(
+    p.add_argument("--figures", action="store_true",
+                   help="also print the Fig. 4-8 series")
+    p.add_argument("--save", help="persist the sweep to a JSON file")
+    p.add_argument("--load", help="render from a saved sweep instead")
+    p.add_argument(
         "--prune",
         action=argparse.BooleanOptionalAction,
         default=False,
         help="drop Pareto-dominated points before evaluation (the "
         "frontier is unchanged but the point list is a subset)",
     )
-    from .backend import backend_names
-
-    p_dse.add_argument(
+    p.add_argument(
         "--backend",
         default=None,
         choices=backend_names(),
@@ -840,16 +836,15 @@ def build_parser() -> argparse.ArgumentParser:
         "seed Vectis path; REPRO_BACKEND only affects backend-"
         "parameterized helpers, not this sweep)",
     )
-    _add_exec_args(p_dse)
-    p_dse.set_defaults(fn=cmd_dse)
+    _add_exec_args(p)
+    p.set_defaults(fn=cmd_dse)
 
-    p_whatif = sub.add_parser(
-        "whatif",
-        help="sweep one configuration across device backends "
-        "(BRAM / DRAM / HBM / multi-DFE)",
-    )
-    _add_config_args(p_whatif)
-    p_whatif.add_argument(
+
+def _whatif_args(p) -> None:
+    from .backend import backend_names
+
+    _add_config_args(p)
+    p.add_argument(
         "--backends",
         nargs="+",
         default=None,
@@ -858,28 +853,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="backends to compare (default: all built-ins: "
         f"{', '.join(backend_names())})",
     )
-    p_whatif.add_argument(
+    p.add_argument(
         "--stride-words",
         type=int,
         default=64,
         help="stride of the burst-hostile reference stream (words)",
     )
-    p_whatif.add_argument(
+    p.add_argument(
         "--n-words",
         type=int,
         default=1 << 14,
         help="length of the reference streams (words)",
     )
-    _add_json_arg(p_whatif)
-    _add_telemetry_args(p_whatif)
-    p_whatif.set_defaults(fn=cmd_whatif)
+    _add_json_arg(p)
+    _add_telemetry_args(p)
+    p.set_defaults(fn=cmd_whatif)
 
-    p_stream = sub.add_parser("stream", help="STREAM benchmark (§V)")
-    p_stream.add_argument("--runs", type=int, default=1000)
-    p_stream.add_argument("--fig10", action="store_true")
-    _add_exec_args(p_stream)
-    p_stream.set_defaults(fn=cmd_stream)
-    stream_sub = p_stream.add_subparsers(dest="stream_command")
+
+def _stream_args(p) -> None:
+    p.add_argument("--runs", type=int, default=1000)
+    p.add_argument("--fig10", action="store_true")
+    _add_exec_args(p)
+    p.set_defaults(fn=cmd_stream)
+    stream_sub = p.add_subparsers(dest="stream_command")
     p_srun = stream_sub.add_parser(
         "run", help="one cycle-accurate Load/compute/Offload pass"
     )
@@ -901,25 +897,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec_args(p_srun)
     p_srun.set_defaults(fn=cmd_stream_run)
 
-    p_sched = sub.add_parser("schedule", help="access-schedule optimizer (§III-A)")
-    p_sched.add_argument(
+
+def _schedule_args(p) -> None:
+    p.add_argument(
         "workload",
         choices=["rows", "columns", "diagonal", "transpose", "random"],
     )
-    p_sched.add_argument("--rows", type=int, default=4)
-    p_sched.add_argument("--cols", type=int, default=32)
-    p_sched.add_argument("-p", type=int, default=2)
-    p_sched.add_argument("-q", type=int, default=4)
-    p_sched.add_argument("--seed", type=int, default=0)
-    p_sched.add_argument("--solver", default="ilp", choices=["ilp", "greedy"])
-    p_sched.set_defaults(fn=cmd_schedule)
+    p.add_argument("--rows", type=int, default=4)
+    p.add_argument("--cols", type=int, default=32)
+    p.add_argument("-p", type=int, default=2)
+    p.add_argument("-q", type=int, default=4)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--solver", default="ilp", choices=["ilp", "greedy"])
+    p.set_defaults(fn=cmd_schedule)
 
+
+def _program_args(p) -> None:
     from .program.lower import DEMO_NAMES
 
-    p_prog = sub.add_parser(
-        "program", help="access-program IR tools (lower/compile/inspect)"
-    )
-    prog_sub = p_prog.add_subparsers(dest="program_command", required=True)
+    prog_sub = p.add_subparsers(dest="program_command", required=True)
     p_pdump = prog_sub.add_parser(
         "dump",
         help="lower one demo workload and print its ops and compiled "
@@ -936,12 +932,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_args(p_pdump)
     p_pdump.set_defaults(fn=cmd_program_dump)
 
-    p_tel = sub.add_parser(
-        "telemetry",
-        help="inspect recorded telemetry: snapshots, the run ledger, "
-        "diffs, regression gates, the scorecard",
-    )
-    tel_sub = p_tel.add_subparsers(dest="telemetry_command", required=True)
+
+def _telemetry_args(p) -> None:
+    tel_sub = p.add_subparsers(dest="telemetry_command", required=True)
     p_tsum = tel_sub.add_parser(
         "summary",
         help="pretty-print a telemetry snapshot (a report JSON with a "
@@ -1015,8 +1008,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tcard = tel_sub.add_parser(
         "scorecard",
-        help="render the workload x scheme x backend matrix from the "
-        "ledger (ROADMAP item 4)",
+        help="render the workload x scheme x backend matrix of the "
+        "recorded runs from the ledger",
     )
     p_tcard.add_argument("file", help="ledger file (JSONL)")
     p_tcard.add_argument(
@@ -1028,21 +1021,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tcard.set_defaults(fn=cmd_telemetry_scorecard)
 
-    p_prod = sub.add_parser("productivity", help="Table II analysis (§III-C)")
-    p_prod.set_defaults(fn=cmd_productivity)
 
-    p_exp = sub.add_parser(
-        "experiments", help="full paper-vs-reproduction scorecard"
+def _productivity_args(p) -> None:
+    p.set_defaults(fn=cmd_productivity)
+
+
+def _experiments_args(p) -> None:
+    _add_exec_args(p)
+    p.set_defaults(fn=cmd_experiments)
+
+
+def _report_args(p) -> None:
+    _add_config_args(p)
+    p.set_defaults(fn=cmd_report)
+
+
+#: every subcommand, in --help order: its help line and the function that
+#: defines its arguments (and sets its handler as ``fn``)
+_SUBCOMMANDS = {
+    "info": ("package and scheme overview", _info_args),
+    "validate": ("run the §IV-A validation cycle", _validate_args),
+    "dse": ("design-space exploration (§IV)", _dse_args),
+    "whatif": (
+        "sweep one configuration across device backends "
+        "(BRAM / DRAM / HBM / multi-DFE)",
+        _whatif_args,
+    ),
+    "stream": ("STREAM benchmark (§V)", _stream_args),
+    "schedule": ("access-schedule optimizer (§III-A)", _schedule_args),
+    "program": (
+        "access-program IR tools (lower/compile/inspect)", _program_args
+    ),
+    "telemetry": (
+        "inspect recorded telemetry: snapshots, the run ledger, "
+        "diffs, regression gates, the scorecard",
+        _telemetry_args,
+    ),
+    "productivity": ("Table II analysis (§III-C)", _productivity_args),
+    "experiments": ("full paper-vs-reproduction scorecard", _experiments_args),
+    "report": ("vendor-style synthesis estimate for one config", _report_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``polymem`` parser.
+
+    Every subcommand is listed, but given *command* only that one's
+    arguments are defined, so a run imports nothing another subcommand
+    needs for its choices (the backend registry, the demo programs).
+    Parsing an argv that starts with *command* is unaffected.
+    """
+    parser = argparse.ArgumentParser(
+        prog="polymem",
+        description="PolyMem: polymorphic parallel memories "
+        "(MAX-PolyMem reproduction)",
     )
-    _add_exec_args(p_exp)
-    p_exp.set_defaults(fn=cmd_experiments)
-
-    p_rep = sub.add_parser(
-        "report", help="vendor-style synthesis estimate for one config"
-    )
-    _add_config_args(p_rep)
-    p_rep.set_defaults(fn=cmd_report)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, define_args) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if command in (None, name):
+            define_args(p)
     return parser
 
 
@@ -1066,7 +1104,8 @@ def main(argv=None) -> int:
     """CLI entry point."""
     from .core.exceptions import ConfigurationError
 
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return _run(args)
     except ConfigurationError as exc:

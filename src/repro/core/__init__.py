@@ -5,78 +5,26 @@ the polymorphic parallel memory of Fig. 3, independent of any particular
 hardware substrate.
 """
 
-from .addressing import AddressingFunction
-from .agu import AGU, AccessRequest
-from .banks import BankArray
-from .config import KB, MB, PolyMemConfig
-from .conflict import AnchorDomain, ConflictAnalyzer, conflict_banks, is_conflict_free
-from .exceptions import (
-    AddressError,
-    CapacityError,
-    ConfigurationError,
-    ConflictError,
-    PatternError,
-    PolyMemError,
-    PortError,
-    ScheduleError,
-    SchemeError,
-    SimulationError,
-)
-from .patterns import AccessPattern, PatternKind, pattern_offsets
-from .plan import (
-    AccessPlan,
-    AccessTrace,
-    compile_plan,
-    plan_cache_stats,
-)
-from .polymem import PolyMem
-from .regions import Region, RegionMap
-from .schemes import SCHEME_SPECS, Scheme, all_schemes, module_assignment
-from .shuffle import (
-    BenesNetwork,
-    FullCrossbar,
-    InverseShuffle,
-    Shuffle,
-)
+from .._lazy import export_lazily
 
-__all__ = [
-    "AGU",
-    "AccessPattern",
-    "AccessPlan",
-    "AccessRequest",
-    "AccessTrace",
-    "AddressError",
-    "AddressingFunction",
-    "AnchorDomain",
-    "BankArray",
-    "BenesNetwork",
-    "CapacityError",
-    "ConfigurationError",
-    "ConflictAnalyzer",
-    "ConflictError",
-    "FullCrossbar",
-    "InverseShuffle",
-    "KB",
-    "MB",
-    "PatternError",
-    "PatternKind",
-    "PolyMem",
-    "PolyMemConfig",
-    "PolyMemError",
-    "Region",
-    "RegionMap",
-    "PortError",
-    "SCHEME_SPECS",
-    "ScheduleError",
-    "Scheme",
-    "SchemeError",
-    "Shuffle",
-    "SimulationError",
-    "all_schemes",
-    "compile_plan",
-    "conflict_banks",
-    "is_conflict_free",
-    "module_assignment",
-    "pattern_offsets",
-    "plan_cache_stats",
-]
+__all__ = export_lazily(__name__, {
+    "addressing": ("AddressingFunction",),
+    "agu": ("AGU", "AccessRequest"),
+    "banks": ("BankArray",),
+    "config": ("KB", "MB", "PolyMemConfig"),
+    "conflict": (
+        "AnchorDomain", "ConflictAnalyzer", "conflict_banks",
+        "is_conflict_free",
+    ),
+    "exceptions": (
+        "AddressError", "CapacityError", "ConfigurationError",
+        "ConflictError", "PatternError", "PolyMemError", "PortError",
+        "ScheduleError", "SchemeError", "SimulationError",
+    ),
+    "patterns": ("AccessPattern", "PatternKind", "pattern_offsets"),
+    "plan": ("AccessPlan", "AccessTrace", "compile_plan", "plan_cache_stats"),
+    "polymem": ("PolyMem",),
+    "regions": ("Region", "RegionMap"),
+    "schemes": ("SCHEME_SPECS", "Scheme", "all_schemes", "module_assignment"),
+    "shuffle": ("BenesNetwork", "FullCrossbar", "InverseShuffle", "Shuffle"),
+})

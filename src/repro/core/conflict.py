@@ -6,10 +6,13 @@ BRAM in the same cycle.  This module provides:
 
 * :func:`is_conflict_free` — check one access under one scheme;
 * :func:`conflict_banks` — identify the clashing banks (for diagnostics);
-* :class:`ConflictAnalyzer` — empirically derive, by exhaustive enumeration
-  over anchor residue classes, the *anchor domain* in which a pattern is
-  conflict-free for a scheme.  This is how Table I of the paper is
-  reproduced and validated (``benchmarks/bench_table1_schemes.py``).
+* :class:`ConflictAnalyzer` — derive, exhaustively over anchor residue
+  classes, the *anchor domain* in which a pattern is conflict-free for a
+  scheme.  This is how Table I of the paper is reproduced and validated
+  (``benchmarks/bench_table1_schemes.py``).  The residue sets come from
+  the ``ok`` tables of :func:`~repro.core.plan.compile_plan`;
+  :func:`is_conflict_free` stays the per-access reference they are
+  tested against.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .patterns import AccessPattern, PatternKind, kinds_in_table_order
+from .plan import compile_plan
 from .schemes import Scheme, flat_module_assignment
 
 __all__ = [
@@ -123,25 +127,9 @@ class ConflictAnalyzer:
         #: anchor periodicity of every MAF on this lane grid
         self.period = p * q
 
-    def _anchor_window(self, kind: PatternKind) -> tuple[range, range]:
-        """Anchor ranges covering one full residue period, shifted so that
-        every pattern (including the anti-diagonal, which extends to
-        ``j - (pq - 1)``) stays at non-negative coordinates."""
-        n = self.period
-        base_j = n if kind is PatternKind.ANTI_DIAGONAL else 0
-        return range(n), range(base_j, base_j + n)
-
     def domain(self, scheme: Scheme, kind: PatternKind) -> AnchorDomain:
         """Exhaustively derive the conflict-free anchor domain."""
-        p, q, n = self.p, self.q, self.period
-        ok: set[tuple[int, int]] = set()
-        win_i, win_j = self._anchor_window(kind)
-        for i0 in win_i:
-            for j0 in win_j:
-                if is_conflict_free(scheme, kind, i0, j0, p, q):
-                    ok.add((i0 % n, j0 % n))
-        label = self._label(ok)
-        return AnchorDomain(label, n, n, frozenset(ok))
+        return self.stride_domain(scheme, kind, 1)
 
     def _label(self, ok: set[tuple[int, int]]) -> str:
         n = self.period
@@ -167,14 +155,12 @@ class ConflictAnalyzer:
         Strided patterns are the library's *sparse* accesses; the domain
         depends on arithmetic like gcd(stride, q), which this derives
         empirically (periodicity still holds: dilation preserves the MAF
-        period)."""
-        p, q, n = self.p, self.q, self.period
-        ok: set[tuple[int, int]] = set()
-        base_j = n * stride if kind is PatternKind.ANTI_DIAGONAL else 0
-        for i0 in range(n):
-            for j0 in range(base_j, base_j + n):
-                if is_conflict_free(scheme, kind, i0, j0, p, q, stride):
-                    ok.add((i0 % n, j0 % n))
+        period).  The residues are read from the compiled plan's ``ok``
+        table, which holds :func:`is_conflict_free` for every anchor
+        residue class (the geometry only sizes the address tables)."""
+        n = self.period
+        plan = compile_plan(n, n, self.p, self.q, scheme, kind, stride)
+        ok = set(map(tuple, np.argwhere(plan.ok).tolist()))
         return AnchorDomain(self._label(ok), n, n, frozenset(ok))
 
     def stride_table(

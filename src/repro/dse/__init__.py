@@ -1,57 +1,21 @@
 """Design Space Exploration (paper §IV): Tables III–IV, Figures 4–8."""
 
-from .bandwidth import (
-    BandwidthReport,
-    achieved_bandwidth,
-    backend_peaks,
-    bandwidth_report,
-    port_bandwidth_gbps,
-)
-from .explore import DsePoint, DseResult, explore
-from .report import (
-    column_label,
-    dse_report,
-    figure_series,
-    render_series_table,
-    render_table_iv,
-    to_csv,
-)
-from .space import LANE_GRIDS, PAPER_SPACE, DesignSpace
-from .pareto import ParetoPoint, best_under_budget, pareto_frontier
-from .whatif import (
-    DeviceWhatIf,
-    FeasibilityPoint,
-    feasibility_frontier,
-    lane_grid_for,
-    max_capacity_kb,
-    whatif_devices,
-)
+from .._lazy import export_lazily
 
-__all__ = [
-    "BandwidthReport",
-    "DesignSpace",
-    "DeviceWhatIf",
-    "DsePoint",
-    "DseResult",
-    "FeasibilityPoint",
-    "LANE_GRIDS",
-    "PAPER_SPACE",
-    "ParetoPoint",
-    "achieved_bandwidth",
-    "backend_peaks",
-    "best_under_budget",
-    "pareto_frontier",
-    "bandwidth_report",
-    "column_label",
-    "dse_report",
-    "explore",
-    "feasibility_frontier",
-    "lane_grid_for",
-    "max_capacity_kb",
-    "figure_series",
-    "port_bandwidth_gbps",
-    "render_series_table",
-    "render_table_iv",
-    "to_csv",
-    "whatif_devices",
-]
+__all__ = export_lazily(__name__, {
+    "bandwidth": (
+        "BandwidthReport", "achieved_bandwidth", "backend_peaks",
+        "bandwidth_report", "port_bandwidth_gbps",
+    ),
+    "explore": ("DsePoint", "DseResult", "explore"),
+    "report": (
+        "column_label", "dse_report", "figure_series", "render_series_table",
+        "render_table_iv", "to_csv",
+    ),
+    "space": ("LANE_GRIDS", "PAPER_SPACE", "DesignSpace"),
+    "pareto": ("ParetoPoint", "best_under_budget", "pareto_frontier"),
+    "whatif": (
+        "DeviceWhatIf", "FeasibilityPoint", "feasibility_frontier",
+        "lane_grid_for", "max_capacity_kb", "whatif_devices",
+    ),
+})

@@ -20,33 +20,13 @@ such grids:
     ``dse.report`` and ``experiments``; human tables are renderers over it.
 """
 
-from .cache import (
-    MISS,
-    MODEL_VERSION,
-    ResultCache,
-    cache_key,
-    default_cache_dir,
-)
-from .report import REPORT_FORMAT, Report, ReportEntry, rel_error
-from .runtime import (
-    RunResult,
-    SweepResult,
-    SweepTask,
-    run_sweep,
-)
+from .._lazy import export_lazily
 
-__all__ = [
-    "MISS",
-    "MODEL_VERSION",
-    "REPORT_FORMAT",
-    "Report",
-    "ReportEntry",
-    "ResultCache",
-    "RunResult",
-    "SweepResult",
-    "SweepTask",
-    "cache_key",
-    "default_cache_dir",
-    "rel_error",
-    "run_sweep",
-]
+__all__ = export_lazily(__name__, {
+    "cache": (
+        "MISS", "MODEL_VERSION", "ResultCache", "cache_key",
+        "default_cache_dir",
+    ),
+    "report": ("REPORT_FORMAT", "Report", "ReportEntry", "rel_error"),
+    "runtime": ("RunResult", "SweepResult", "SweepTask", "run_sweep"),
+})

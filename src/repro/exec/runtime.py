@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..telemetry import context as _telemetry
-from ..telemetry import ledger as _tel_ledger
 from .cache import ResultCache, cache_key
 
 __all__ = ["SweepTask", "RunResult", "SweepResult", "run_sweep"]
@@ -250,7 +249,9 @@ def run_sweep(
             )
         # auto-ledger: a metered sweep appends a run-ledger entry when
         # $REPRO_LEDGER names a destination (never raises into the sweep)
-        _tel_ledger.maybe_record_sweep(
+        from ..telemetry.ledger import maybe_record_sweep
+
+        maybe_record_sweep(
             [t.experiment_id for t in tasks], sweep, tel
         )
     return sweep

@@ -4,37 +4,18 @@ This subpackage replaces the parts of the paper's flow that require real
 hardware and vendor tools (see DESIGN.md, "Hardware-gate substitutions").
 """
 
-from .bram import BramBudget, RAMB36, polymem_bram_usage
-from .calibration import (
-    BRAM_POINTS,
-    LOGIC_POINTS,
-    STREAM_COPY,
-    TABLE_IV_MHZ,
-    table_iv_frequency,
-    table_iv_grid,
-)
-from .crossbar import ShuffleInventory, design_shuffles
-from .fpga import VIRTEX6_LX240T, VIRTEX6_SX475T, FpgaDevice, devices
-from .synthesis import MAF_COMPLEXITY, SynthesisModel, SynthesisReport, default_model
+from .._lazy import export_lazily
 
-__all__ = [
-    "BRAM_POINTS",
-    "BramBudget",
-    "FpgaDevice",
-    "LOGIC_POINTS",
-    "MAF_COMPLEXITY",
-    "RAMB36",
-    "STREAM_COPY",
-    "ShuffleInventory",
-    "SynthesisModel",
-    "SynthesisReport",
-    "TABLE_IV_MHZ",
-    "VIRTEX6_LX240T",
-    "VIRTEX6_SX475T",
-    "default_model",
-    "design_shuffles",
-    "devices",
-    "polymem_bram_usage",
-    "table_iv_frequency",
-    "table_iv_grid",
-]
+__all__ = export_lazily(__name__, {
+    "bram": ("BramBudget", "RAMB36", "polymem_bram_usage"),
+    "calibration": (
+        "BRAM_POINTS", "LOGIC_POINTS", "STREAM_COPY", "TABLE_IV_MHZ",
+        "table_iv_frequency", "table_iv_grid",
+    ),
+    "crossbar": ("ShuffleInventory", "design_shuffles"),
+    "fpga": ("VIRTEX6_LX240T", "VIRTEX6_SX475T", "FpgaDevice", "devices"),
+    "synthesis": (
+        "MAF_COMPLEXITY", "SynthesisModel", "SynthesisReport",
+        "default_model",
+    ),
+})

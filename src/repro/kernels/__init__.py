@@ -6,26 +6,13 @@ speedups over a scalar memory — the application-level evidence for the
 multiview design.
 """
 
-from .base import CycleScope, KernelReport
-from .jacobi import jacobi_reference, jacobi_solve
-from .matmul import matmul, matmul_scalar_cycles
-from .reduction import load_matrix, reduce_columns, reduce_rows
-from .stencil import stencil_reference, stencil_serial_cycles, stencil_sweep
-from .transpose import transpose, transpose_serial_cycles
+from .._lazy import export_lazily
 
-__all__ = [
-    "CycleScope",
-    "KernelReport",
-    "jacobi_reference",
-    "jacobi_solve",
-    "load_matrix",
-    "matmul",
-    "matmul_scalar_cycles",
-    "reduce_columns",
-    "reduce_rows",
-    "stencil_reference",
-    "stencil_serial_cycles",
-    "stencil_sweep",
-    "transpose",
-    "transpose_serial_cycles",
-]
+__all__ = export_lazily(__name__, {
+    "base": ("CycleScope", "KernelReport"),
+    "jacobi": ("jacobi_reference", "jacobi_solve"),
+    "matmul": ("matmul", "matmul_scalar_cycles"),
+    "reduction": ("load_matrix", "reduce_columns", "reduce_rows"),
+    "stencil": ("stencil_reference", "stencil_serial_cycles", "stencil_sweep"),
+    "transpose": ("transpose", "transpose_serial_cycles"),
+})

@@ -7,57 +7,21 @@ and driven by a :class:`Host` through blocking calls that model PCIe
 overheads.
 """
 
-from .batch import BatchOp, BatchPlan, PushClaim, UNSET
-from .conditions import Predicate, RunCondition, StreamFill
-from .dfe import DFE, VectisBoard
-from .host import Host, StageTiming
-from .lmem import LMem
-from .kernel import (
-    BinOpKernel,
-    DelayKernel,
-    DemuxKernel,
-    Kernel,
-    MapKernel,
-    MuxKernel,
-    SinkKernel,
-    SourceKernel,
-)
-from .manager import DesignResources, Manager
-from .pcie import VECTIS_PCIE, PcieLink
-from .simulator import ENGINES, KernelStats, SimulationResult, Simulator
-from .stream import Stream
-from .trace import CycleEvent, TraceRecorder
+from .._lazy import export_lazily
 
-__all__ = [
-    "BatchOp",
-    "BatchPlan",
-    "BinOpKernel",
-    "DFE",
-    "ENGINES",
-    "KernelStats",
-    "Predicate",
-    "PushClaim",
-    "RunCondition",
-    "StreamFill",
-    "UNSET",
-    "DelayKernel",
-    "DemuxKernel",
-    "DesignResources",
-    "Host",
-    "Kernel",
-    "LMem",
-    "Manager",
-    "MapKernel",
-    "MuxKernel",
-    "PcieLink",
-    "SimulationResult",
-    "Simulator",
-    "SinkKernel",
-    "SourceKernel",
-    "StageTiming",
-    "Stream",
-    "TraceRecorder",
-    "CycleEvent",
-    "VECTIS_PCIE",
-    "VectisBoard",
-]
+__all__ = export_lazily(__name__, {
+    "batch": ("BatchOp", "BatchPlan", "PushClaim", "UNSET"),
+    "conditions": ("Predicate", "RunCondition", "StreamFill"),
+    "dfe": ("DFE", "VectisBoard"),
+    "host": ("Host", "StageTiming"),
+    "lmem": ("LMem",),
+    "kernel": (
+        "BinOpKernel", "DelayKernel", "DemuxKernel", "Kernel", "MapKernel",
+        "MuxKernel", "SinkKernel", "SourceKernel",
+    ),
+    "manager": ("DesignResources", "Manager"),
+    "pcie": ("VECTIS_PCIE", "PcieLink"),
+    "simulator": ("ENGINES", "KernelStats", "SimulationResult", "Simulator"),
+    "stream": ("Stream",),
+    "trace": ("CycleEvent", "TraceRecorder"),
+})

@@ -11,20 +11,10 @@ offsets, then compiled into tickable kernels for the
 >>> kernel = compile_graph(g)
 """
 
-from .compile import GraphKernel, compile_graph
-from .graph import DFEVar, KernelGraph, Node
-from .types import BOOL, FLOAT64, INT64, UINT32, UINT64, HWType
+from .._lazy import export_lazily
 
-__all__ = [
-    "BOOL",
-    "DFEVar",
-    "FLOAT64",
-    "GraphKernel",
-    "HWType",
-    "INT64",
-    "KernelGraph",
-    "Node",
-    "UINT32",
-    "UINT64",
-    "compile_graph",
-]
+__all__ = export_lazily(__name__, {
+    "compile": ("GraphKernel", "compile_graph"),
+    "graph": ("DFEVar", "KernelGraph", "Node"),
+    "types": ("BOOL", "FLOAT64", "INT64", "UINT32", "UINT64", "HWType"),
+})

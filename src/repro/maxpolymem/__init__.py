@@ -11,35 +11,16 @@ Two implementations mirror the paper's §III-C development history:
 validation cycle.
 """
 
-from .cache import CacheTimings, SoftwareCache, Tile
-from .double_buffer import PingPongCache, PingPongReport
-from .design import PolyMemDesign, build_design, clock_for
-from .kernel import DEFAULT_READ_LATENCY, FusedPolyMemKernel, WriteCommand
-from .modular import Bundle, ModularDesign, build_modular_design
-from .validation import (
-    ValidationReport,
-    validate_config,
-    validate_configs,
-    validate_design,
-)
+from .._lazy import export_lazily
 
-__all__ = [
-    "Bundle",
-    "CacheTimings",
-    "SoftwareCache",
-    "Tile",
-    "DEFAULT_READ_LATENCY",
-    "FusedPolyMemKernel",
-    "ModularDesign",
-    "PingPongCache",
-    "PingPongReport",
-    "PolyMemDesign",
-    "ValidationReport",
-    "WriteCommand",
-    "build_design",
-    "build_modular_design",
-    "clock_for",
-    "validate_config",
-    "validate_configs",
-    "validate_design",
-]
+__all__ = export_lazily(__name__, {
+    "cache": ("CacheTimings", "SoftwareCache", "Tile"),
+    "double_buffer": ("PingPongCache", "PingPongReport"),
+    "design": ("PolyMemDesign", "build_design", "clock_for"),
+    "kernel": ("DEFAULT_READ_LATENCY", "FusedPolyMemKernel", "WriteCommand"),
+    "modular": ("Bundle", "ModularDesign", "build_modular_design"),
+    "validation": (
+        "ValidationReport", "validate_config", "validate_configs",
+        "validate_design",
+    ),
+})

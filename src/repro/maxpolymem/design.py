@@ -9,6 +9,7 @@ configuration is on its grid), and the board model into a ready-to-run
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..core.config import PolyMemConfig
 from ..hw.calibration import table_iv_frequency
@@ -18,7 +19,9 @@ from ..maxeler.dfe import DFE, VectisBoard
 from ..maxeler.host import Host
 from ..maxeler.manager import Manager
 from .kernel import DEFAULT_READ_LATENCY, FusedPolyMemKernel
-from .modular import ModularDesign, build_modular_design
+
+if TYPE_CHECKING:  # the modular pipeline loads only when one is built
+    from .modular import ModularDesign
 
 __all__ = ["PolyMemDesign", "build_design", "clock_for"]
 
@@ -108,6 +111,8 @@ def build_design(
             style=style,
         )
     if style == "modular":
+        from .modular import build_modular_design
+
         modular = build_modular_design(config)
         dfe = DFE(modular.manager, clock_mhz=clock, board=board)
         return PolyMemDesign(

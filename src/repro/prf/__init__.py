@@ -8,7 +8,9 @@ them with parallel-access cycle accounting (:class:`PrfMachine`) — the
 substrate behind the PRF lineage's CG-style case studies.
 """
 
-from .machine import ExecutionStats, PrfMachine
-from .registers import RegisterFile, VectorRegister
+from .._lazy import export_lazily
 
-__all__ = ["ExecutionStats", "PrfMachine", "RegisterFile", "VectorRegister"]
+__all__ = export_lazily(__name__, {
+    "machine": ("ExecutionStats", "PrfMachine"),
+    "registers": ("RegisterFile", "VectorRegister"),
+})

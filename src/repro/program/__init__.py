@@ -27,59 +27,20 @@ Demo lowerings live in :mod:`repro.program.lower` (imported lazily —
 it depends on the kernel modules, which import this package).
 """
 
-from .analysis import op_slots, slot_disjoint
-from .builder import BuiltProgram, ProgramBuilder, SPEC_NAMES, build
-from .engine import Observer, ProgramResult, execute
-from .fuse import (
-    FusionPlan,
-    KernelCache,
-    fusion_plan,
-    kernel_cache,
-)
-from .ir import (
-    AccessOp,
-    AccessProgram,
-    Barrier,
-    Compute,
-    ParallelRead,
-    ParallelWrite,
-)
-from .passes import (
-    CompiledProgram,
-    CompiledSegment,
-    TraceStep,
-    compile_program,
-    validate_program,
-    warm_plans,
-)
-from .report import CycleScope, KernelReport
+from .._lazy import export_lazily
 
-__all__ = [
-    "AccessOp",
-    "AccessProgram",
-    "Barrier",
-    "BuiltProgram",
-    "CompiledProgram",
-    "CompiledSegment",
-    "Compute",
-    "CycleScope",
-    "FusionPlan",
-    "KernelCache",
-    "KernelReport",
-    "Observer",
-    "ParallelRead",
-    "ParallelWrite",
-    "ProgramBuilder",
-    "ProgramResult",
-    "SPEC_NAMES",
-    "TraceStep",
-    "build",
-    "compile_program",
-    "execute",
-    "fusion_plan",
-    "kernel_cache",
-    "op_slots",
-    "slot_disjoint",
-    "validate_program",
-    "warm_plans",
-]
+__all__ = export_lazily(__name__, {
+    "analysis": ("op_slots", "slot_disjoint"),
+    "builder": ("BuiltProgram", "ProgramBuilder", "SPEC_NAMES", "build"),
+    "engine": ("Observer", "ProgramResult", "execute"),
+    "fuse": ("FusionPlan", "KernelCache", "fusion_plan", "kernel_cache"),
+    "ir": (
+        "AccessOp", "AccessProgram", "Barrier", "Compute", "ParallelRead",
+        "ParallelWrite",
+    ),
+    "passes": (
+        "CompiledProgram", "CompiledSegment", "TraceStep", "compile_program",
+        "validate_program", "warm_plans",
+    ),
+    "report": ("CycleScope", "KernelReport"),
+})

@@ -6,42 +6,18 @@ ILP with a greedy baseline), and candidate configurations are ranked by
 speedup and efficiency.
 """
 
-from .cover import CandidateAccess, CoverProblem, build_cover_problem
-from .executor import ExecutionResult, execute_schedule, memory_for_trace
-from .customize import CustomizationResult, Schedule, customize, schedule_trace
-from .greedy import greedy_cover
-from .ilp import IlpSolution, solve_cover
-from .trace import (
-    ApplicationTrace,
-    block_trace,
-    column_trace,
-    diagonal_trace,
-    random_trace,
-    row_trace,
-    stencil_trace,
-    transpose_trace,
-)
+from .._lazy import export_lazily
 
-__all__ = [
-    "ApplicationTrace",
-    "CandidateAccess",
-    "CoverProblem",
-    "CustomizationResult",
-    "ExecutionResult",
-    "IlpSolution",
-    "Schedule",
-    "block_trace",
-    "build_cover_problem",
-    "column_trace",
-    "customize",
-    "diagonal_trace",
-    "execute_schedule",
-    "memory_for_trace",
-    "greedy_cover",
-    "random_trace",
-    "row_trace",
-    "schedule_trace",
-    "solve_cover",
-    "stencil_trace",
-    "transpose_trace",
-]
+__all__ = export_lazily(__name__, {
+    "cover": ("CandidateAccess", "CoverProblem", "build_cover_problem"),
+    "executor": ("ExecutionResult", "execute_schedule", "memory_for_trace"),
+    "customize": (
+        "CustomizationResult", "Schedule", "customize", "schedule_trace",
+    ),
+    "greedy": ("greedy_cover",),
+    "ilp": ("IlpSolution", "solve_cover"),
+    "trace": (
+        "ApplicationTrace", "block_trace", "column_trace", "diagonal_trace",
+        "random_trace", "row_trace", "stencil_trace", "transpose_trace",
+    ),
+})

@@ -1,38 +1,16 @@
 """The STREAM benchmark framework for MAX-PolyMem (paper §V, Fig. 9)."""
 
-from .apps import COPY, SCALE, SUM, TRIAD, StreamApp, all_apps
-from .controller import (
-    Job,
-    Mode,
-    StreamController,
-    StreamDesign,
-    build_stream_design,
-)
-from .reporting import stream_report
-from .harness import (
-    Fig10Point,
-    PIPELINE_SLACK_CYCLES,
-    StreamHarness,
-    StreamMeasurement,
-    sweep_fig10,
-)
+from .._lazy import export_lazily
 
-__all__ = [
-    "COPY",
-    "Fig10Point",
-    "Job",
-    "Mode",
-    "PIPELINE_SLACK_CYCLES",
-    "SCALE",
-    "SUM",
-    "StreamApp",
-    "StreamController",
-    "StreamDesign",
-    "StreamHarness",
-    "StreamMeasurement",
-    "TRIAD",
-    "all_apps",
-    "stream_report",
-    "build_stream_design",
-    "sweep_fig10",
-]
+__all__ = export_lazily(__name__, {
+    "apps": ("COPY", "SCALE", "SUM", "TRIAD", "StreamApp", "all_apps"),
+    "controller": (
+        "Job", "Mode", "StreamController", "StreamDesign",
+        "build_stream_design",
+    ),
+    "reporting": ("stream_report",),
+    "harness": (
+        "Fig10Point", "PIPELINE_SLACK_CYCLES", "StreamHarness",
+        "StreamMeasurement", "sweep_fig10",
+    ),
+})

@@ -110,7 +110,6 @@ class StreamHarness:
     def __init__(self, design: StreamDesign | None = None):
         self.design = design or build_stream_design()
         self.host = self.design.host()
-        self._rng = np.random.default_rng(42)
 
     @property
     def lanes(self) -> int:

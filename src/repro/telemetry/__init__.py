@@ -17,67 +17,27 @@ call returning ``None`` when telemetry is off (the shipped default).
 See ``docs/observability.md`` for the metric catalog and span hierarchy.
 """
 
-from .context import (
-    SNAPSHOT_FORMAT,
-    Telemetry,
-    activate,
-    active,
-    deactivate,
-    session,
-)
-from .diff import Diff, DiffRow, diff_entries, diff_snapshots, render_diff
-from .ledger import (
-    LEDGER_FORMAT,
-    Ledger,
-    LedgerEntry,
-    record_run,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .observers import TelemetryObserver
-from .regress import (
-    GATE_TABLE,
-    RegressReport,
-    check_gates,
-    evaluate_gate,
-    regress,
-    render_regress,
-)
-from .scorecard import build_scorecard, render_markdown
-from .spans import SpanTracer
-from .summary import derived_metrics, derived_values, load_snapshot, render_summary
+from .._lazy import export_lazily
 
-__all__ = [
-    "SNAPSHOT_FORMAT",
-    "Telemetry",
-    "activate",
-    "active",
-    "deactivate",
-    "session",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "TelemetryObserver",
-    "SpanTracer",
-    "derived_metrics",
-    "derived_values",
-    "load_snapshot",
-    "render_summary",
-    "LEDGER_FORMAT",
-    "Ledger",
-    "LedgerEntry",
-    "record_run",
-    "Diff",
-    "DiffRow",
-    "diff_entries",
-    "diff_snapshots",
-    "render_diff",
-    "GATE_TABLE",
-    "RegressReport",
-    "check_gates",
-    "evaluate_gate",
-    "regress",
-    "render_regress",
-    "build_scorecard",
-    "render_markdown",
-]
+__all__ = export_lazily(__name__, {
+    "context": (
+        "SNAPSHOT_FORMAT", "Telemetry", "activate", "active", "deactivate",
+        "session",
+    ),
+    "diff": (
+        "Diff", "DiffRow", "diff_entries", "diff_snapshots", "render_diff",
+    ),
+    "ledger": ("LEDGER_FORMAT", "Ledger", "LedgerEntry", "record_run"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "observers": ("TelemetryObserver",),
+    "regress": (
+        "GATE_TABLE", "RegressReport", "check_gates", "evaluate_gate",
+        "regress", "render_regress",
+    ),
+    "scorecard": ("build_scorecard", "render_markdown"),
+    "spans": ("SpanTracer",),
+    "summary": (
+        "derived_metrics", "derived_values", "load_snapshot",
+        "render_summary",
+    ),
+})

@@ -1,7 +1,6 @@
 """The scorecard: the workload x scheme x backend matrix from the ledger.
 
-ROADMAP item 4 asks for a benchmark surface "that can't be overfit" — a
-matrix whose cells are measured quantities from telemetry, rebuilt from
+The matrix's cells are measured quantities from telemetry, rebuilt from
 recorded runs rather than numbers a bench chooses to print.  This module
 derives that matrix from the run ledger: one cell per (workload, scheme,
 backend) triple, populated from each bench's *newest* entry.

@@ -22,11 +22,13 @@ left open by an error path (e.g. a replay abort skipping
 
 from __future__ import annotations
 
-import cProfile
 import json
-import pstats
 import time
 from fnmatch import fnmatch
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # profiling modules load only when a span is profiled
+    import cProfile
 
 __all__ = ["SpanTracer", "TRACK_WALL", "TRACK_SIM"]
 
@@ -89,6 +91,8 @@ class SpanTracer:
         self._profile_top = top
 
     def _profile_rows(self, profiler: cProfile.Profile) -> list[dict]:
+        import pstats
+
         stats = pstats.Stats(profiler)
         rows = sorted(
             stats.stats.items(), key=lambda kv: kv[1][3], reverse=True
@@ -117,6 +121,8 @@ class SpanTracer:
             and fnmatch(name, self._profile_pattern)
         ):
             try:
+                import cProfile
+
                 self._profiler = cProfile.Profile()
                 frame["profiler"] = self._profiler
                 self._profiler.enable()

@@ -1,19 +1,10 @@
 """Cross-cutting utilities: result persistence and experiment manifests."""
 
-from .persist import (
-    dse_result_to_json,
-    load_dse_result,
-    load_schedule,
-    save_dse_result,
-    save_schedule,
-    schedule_to_json,
-)
+from .._lazy import export_lazily
 
-__all__ = [
-    "dse_result_to_json",
-    "load_dse_result",
-    "load_schedule",
-    "save_dse_result",
-    "save_schedule",
-    "schedule_to_json",
-]
+__all__ = export_lazily(__name__, {
+    "persist": (
+        "dse_result_to_json", "load_dse_result", "load_schedule",
+        "save_dse_result", "save_schedule", "schedule_to_json",
+    ),
+})

@@ -1,14 +1,17 @@
 """Conflict-freedom tests: the exhaustive reproduction of paper Table I."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.conflict import (
     ConflictAnalyzer,
     conflict_banks,
     is_conflict_free,
 )
-from repro.core.patterns import PatternKind
-from repro.core.schemes import Scheme
+from repro.core.exceptions import SchemeError
+from repro.core.patterns import PatternKind, kinds_in_table_order
+from repro.core.schemes import Scheme, validate_lane_grid
 
 
 class TestIsConflictFree:
@@ -133,3 +136,40 @@ class TestTableI:
     def test_retr_skipped_on_invalid_grid(self):
         an = ConflictAnalyzer(3, 5)
         assert Scheme.ReTr not in an.table()
+
+
+def _scalar_residues(scheme, kind, p, q, stride):
+    """The per-anchor reference: one :func:`is_conflict_free` call for
+    every anchor of one residue period, at non-negative coordinates."""
+    n = p * q
+    base_j = n * stride if kind is PatternKind.ANTI_DIAGONAL else 0
+    return {
+        (i0 % n, j0 % n)
+        for i0 in range(n)
+        for j0 in range(base_j, base_j + n)
+        if is_conflict_free(scheme, kind, i0, j0, p, q, stride)
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=4),
+    q=st.integers(min_value=1, max_value=4),
+    stride=st.integers(min_value=1, max_value=8),
+)
+def test_plan_domains_equal_scalar_loop(p, q, stride):
+    """The plan-derived Table I domains (``domain`` / ``stride_domain``)
+    hold exactly the anchor residues the scalar oracle accepts."""
+    an = ConflictAnalyzer(p, q)
+    for scheme in Scheme:
+        try:
+            validate_lane_grid(scheme, p, q)
+        except SchemeError:
+            continue
+        for kind in kinds_in_table_order():
+            assert an.domain(scheme, kind).ok_residues == _scalar_residues(
+                scheme, kind, p, q, 1
+            )
+            assert an.stride_domain(
+                scheme, kind, stride
+            ).ok_residues == _scalar_residues(scheme, kind, p, q, stride)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _SUBCOMMANDS, build_parser, main
 from repro.exec import REPORT_FORMAT, Report
 
 
@@ -20,6 +20,17 @@ class TestParser:
                 [cmd, "rows"] if cmd == "schedule" else [cmd]
             )
             assert args.command == cmd
+
+    def test_per_command_parser_matches_full_parser(self, capsys):
+        """Defining one subcommand's arguments changes no help output."""
+        for name in _SUBCOMMANDS:
+            assert build_parser(name).format_help() == build_parser().format_help()
+            helps = []
+            for parser in (build_parser(), build_parser(name)):
+                with pytest.raises(SystemExit):
+                    parser.parse_args([name, "--help"])
+                helps.append(capsys.readouterr().out)
+            assert helps[0] == helps[1]
 
 
 class TestCommands:
