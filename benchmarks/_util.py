@@ -7,15 +7,13 @@ results also write the unified ``repro.exec.report`` JSON schema next to
 the text artifact, and the figure benches share one Table III sweep run
 through the :mod:`repro.exec` runtime (:func:`dse_result`).
 
-Since PR 10 every :func:`save_report` call also appends a
-provenance-complete entry to the run ledger (``benchmarks/out/
-ledger.jsonl``, override with ``$REPRO_LEDGER``) and mirrors the bench's
-history into ``benchmarks/out/BENCH_<name>.json`` — the data `repro
-telemetry diff/regress/scorecard` operate on.  Smoke thresholds live in
-one declarative table (:data:`repro.telemetry.regress.GATE_TABLE`);
-benches evaluate them through :func:`gate` and fail through
-:func:`exit_on_failed_gates`, so the in-process verdict and the ledger
-record are the same computation.
+Every :func:`save_report` call also appends a provenance-complete entry
+to the run ledger (``benchmarks/out/ledger.jsonl``, override with
+``$REPRO_LEDGER``) — the data `repro telemetry ledger/regress` operate
+on.  Smoke thresholds live in one declarative table
+(:data:`repro.telemetry.regress.GATE_TABLE`); benches evaluate them
+through :func:`gate` and fail through :func:`exit_on_failed_gates`, so
+the in-process verdict and the ledger record are the same computation.
 """
 
 from __future__ import annotations
@@ -23,12 +21,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from repro.telemetry.ledger import (
-    Ledger,
-    default_ledger_path,
-    record_run,
-    update_trajectory,
-)
+from repro.telemetry.ledger import Ledger, default_ledger_path, record_run
 from repro.telemetry.regress import check_gates, evaluate_gate
 
 OUT_DIR = Path(__file__).parent / "out"
@@ -92,8 +85,7 @@ def save_report(
     JSON schema is written alongside as ``benchmarks/out/<name>.json``.
     Every call appends a provenance-complete :class:`~repro.telemetry.
     ledger.LedgerEntry` (gates, params, timings, the active telemetry
-    snapshot) and refreshes ``benchmarks/out/BENCH_<name>.json``.
-    Ledger failures never fail a bench.
+    snapshot).  Ledger failures never fail a bench.
     """
     OUT_DIR.mkdir(exist_ok=True)
     path = OUT_DIR / f"{name}.txt"
@@ -111,7 +103,6 @@ def save_report(
             repo_root=Path(__file__).parent,
         )
         Ledger(ledger_path()).append(entry)
-        update_trajectory(OUT_DIR / f"BENCH_{name}.json", entry)
     except Exception as exc:  # pragma: no cover - best-effort by contract
         print(f"[{name}] ledger append skipped: {exc}")
     print(f"\n[{name}] written to {path}\n{text}")

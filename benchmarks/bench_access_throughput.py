@@ -148,15 +148,33 @@ def _program_pass(pm, stream, cold=False):
 _BATCHED_REPEATS = 15
 
 
+def _interleaved(passes, p, q, scheme, accesses):
+    """Time *passes* (name -> pass) on fresh workloads, back to back
+    within each repeat, in an order reversed every other repeat, so host
+    noise and order effects land on both sides of a per-repeat ratio
+    alike.  Returns each pass's result and cycle count, and its walls
+    per repeat."""
+    results, cycles = {}, {}
+    rep_walls = {path: [] for path in passes}
+    order = list(passes.items())
+    for r in range(_BATCHED_REPEATS):
+        for path, fn in order if r % 2 == 0 else order[::-1]:
+            pm, stream = _workload(p, q, scheme, accesses)
+            results[path], w = fn(pm, stream)
+            rep_walls[path].append(w)
+            cycles[path] = pm.cycles
+    return results, cycles, rep_walls
+
+
+def _median_ratio(rep_walls, path, over):
+    """The median over repeats of *path*'s speedup over *over*."""
+    return float(np.median(np.divide(rep_walls[over], rep_walls[path])))
+
+
 def _measure(label, p, q, scheme, accesses):
     results = {}
     walls = {}
     cycles = {}
-    batched = {
-        "replay": _replay_pass,
-        "program_cold": lambda pm, s: _program_pass(pm, s, cold=True),
-        "program": _program_pass,
-    }
     for path in ("scalar", "planned"):
         # the serial passes self-average over hundreds of ms
         pm, stream = _workload(p, q, scheme, accesses)
@@ -164,24 +182,20 @@ def _measure(label, p, q, scheme, accesses):
             pm, stream, use_plans=(path == "planned")
         )
         cycles[path] = pm.cycles
-    # the batched passes run back to back within each repeat, in an order
-    # reversed every other repeat, so host noise and order effects land on
-    # both sides of a per-repeat ratio alike; throughput is
-    # best-of-repeats, ratios between batched paths are the median of the
-    # per-repeat ratios
-    rep_walls = {path: [] for path in batched}
-    order = list(batched.items())
-    for r in range(_BATCHED_REPEATS):
-        for path, fn in order if r % 2 == 0 else order[::-1]:
-            pm, stream = _workload(p, q, scheme, accesses)
-            results[path], w = fn(pm, stream)
-            rep_walls[path].append(w)
-            cycles[path] = pm.cycles
+    # batched throughput is best-of-repeats, ratios between batched paths
+    # are the median of the per-repeat ratios
+    batched = {
+        "replay": _replay_pass,
+        "program_cold": lambda pm, s: _program_pass(pm, s, cold=True),
+        "program": _program_pass,
+    }
+    batched_results, batched_cycles, rep_walls = _interleaved(
+        batched, p, q, scheme, accesses
+    )
+    results.update(batched_results)
+    cycles.update(batched_cycles)
     for path, ws in rep_walls.items():
         walls[path] = min(ws)
-
-    def vs_replay(path):
-        return float(np.median(np.divide(rep_walls["replay"], rep_walls[path])))
 
     assert np.array_equal(results["scalar"], results["planned"])
     assert np.array_equal(results["scalar"], results["replay"])
@@ -208,9 +222,11 @@ def _measure(label, p, q, scheme, accesses):
         "planned_speedup": aps["planned"] / aps["scalar"],
         "replay_vs_planned": aps["replay"] / aps["planned"],
         "replay_vs_scalar": aps["replay"] / aps["scalar"],
-        "program_cold_vs_replay": vs_replay("program_cold"),
+        "program_cold_vs_replay": _median_ratio(
+            rep_walls, "program_cold", over="replay"
+        ),
         "program_vs_scalar": aps["program_cold"] / aps["scalar"],
-        "program_vs_replay": vs_replay("program"),
+        "program_vs_replay": _median_ratio(rep_walls, "program", over="replay"),
     }
 
 
@@ -268,23 +284,18 @@ def _smoke_measure():
 
 def _fused_smoke_measure():
     """The fused-kernel CI gate: the warm program path vs direct replay
-    on a longer 8-lane stream, plus a fusion-counter telemetry snapshot."""
+    on a longer 8-lane stream, plus a fusion-counter telemetry snapshot.
+
+    The gate is the median of interleaved per-repeat ratios."""
     from repro.telemetry import Telemetry, session
 
-    walls = {}
-    results = {}
-    passes = {
-        "replay": _replay_pass,
-        "program": _program_pass,
-    }
-    for path, fn in passes.items():
-        wall = np.inf
-        for _ in range(3):
-            pm, stream = _workload(2, 4, Scheme.ReRo, _FUSED_SMOKE_ACCESSES)
-            out, w = fn(pm, stream)
-            wall = min(wall, w)
-        walls[path] = wall
-        results[path] = out
+    # one untimed pass builds the fused kernel and the access plans, so
+    # every timed pass runs the warm path the gate is about
+    _program_pass(*_workload(2, 4, Scheme.ReRo, _FUSED_SMOKE_ACCESSES))
+    results, _, rep_walls = _interleaved(
+        {"replay": _replay_pass, "program": _program_pass},
+        2, 4, Scheme.ReRo, _FUSED_SMOKE_ACCESSES,
+    )
     assert np.array_equal(results["replay"], results["program"])
     # one extra (untimed) fused pass inside a telemetry session: the
     # fusion counters CI archives as the regression snapshot
@@ -300,7 +311,7 @@ def _fused_smoke_measure():
     }
     return {
         "accesses": 2 * _FUSED_SMOKE_ACCESSES,
-        "program_vs_replay": walls["replay"] / walls["program"],
+        "program_vs_replay": _median_ratio(rep_walls, "program", over="replay"),
         "fusion_counters": fusion_counters,
     }
 

@@ -13,9 +13,8 @@ Subcommands map one-to-one onto the paper's artifacts:
 * ``experiments``  — the full paper-vs-reproduction scorecard;
 * ``report``       — a vendor-style synthesis estimate for one config;
 * ``telemetry``    — inspect recorded telemetry: ``summary`` (one
-  snapshot), ``ledger`` (the run ledger), ``diff`` (two runs),
-  ``regress`` (gates vs a baseline window), ``scorecard`` (the
-  workload x scheme x backend matrix).
+  snapshot), ``ledger`` (the run ledger), ``regress`` (gates vs a
+  baseline window).
 
 The grid-shaped subcommands (``dse``, ``stream``, ``experiments``) run on
 the :mod:`repro.exec` runtime and share three flags:
@@ -653,13 +652,30 @@ def cmd_experiments(args) -> int:
     return 0 if card.ok else 1
 
 
+def _require_file(path: str) -> str:
+    """*path*, which must name an existing file: a missing or mistyped
+    path is a diagnostic, never a traceback or an empty ledger."""
+    from pathlib import Path
+
+    from .core.exceptions import ConfigurationError
+
+    if not Path(path).is_file():
+        reason = "not a file" if Path(path).exists() else "no such file"
+        raise ConfigurationError(f"{path}: {reason}")
+    return path
+
+
 def cmd_telemetry_summary(args) -> int:
     import json
 
     from .core.exceptions import ConfigurationError
     from .telemetry import load_snapshot, render_summary
 
-    text = sys.stdin.read() if args.file == "-" else open(args.file).read()
+    if args.file == "-":
+        text = sys.stdin.read()
+    else:
+        with open(_require_file(args.file)) as fh:
+            text = fh.read()
     try:
         snapshot = load_snapshot(json.loads(text))
     except (ValueError, json.JSONDecodeError) as exc:
@@ -676,7 +692,7 @@ def cmd_telemetry_ledger(args) -> int:
 
     from .telemetry.ledger import Ledger
 
-    ledger = Ledger(args.file)
+    ledger = Ledger(_require_file(args.file))
     entries = ledger.entries(args.bench)
     if args.last:
         entries = entries[-args.last:]
@@ -713,48 +729,13 @@ def cmd_telemetry_ledger(args) -> int:
     return 0
 
 
-def cmd_telemetry_diff(args) -> int:
-    import json
-
-    from .telemetry.diff import (
-        diff_entries,
-        diff_snapshots,
-        load_diff_source,
-        render_diff,
-    )
-    from .telemetry.ledger import LedgerEntry
-
-    a = load_diff_source(args.a)
-    b = load_diff_source(args.b)
-    kwargs = {"rel_threshold": args.noise, "abs_threshold": args.abs_threshold}
-    if isinstance(a, LedgerEntry) and isinstance(b, LedgerEntry):
-        diff = diff_entries(a, b, **kwargs)
-    else:
-        if isinstance(a, LedgerEntry):
-            a = a.telemetry or {}
-        if isinstance(b, LedgerEntry):
-            b = b.telemetry or {}
-        diff = diff_snapshots(a, b, labels=(args.a, args.b), **kwargs)
-    if args.json_out is not None:
-        text = json.dumps(diff.to_dict(), indent=2, sort_keys=True)
-        if args.json_out == "-":
-            print(text)
-        else:
-            with open(args.json_out, "w") as fh:
-                fh.write(text + "\n")
-            print(f"JSON written to {args.json_out}")
-    else:
-        print(render_diff(diff, show_all=args.all))
-    return 0
-
-
 def cmd_telemetry_regress(args) -> int:
     import json
 
     from .telemetry.regress import regress, render_regress
 
     report = regress(
-        args.file,
+        _require_file(args.file),
         bench=args.bench,
         baseline_window=args.baseline_window,
         noise=args.noise,
@@ -773,20 +754,6 @@ def cmd_telemetry_regress(args) -> int:
         return 1
     if args.strict and report.warned:
         return 1
-    return 0
-
-
-def cmd_telemetry_scorecard(args) -> int:
-    from .telemetry.scorecard import build_scorecard, render_json, render_markdown
-
-    card = build_scorecard(args.file)
-    text = render_json(card) if args.format == "json" else render_markdown(card)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"scorecard written to {args.out}")
-    else:
-        print(text, end="")
     return 0
 
 
@@ -955,33 +922,6 @@ def _telemetry_args(p) -> None:
     _add_json_arg(p_tled, what="the selected entries as JSON")
     p_tled.set_defaults(fn=cmd_telemetry_ledger)
 
-    p_tdiff = tel_sub.add_parser(
-        "diff",
-        help="compare two runs: per-counter deltas, histogram percentile "
-        "shifts, derived-metric deltas, gate/timing movement",
-    )
-    p_tdiff.add_argument(
-        "a",
-        help="first run: a snapshot/report JSON, or a ledger file "
-        "(newest entry; select with PATH#-2, PATH#0 or PATH#bench-name)",
-    )
-    p_tdiff.add_argument("b", help="second run (same forms)")
-    p_tdiff.add_argument(
-        "--noise", type=float, default=0.05, metavar="FRAC",
-        help="relative-change threshold below which a row is noise "
-        "(default: %(default)s)",
-    )
-    p_tdiff.add_argument(
-        "--abs-threshold", type=float, default=0.0, metavar="X",
-        help="additional absolute-change threshold (default: off)",
-    )
-    p_tdiff.add_argument(
-        "--all", action="store_true",
-        help="show every compared quantity, not just significant movement",
-    )
-    _add_json_arg(p_tdiff, what="the structured diff as JSON")
-    p_tdiff.set_defaults(fn=cmd_telemetry_diff)
-
     p_treg = tel_sub.add_parser(
         "regress",
         help="evaluate the newest ledger entries against the declared "
@@ -1005,21 +945,6 @@ def _telemetry_args(p) -> None:
     )
     _add_json_arg(p_treg, what="the verdicts as JSON")
     p_treg.set_defaults(fn=cmd_telemetry_regress)
-
-    p_tcard = tel_sub.add_parser(
-        "scorecard",
-        help="render the workload x scheme x backend matrix of the "
-        "recorded runs from the ledger",
-    )
-    p_tcard.add_argument("file", help="ledger file (JSONL)")
-    p_tcard.add_argument(
-        "--format", default="markdown", choices=["markdown", "json"]
-    )
-    p_tcard.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write to PATH instead of stdout",
-    )
-    p_tcard.set_defaults(fn=cmd_telemetry_scorecard)
 
 
 def _productivity_args(p) -> None:
@@ -1054,7 +979,7 @@ _SUBCOMMANDS = {
     ),
     "telemetry": (
         "inspect recorded telemetry: snapshots, the run ledger, "
-        "diffs, regression gates, the scorecard",
+        "regression gates",
         _telemetry_args,
     ),
     "productivity": ("Table II analysis (§III-C)", _productivity_args),

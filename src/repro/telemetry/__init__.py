@@ -24,9 +24,6 @@ __all__ = export_lazily(__name__, {
         "SNAPSHOT_FORMAT", "Telemetry", "activate", "active", "deactivate",
         "session",
     ),
-    "diff": (
-        "Diff", "DiffRow", "diff_entries", "diff_snapshots", "render_diff",
-    ),
     "ledger": ("LEDGER_FORMAT", "Ledger", "LedgerEntry", "record_run"),
     "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
     "observers": ("TelemetryObserver",),
@@ -34,10 +31,6 @@ __all__ = export_lazily(__name__, {
         "GATE_TABLE", "RegressReport", "check_gates", "evaluate_gate",
         "regress", "render_regress",
     ),
-    "scorecard": ("build_scorecard", "render_markdown"),
     "spans": ("SpanTracer",),
-    "summary": (
-        "derived_metrics", "derived_values", "load_snapshot",
-        "render_summary",
-    ),
+    "summary": ("derived_values", "load_snapshot", "render_summary"),
 })

@@ -6,17 +6,14 @@ fingerprint, device backend, engine flags, model version), the run's
 parameters, wall/sim timings, its gate verdicts (the uniform shape
 :func:`repro.telemetry.regress.evaluate_gate` emits), a compact result
 list distilled from the :class:`repro.exec.Report`, and the complete
-telemetry snapshot when a session was active.  The ledger is what makes
-the repository's performance trajectory *diffable* (`repro telemetry
-diff`), *gateable* (`repro telemetry regress`) and *renderable* as the
-workload x scheme x backend scorecard (`repro telemetry scorecard`) —
-see ``docs/observability.md``.
+telemetry snapshot when a session was active.  `repro telemetry ledger`
+lists it and `repro telemetry regress` re-evaluates its gates against a
+baseline window — see ``docs/observability.md``.
 
 Where entries land:
 
 * ``benchmarks/_util.save_report`` appends to ``benchmarks/out/
-  ledger.jsonl`` (override with ``$REPRO_LEDGER``) and mirrors each
-  bench's own history into ``benchmarks/out/BENCH_<name>.json``;
+  ledger.jsonl`` (override with ``$REPRO_LEDGER``);
 * :func:`repro.exec.run_sweep` auto-appends under ``--metrics`` whenever
   ``$REPRO_LEDGER`` names a ledger file (telemetry session active +
   destination configured — never a surprise file);
@@ -42,24 +39,18 @@ from pathlib import Path
 
 __all__ = [
     "LEDGER_FORMAT",
-    "TRAJECTORY_FORMAT",
     "LedgerEntry",
     "Ledger",
     "record_run",
     "default_ledger_path",
     "host_fingerprint",
     "git_provenance",
-    "update_trajectory",
 ]
 
 LEDGER_FORMAT = "repro.telemetry.ledger/1"
-TRAJECTORY_FORMAT = "repro.telemetry.trajectory/1"
 
 #: environment variable naming the ledger file runs append to
 LEDGER_ENV = "REPRO_LEDGER"
-
-#: trajectory files keep this many most-recent runs
-TRAJECTORY_KEEP = 100
 
 
 def default_ledger_path() -> Path | None:
@@ -252,31 +243,6 @@ class Ledger:
 
     def __len__(self) -> int:
         return len(self.entries())
-
-
-def update_trajectory(
-    path: str | Path, entry: LedgerEntry, keep: int = TRAJECTORY_KEEP
-) -> Path:
-    """Mirror *entry* into a per-bench ``BENCH_<name>.json`` trajectory
-    file — the last *keep* runs of one bench in a single JSON document
-    (what CI uploads as the per-bench history artifact).  The heavyweight
-    telemetry snapshot is dropped from the mirror; the full record lives
-    in the ledger."""
-    path = Path(path)
-    doc = {"format": TRAJECTORY_FORMAT, "bench": entry.bench, "runs": []}
-    if path.exists():
-        try:
-            prev = json.loads(path.read_text())
-            if isinstance(prev, dict) and prev.get("format") == TRAJECTORY_FORMAT:
-                doc["runs"] = list(prev.get("runs", []))
-        except (json.JSONDecodeError, OSError):
-            pass
-    compact = entry.to_dict()
-    compact.pop("telemetry", None)
-    doc["runs"] = (doc["runs"] + [compact])[-keep:]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def maybe_record_sweep(experiment_ids, sweep, telemetry) -> LedgerEntry | None:

@@ -21,7 +21,7 @@ import json
 
 from .context import SNAPSHOT_FORMAT
 
-__all__ = ["load_snapshot", "derived_values", "derived_metrics", "render_summary"]
+__all__ = ["load_snapshot", "derived_values", "render_summary"]
 
 
 def load_snapshot(source) -> dict:
@@ -63,57 +63,6 @@ def _groups(snapshot: dict) -> tuple[dict, dict, dict]:
         metrics.get("gauges") or {},
         metrics.get("histograms") or {},
     )
-
-
-def derived_metrics(snapshot: dict) -> dict[str, float]:
-    """The numeric derived quantities, keyed for machine consumption —
-    what :mod:`repro.telemetry.diff` compares across runs.  Quantities
-    whose inputs are absent are simply omitted (never ``NaN``)."""
-    c, g, _ = _groups(snapshot)
-    out: dict[str, float] = {}
-
-    scalar = c.get("sim.cycles.scalar", 0)
-    batched = c.get("sim.cycles.batched", 0)
-    total_cycles = scalar + batched
-    if total_cycles:
-        out["sim.stall_share"] = c.get("sim.stall_cycles", 0) / total_cycles
-        out["sim.scalar_fallback_share"] = scalar / total_cycles
-
-    for key, hits, misses in (
-        ("plan_cache.hit_rate", "polymem.plan_cache.hits", "polymem.plan_cache.misses"),
-        (
-            "kernel_cache.hit_rate",
-            "program.fusion.kernel_cache.hits",
-            "program.fusion.kernel_cache.misses",
-        ),
-        ("exec.cache.hit_rate", "exec.cache.hits", "exec.cache.misses"),
-    ):
-        rate = _rate(c.get(hits, 0), c.get(misses, 0))
-        if rate is not None:
-            out[key] = rate
-
-    fused_steps = c.get("program.fusion.steps", 0)
-    fallback_steps = c.get("program.fusion.fallback_steps", 0)
-    if fused_steps or fallback_steps:
-        out["fusion.fused_step_share"] = fused_steps / (fused_steps + fallback_steps)
-
-    achieved = _gauge_value(g, "stream.achieved_mbps")
-    peak = _gauge_value(g, "stream.peak_mbps")
-    if achieved is not None and peak:
-        out["stream.achieved_vs_peak"] = achieved / peak
-
-    pcie_ns = c.get("pcie.ns", 0.0)
-    if pcie_ns:
-        out["pcie.overhead_share"] = c.get("pcie.overhead_ns", 0.0) / pcie_ns
-
-    batch_configs = c.get("dse.batch.configs", 0)
-    scalar_configs = c.get("dse.batch.scalar_configs", 0)
-    if batch_configs or scalar_configs:
-        out["dse.batch_share"] = batch_configs / (batch_configs + scalar_configs)
-    candidates = c.get("dse.batch.candidates", 0)
-    if candidates:
-        out["dse.prune_rate"] = c.get("dse.batch.pruned", 0) / candidates
-    return out
 
 
 def derived_values(snapshot: dict) -> list[tuple[str, str]]:

@@ -10,7 +10,6 @@ from repro.telemetry import deactivate, session
 from repro.telemetry.context import SNAPSHOT_FORMAT
 from repro.telemetry.ledger import (
     LEDGER_FORMAT,
-    TRAJECTORY_FORMAT,
     Ledger,
     LedgerEntry,
     default_ledger_path,
@@ -18,7 +17,6 @@ from repro.telemetry.ledger import (
     host_fingerprint,
     maybe_record_sweep,
     record_run,
-    update_trajectory,
 )
 
 
@@ -164,36 +162,6 @@ class TestHelpers:
         assert isinstance(fp["hostname"], str)
 
 
-class TestTrajectory:
-    def entry(self, ts):
-        return LedgerEntry(
-            bench="b", ts=ts, telemetry={"format": SNAPSHOT_FORMAT}
-        )
-
-    def test_mirror_accumulates_and_drops_telemetry(self, tmp_path):
-        path = tmp_path / "BENCH_b.json"
-        update_trajectory(path, self.entry(1.0))
-        update_trajectory(path, self.entry(2.0))
-        doc = json.loads(path.read_text())
-        assert doc["format"] == TRAJECTORY_FORMAT
-        assert doc["bench"] == "b"
-        assert [r["ts"] for r in doc["runs"]] == [1.0, 2.0]
-        assert all("telemetry" not in r for r in doc["runs"])
-
-    def test_keep_bounds_history(self, tmp_path):
-        path = tmp_path / "BENCH_b.json"
-        for i in range(5):
-            update_trajectory(path, self.entry(float(i)), keep=3)
-        doc = json.loads(path.read_text())
-        assert [r["ts"] for r in doc["runs"]] == [2.0, 3.0, 4.0]
-
-    def test_corrupt_prior_file_is_replaced(self, tmp_path):
-        path = tmp_path / "BENCH_b.json"
-        path.write_text("{ not json")
-        update_trajectory(path, self.entry(1.0))
-        assert len(json.loads(path.read_text())["runs"]) == 1
-
-
 class TestMaybeRecordSweep:
     def sweep(self):
         return SimpleNamespace(
@@ -286,7 +254,7 @@ class TestParentFormatLedgerLine:
 
     def test_loads_and_renders(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.telemetry import derived_metrics, render_summary
+        from repro.telemetry import render_summary
 
         path = tmp_path / "ledger.jsonl"
         path.write_text(PARENT_FORMAT_SWEEP_LINE + "\n")
@@ -299,8 +267,6 @@ class TestParentFormatLedgerLine:
         assert "exec.workers" in text and "exec.chunks" in text
         assert "exec cache hit rate  0.0%" in text
         assert "worker" not in text.split("derived", 1)[1]
-        assert "exec.worker_utilization" not in derived_metrics(entry.telemetry)
 
         assert main(["telemetry", "ledger", str(path)]) == 0
         assert "sweep.stream.fig10" in capsys.readouterr().out
-        assert main(["telemetry", "diff", str(path), str(path)]) == 0

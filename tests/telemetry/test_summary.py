@@ -4,12 +4,7 @@ import json
 
 import pytest
 
-from repro.telemetry import (
-    derived_metrics,
-    derived_values,
-    load_snapshot,
-    render_summary,
-)
+from repro.telemetry import derived_values, load_snapshot, render_summary
 from repro.telemetry.context import SNAPSHOT_FORMAT
 
 
@@ -110,31 +105,6 @@ class TestDerivedValues:
         assert derived_values(snapshot()) == []
 
 
-class TestDerivedMetrics:
-    def test_numeric_keys_for_machine_consumption(self):
-        got = derived_metrics(snapshot(
-            counters={
-                "sim.cycles.scalar": 25,
-                "sim.cycles.batched": 75,
-                "sim.stall_cycles": 10,
-                "polymem.plan_cache.hits": 9,
-                "polymem.plan_cache.misses": 1,
-            },
-            gauges={
-                "stream.achieved_mbps": {"value": 7680.0},
-                "stream.peak_mbps": {"value": 15360.0},
-            },
-        ))
-        assert got["sim.stall_share"] == 0.10
-        assert got["sim.scalar_fallback_share"] == 0.25
-        assert got["plan_cache.hit_rate"] == 0.9
-        assert got["stream.achieved_vs_peak"] == 0.5
-
-    def test_absent_inputs_are_omitted_not_nan(self):
-        assert derived_metrics(snapshot()) == {}
-        assert derived_metrics({"format": SNAPSHOT_FORMAT}) == {}
-
-
 class TestPartialSnapshots:
     """Satellite: a truncated/partial snapshot degrades to n/a cells,
     never KeyError — the summary of a broken run is when you need it."""
@@ -184,7 +154,6 @@ class TestPartialSnapshots:
         assert "stream.achieved_mbps  n/a / n/a / n/a" in text
         assert "achieved vs peak bandwidth" not in text
         assert "simulated cycles" in text
-        assert "stream.achieved_vs_peak" not in derived_metrics(snap)
 
 
 class TestRenderSummary:

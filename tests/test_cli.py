@@ -334,6 +334,12 @@ class TestTelemetryFlags:
         assert err.startswith("polymem telemetry: error: ")
         assert "not a telemetry snapshot" in err
 
+    def test_telemetry_summary_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["telemetry", "summary", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"polymem telemetry: error: {path}: no such file\n"
+
     def test_dse_accepts_telemetry_flags(self, capsys):
         assert main(["dse", "--metrics"]) == 0
         assert "telemetry summary" in capsys.readouterr().out
@@ -409,7 +415,7 @@ class TestProgramDumpFusion:
 
 
 class TestTelemetryObservatory:
-    """The ledger/diff/regress/scorecard subcommands over a run ledger."""
+    """The ledger/regress subcommands over a run ledger."""
 
     @pytest.fixture
     def ledger_path(self, tmp_path):
@@ -460,23 +466,21 @@ class TestTelemetryObservatory:
         docs = json.loads(capsys.readouterr().out)
         assert len(docs) == 1 and docs[0]["ts"] == 2.0
 
-    def test_diff_two_ledger_entries(self, ledger_path, capsys):
-        assert main(
-            ["telemetry", "diff", f"{ledger_path}#0", f"{ledger_path}#-1"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "telemetry diff" in out
-        assert "sim.batched_vs_scalar" in out  # the gate moved 3.0 -> 1.4
-        assert "wall_s" in out
-
-    def test_diff_json(self, ledger_path, capsys):
-        assert main(
-            ["telemetry", "diff", f"{ledger_path}#0", f"{ledger_path}#-1",
-             "--json"]
-        ) == 0
-        doc = json.loads(capsys.readouterr().out)
-        kinds = {row["kind"] for row in doc["rows"]}
-        assert {"gate", "timing", "counter"} <= kinds
+    @pytest.mark.parametrize("command", ["ledger", "regress"])
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("missing.jsonl", "no such file"), (".", "not a file")],
+        ids=["missing", "directory"],
+    )
+    def test_rejects_missing_or_non_file(
+        self, tmp_path, capsys, command, name, reason
+    ):
+        # a mistyped $REPRO_LEDGER must fail the gate job, not read as an
+        # empty history
+        path = tmp_path / name
+        assert main(["telemetry", command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"polymem telemetry: error: {path}: {reason}\n"
 
     def test_regress_fails_on_failed_gate(self, ledger_path, capsys):
         assert main(
@@ -508,25 +512,6 @@ class TestTelemetryObservatory:
         assert main(["telemetry", "regress", str(path)]) == 0
         assert "[WARN]" in capsys.readouterr().out
         assert main(["telemetry", "regress", str(path), "--strict"]) == 1
-
-    def test_scorecard_markdown_and_out(self, ledger_path, tmp_path, capsys):
-        assert main(["telemetry", "scorecard", str(ledger_path)]) == 0
-        out = capsys.readouterr().out
-        assert "# Scorecard" in out and "stream.copy" in out
-        dest = tmp_path / "scorecard.md"
-        assert main(
-            ["telemetry", "scorecard", str(ledger_path), "--out", str(dest)]
-        ) == 0
-        assert "# Scorecard" in dest.read_text()
-
-    def test_scorecard_json(self, ledger_path, capsys):
-        assert main(
-            ["telemetry", "scorecard", str(ledger_path), "--format", "json"]
-        ) == 0
-        doc = json.loads(capsys.readouterr().out)
-        (cell,) = doc["cells"]
-        assert cell["workload"] == "stream.copy"
-        assert cell["ok"] is False  # newest run failed its gate
 
     def test_profile_spans_flag_prints_attribution(self, capsys):
         assert main(
