@@ -16,8 +16,9 @@ Subcommands map one-to-one onto the paper's artifacts:
   snapshot), ``ledger`` (the run ledger), ``regress`` (gates vs a
   baseline window).
 
-The grid-shaped subcommands (``dse``, ``stream``, ``experiments``) run on
-the :mod:`repro.exec` runtime and share three flags:
+The grid-shaped subcommands (``dse``, ``experiments``) run on the
+:mod:`repro.exec` runtime and share three flags (``stream`` and
+``stream run`` take ``--json`` only):
 
 ``--cache-dir PATH``
     Where the content-addressed result cache lives (default:
@@ -30,7 +31,8 @@ the :mod:`repro.exec` runtime and share three flags:
     Emit the unified ``repro.exec.report`` JSON schema to *PATH*
     (``-`` or no value: stdout) instead of only the human tables.
 
-They (plus ``program dump``) also share the :mod:`repro.telemetry` flags:
+They (plus ``stream``, ``stream run`` and ``program dump``) also share the
+:mod:`repro.telemetry` flags:
 
 ``--metrics``
     Run inside a telemetry session and print the metrics summary —
@@ -281,11 +283,7 @@ def cmd_stream(args) -> int:
             )
         )
     if args.fig10:
-        points = sweep_fig10(
-            harness=harness,
-            runs=args.runs,
-            cache=_cache_from_args(args),
-        )
+        points = sweep_fig10(harness=harness, runs=args.runs)
         print(f"\n{'copied KB':>10s} {'MB/s':>9s} {'of peak':>8s}")
         for pt in points:
             print(f"{pt.copied_kb:10.1f} {pt.mbps:9.0f} "
@@ -840,7 +838,8 @@ def _whatif_args(p) -> None:
 def _stream_args(p) -> None:
     p.add_argument("--runs", type=int, default=1000)
     p.add_argument("--fig10", action="store_true")
-    _add_exec_args(p)
+    _add_json_arg(p)
+    _add_telemetry_args(p)
     p.set_defaults(fn=cmd_stream)
     stream_sub = p.add_subparsers(dest="stream_command")
     p_srun = stream_sub.add_parser(
@@ -861,7 +860,8 @@ def _stream_args(p) -> None:
         action="store_true",
         help="print the per-kernel activity table",
     )
-    _add_exec_args(p_srun)
+    _add_json_arg(p_srun)
+    _add_telemetry_args(p_srun)
     p_srun.set_defaults(fn=cmd_stream_run)
 
 

@@ -583,24 +583,14 @@ class PolyMem:
             # same cycle's write is forwarded too, hence <= t
             result = self.banks.read_slots(port, r_slots)
             if w_slots is not None:
+                write_first = self.collision_policy == "write_first"
                 if last_t is not None:
                     wt = last_t[r_slots]
-                    if self.collision_policy == "write_first":
-                        hit = wt <= t_col
-                    else:
-                        hit = wt < t_col
+                    hit = wt <= t_col if write_first else wt < t_col
                     if hit.any():
-                        if tel is not None:
-                            tel.metrics.counter("polymem.collision.forwarded").inc(
-                                int(np.count_nonzero(hit))
-                            )
                         result[hit] = last_val[r_slots[hit]]
                 else:
-                    bound = (
-                        t_col + 1
-                        if self.collision_policy == "write_first"
-                        else t_col
-                    )
+                    bound = t_col + 1 if write_first else t_col
                     kr = (r_slots * (n + 1) + bound).ravel()
                     pos = np.searchsorted(kw_sorted, kr, side="left") - 1
                     clipped = np.maximum(pos, 0)
@@ -608,12 +598,21 @@ class PolyMem:
                         kw_sorted[clipped] // (n + 1) == r_slots.ravel()
                     )
                     if hit.any():
-                        if tel is not None:
-                            tel.metrics.counter("polymem.collision.forwarded").inc(
-                                int(np.count_nonzero(hit))
-                            )
                         flat = result.reshape(-1)
                         flat[hit] = w_values.ravel()[w_order[clipped[hit]]]
+                # like step(), count only writes forwarded to a read of
+                # their own cycle (read_first never forwards one)
+                if write_first and tel is not None:
+                    same_cycle = (
+                        wt == t_col
+                        if last_t is not None
+                        else kw_sorted[clipped] == kr - 1
+                    )
+                    forwarded = int(np.count_nonzero(same_cycle))
+                    if forwarded:
+                        tel.metrics.counter("polymem.collision.forwarded").inc(
+                            forwarded
+                        )
             results[port] = result
             self.read_stats[port].accesses += n
             self.read_stats[port].elements += n * self.lanes

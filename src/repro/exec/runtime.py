@@ -39,17 +39,14 @@ __all__ = ["SweepTask", "RunResult", "SweepResult", "run_sweep"]
 class SweepTask:
     """One independent sweep point.
 
-    ``fn(config, **params)`` computes the point's plain-JSON payload.
-    ``key`` overrides the derived cache key when the default
-    *(experiment_id, config, params, model version)* hash is not the right
-    identity for the work.
+    ``fn(config, **params)`` computes the point's plain-JSON payload;
+    the cache key hashes *(experiment_id, config, params, model version)*.
     """
 
     experiment_id: str
     fn: Callable[..., Any]
     config: Any = None
     params: Mapping[str, Any] = field(default_factory=dict)
-    key: str | None = None
     #: optional vectorized evaluator: ``batch_fn(configs, **params)``
     #: computes a whole group of sibling points (same experiment_id and
     #: params) in one pass, returning one plain-JSON payload per config
@@ -58,12 +55,8 @@ class SweepTask:
     #: execution detail and never part of the cache key.
     batch_fn: Callable[..., Any] | None = None
 
-    def cache_key(self, model_version: str | None = None) -> str:
-        if self.key is not None:
-            return self.key
-        return cache_key(
-            self.experiment_id, self.config, self.params, model_version
-        )
+    def cache_key(self) -> str:
+        return cache_key(self.experiment_id, self.config, self.params)
 
 
 @dataclass(frozen=True)
@@ -177,7 +170,6 @@ def _execute_group(
 def run_sweep(
     tasks: Iterable[SweepTask] | Sequence[SweepTask],
     cache: ResultCache | None = None,
-    model_version: str | None = None,
 ) -> SweepResult:
     """Run every task, consulting *cache* first.
 
@@ -187,9 +179,6 @@ def run_sweep(
         A :class:`ResultCache`; hits skip computation (resolved in one
         batched ``get_many``), misses are stored one dispatch group at a
         time as the groups finish.  ``None`` disables caching.
-    model_version:
-        Overrides the cache-key model version (tests use this to exercise
-        invalidation; production code leaves the default).
 
     If a task raises, the exception propagates; every dispatch group
     that finished before it is already in *cache*, so a re-run resumes
@@ -199,7 +188,7 @@ def run_sweep(
     t_sweep = time.perf_counter()
 
     # -- resolve cache hits up front (one batched directory-scan lookup) ---
-    keys = [t.cache_key(model_version) for t in tasks]
+    keys = [t.cache_key() for t in tasks]
     hits = cache.get_many(keys) if cache is not None else {}
     results: list[RunResult | None] = [
         RunResult(task.experiment_id, key, hits[key], 0.0, True)

@@ -9,7 +9,6 @@ multiview design.
 from .._lazy import export_lazily
 
 __all__ = export_lazily(__name__, {
-    "base": ("CycleScope", "KernelReport"),
     "jacobi": ("jacobi_reference", "jacobi_solve"),
     "matmul": ("matmul", "matmul_scalar_cycles"),
     "reduction": ("load_matrix", "reduce_columns", "reduce_rows"),

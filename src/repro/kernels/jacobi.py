@@ -27,7 +27,7 @@ from ..core.polymem import PolyMem
 from ..core.schemes import Scheme
 from ..program import AccessProgram
 from ..program.builder import build
-from .base import KernelReport
+from ..program.report import KernelReport
 
 __all__ = ["jacobi_reference", "jacobi_solve"]
 

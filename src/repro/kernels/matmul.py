@@ -26,7 +26,7 @@ from ..core.regions import RegionMap
 from ..core.schemes import Scheme
 from ..program import AccessProgram
 from ..program.builder import build
-from .base import KernelReport
+from ..program.report import KernelReport
 
 __all__ = ["matmul", "matmul_scalar_cycles"]
 

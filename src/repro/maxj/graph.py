@@ -6,6 +6,7 @@ operation on the data, while the edges represent the flow of data."*
 
 :class:`KernelGraph` builds that graph through a DFEVar-style API:
 
+>>> from repro.maxj.types import FLOAT64
 >>> g = KernelGraph("triad")
 >>> x = g.input("x", FLOAT64)
 >>> y = g.input("y", FLOAT64)

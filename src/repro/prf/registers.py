@@ -74,7 +74,9 @@ class RegisterFile:
     >>> rf = RegisterFile(capacity_kb=4)
     >>> r0 = rf.define("R0", 4, 8)     # a 4x8 matrix register
     >>> r1 = rf.define("R1", 1, 32)    # a vector register
-    >>> rf.resize("R1", 2, 16)         # the polymorphism: reshape at runtime
+    >>> r1 = rf.resize("R1", 2, 16)    # the polymorphism: reshape at runtime
+    >>> (r1.rows, r1.cols)
+    (2, 16)
     """
 
     def __init__(

@@ -15,13 +15,13 @@ the schedule executor, the STREAM controller, the fused MAX-PolyMem
 chunk proof — *lowers* to this IR instead of hand-assembling
 :class:`~repro.core.plan.AccessTrace` objects.
 
-Programs are constructed through one builder surface
-(:mod:`repro.program.builder`: :func:`~repro.program.builder.build` and
-the fluent :class:`~repro.program.builder.ProgramBuilder`).  The engine
-JIT-specializes barrier-free segment groups into precomputed
-fancy-index kernels (:mod:`repro.program.fuse`); any step it cannot
-prove bit-identical replays through :meth:`PolyMem.replay`, itself
-bit-identical to per-cycle :meth:`PolyMem.step`.
+Programs are built one way: :func:`~repro.program.builder.build` binds a
+registered lowering name or an :class:`~repro.program.ir.AccessProgram`
+to its memories.  The engine JIT-specializes barrier-free segment
+groups into precomputed fancy-index kernels (:mod:`repro.program.fuse`);
+any step it cannot prove bit-identical replays through
+:meth:`PolyMem.replay`, itself bit-identical to per-cycle
+:meth:`PolyMem.step`.  It records its own telemetry.
 
 Demo lowerings live in :mod:`repro.program.lower` (imported lazily —
 it depends on the kernel modules, which import this package).
@@ -31,8 +31,8 @@ from .._lazy import export_lazily
 
 __all__ = export_lazily(__name__, {
     "analysis": ("op_slots", "slot_disjoint"),
-    "builder": ("BuiltProgram", "ProgramBuilder", "SPEC_NAMES", "build"),
-    "engine": ("Observer", "ProgramResult", "execute"),
+    "builder": ("BuiltProgram", "SPEC_NAMES", "build"),
+    "engine": ("ProgramResult", "execute"),
     "fuse": ("FusionPlan", "KernelCache", "fusion_plan", "kernel_cache"),
     "ir": (
         "AccessOp", "AccessProgram", "Barrier", "Compute", "ParallelRead",

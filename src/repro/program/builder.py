@@ -1,12 +1,7 @@
-"""One builder surface for every access program:
-
-* :func:`build` — resolve a *spec* (a registered lowering name such as
-  ``"kernel.matmul"``, a demo name from :mod:`repro.program.lower`, a
-  ready :class:`~repro.program.ir.AccessProgram`, or a
-  :class:`ProgramBuilder`) into a :class:`BuiltProgram`: the program,
-  its bound memories, and the default observers;
-* :class:`ProgramBuilder` — a fluent, keyword-only construction API for
-  hand-rolled programs (``ProgramBuilder("x").read(...).using(pm).run()``).
+"""One way to build an access program: :func:`build` resolves a *spec*
+(a registered lowering name such as ``"kernel.matmul"``, or a ready
+:class:`~repro.program.ir.AccessProgram`) into a :class:`BuiltProgram`,
+the program bound to its memories.
 
 ``docs/program_api.md`` lists the spec names and their parameters.
 
@@ -15,6 +10,20 @@
 >>> a = np.arange(64, dtype=np.uint64).reshape(8, 8)
 >>> built = build("kernel.matmul", a=a, b=a)
 >>> bool(np.array_equal(built.run()["c"], a @ a))
+True
+
+A hand-rolled program chains :class:`~repro.program.ir.AccessProgram`'s
+own op methods and binds its memory through ``mems=``:
+
+>>> from repro.kernels.reduction import load_matrix
+>>> from repro.program.ir import AccessProgram
+>>> pm = load_matrix(a)
+>>> program = (
+...     AccessProgram("sum_rows")
+...     .read("row", np.arange(8), np.zeros(8, int), tag="rows")
+...     .compute(lambda env: {"s": env["rows"].sum(axis=1)}, label="sum")
+... )
+>>> bool(np.array_equal(build(program, mems=pm).run()["s"], a.sum(axis=1)))
 True
 """
 
@@ -26,7 +35,7 @@ from ..core.exceptions import ProgramError
 from .engine import ProgramResult, execute
 from .ir import AccessProgram
 
-__all__ = ["BuiltProgram", "ProgramBuilder", "SPEC_NAMES", "build"]
+__all__ = ["BuiltProgram", "SPEC_NAMES", "build"]
 
 
 # ---------------------------------------------------------------------------
@@ -109,26 +118,18 @@ SPEC_NAMES = tuple(_SPECS)
 
 
 class BuiltProgram:
-    """A program bound to its memories and execution defaults.
+    """A program bound to its memories.
 
     What :func:`build` returns: ``program`` is the lowered
     :class:`AccessProgram`, ``mems`` the memory-name mapping the spec
-    produced (empty for describe-only programs), ``observers`` the
-    default :meth:`run` applies.
+    produced (empty for describe-only programs).
     """
 
-    __slots__ = ("program", "mems", "observers")
+    __slots__ = ("program", "mems")
 
-    def __init__(self, program: AccessProgram, mems: dict, observers):
+    def __init__(self, program: AccessProgram, mems: dict):
         self.program = program
         self.mems = mems
-        self.observers = observers
-
-    def compile(self):
-        """The program's :class:`~repro.program.passes.CompiledProgram`."""
-        from .passes import compile_program
-
-        return compile_program(self.program)
 
     def run(
         self,
@@ -136,7 +137,6 @@ class BuiltProgram:
         mems=None,
         env: Mapping[str, Any] | None = None,
         result_elements: int | None = None,
-        observers=None,
     ) -> ProgramResult:
         """Execute through the shared engine; keyword overrides only."""
         target = self.mems if mems is None else mems
@@ -146,140 +146,38 @@ class BuiltProgram:
                 f"(describe-only spec?); pass mems=..."
             )
         return execute(
-            self.program,
-            target,
-            observers=self.observers if observers is None else observers,
-            env=env,
-            result_elements=result_elements,
+            self.program, target, env=env, result_elements=result_elements
         )
 
     def __repr__(self) -> str:
         return f"BuiltProgram({self.program.name!r}, mems={sorted(self.mems)})"
 
 
-class ProgramBuilder:
-    """Fluent, keyword-only construction of hand-rolled programs.
-
-    >>> import numpy as np
-    >>> builder = ProgramBuilder("sum_rows")
-    >>> _ = builder.read("row", np.arange(4), np.zeros(4, int), tag="rows")
-    >>> _ = builder.compute(lambda env: {"s": env["rows"].sum()}, label="sum")
-    >>> len(builder.program)
-    2
-    """
-
-    def __init__(self, name: str, *, metadata: Mapping[str, Any] | None = None):
-        self._program = AccessProgram(name, metadata=dict(metadata or {}))
-        self._mems: dict[str, Any] = {}
-
-    # -- op construction (keyword-only parameters) --------------------------
-    def read(
-        self, kind, anchors_i, anchors_j, *,
-        port: int = 0, stride: int = 1, tag=None, mem: str = "default",
-        fuse: bool = False,
-    ) -> "ProgramBuilder":
-        """Append a parallel-read stream."""
-        self._program.read(
-            kind, anchors_i, anchors_j, port=port, stride=stride, tag=tag,
-            mem=mem, fuse=fuse,
-        )
-        return self
-
-    def write(
-        self, kind, anchors_i, anchors_j, *,
-        values=None, stride: int = 1, mem: str = "default",
-        fuse: bool = False,
-    ) -> "ProgramBuilder":
-        """Append a parallel-write stream."""
-        self._program.write(
-            kind, anchors_i, anchors_j, values=values, stride=stride,
-            mem=mem, fuse=fuse,
-        )
-        return self
-
-    def compute(self, fn, *, label: str = "compute") -> "ProgramBuilder":
-        """Append a host-compute boundary."""
-        self._program.compute(fn, label=label)
-        return self
-
-    def barrier(self, *, label: str = "barrier") -> "ProgramBuilder":
-        """Append an explicit segment boundary."""
-        self._program.barrier(label=label)
-        return self
-
-    # -- memory binding ------------------------------------------------------
-    def using(self, memory=None, **named) -> "ProgramBuilder":
-        """Bind memories: *memory* becomes ``"default"``, keywords bind
-        named memories (``using(src=pm_a, dst=pm_b)``)."""
-        if memory is not None:
-            self._mems["default"] = memory
-        self._mems.update(named)
-        return self
-
-    # -- products ------------------------------------------------------------
-    @property
-    def program(self) -> AccessProgram:
-        return self._program
-
-    def build(self, *, observers=()) -> BuiltProgram:
-        return BuiltProgram(self._program, dict(self._mems), tuple(observers))
-
-    def run(self, **kwargs) -> ProgramResult:
-        """Build and execute in one call (see :meth:`BuiltProgram.run`)."""
-        return self.build().run(**kwargs)
-
-
-def build(
-    spec,
-    *,
-    observers=(),
-    mems=None,
-    **params,
-) -> BuiltProgram:
+def build(spec, *, mems=None, **params) -> BuiltProgram:
     """Resolve *spec* into a :class:`BuiltProgram`.
 
-    *spec* is one of
-
-    * a registered lowering name (:data:`SPEC_NAMES`, e.g.
-      ``"kernel.matmul"``) — ``**params`` go to the spec's factory;
-    * a demo name from :mod:`repro.program.lower` (e.g. ``"matmul"``) —
-      the demo's canonical small instance, no parameters;
-    * an :class:`AccessProgram` — bound as-is (pass ``mems=``);
-    * a :class:`ProgramBuilder` — its program plus ``using()`` bindings.
-
-    ``observers`` become the default of :meth:`BuiltProgram.run`;
-    ``mems`` (one memory or a name mapping) overrides the spec's own
-    binding.
+    *spec* is a registered lowering name (:data:`SPEC_NAMES`, e.g.
+    ``"kernel.matmul"``), whose factory takes ``**params``, or an
+    :class:`AccessProgram`, bound as-is.  ``mems`` (one memory or a name
+    mapping) overrides the spec's own binding.  The demo programs of
+    ``repro program dump`` come from
+    :func:`repro.program.lower.lower_demo`.
     """
-    if isinstance(spec, ProgramBuilder):
-        built = spec.build(observers=observers)
-        program, spec_mems = built.program, built.mems
-    elif isinstance(spec, AccessProgram):
+    if isinstance(spec, AccessProgram):
         program, spec_mems = spec, {}
     elif isinstance(spec, str):
         factory = _SPECS.get(spec)
-        if factory is not None:
-            program, spec_mems = factory(**params)
-        else:
-            from .lower import DEMO_NAMES, lower_demo
-
-            if spec not in DEMO_NAMES:
-                raise ProgramError(
-                    f"unknown program spec {spec!r}: expected one of "
-                    f"{', '.join(SPEC_NAMES + DEMO_NAMES)}, an "
-                    f"AccessProgram, or a ProgramBuilder"
-                )
-            if params:
-                raise ProgramError(
-                    f"demo {spec!r} takes no parameters, got "
-                    f"{sorted(params)}"
-                )
-            program, spec_mems = lower_demo(spec)
+        if factory is None:
+            raise ProgramError(
+                f"unknown program spec {spec!r}: expected one of "
+                f"{', '.join(SPEC_NAMES)}, or an AccessProgram"
+            )
+        program, spec_mems = factory(**params)
     else:
         raise ProgramError(
             f"cannot build from {type(spec).__name__}: expected a spec "
-            f"name, an AccessProgram, or a ProgramBuilder"
+            f"name or an AccessProgram"
         )
     if mems is not None:
         spec_mems = dict(mems) if isinstance(mems, Mapping) else {"default": mems}
-    return BuiltProgram(program, dict(spec_mems), tuple(observers))
+    return BuiltProgram(program, dict(spec_mems))

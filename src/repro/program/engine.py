@@ -15,10 +15,14 @@ through one :class:`~repro.program.report.CycleScope`, so every caller
 gets the same :class:`~repro.program.report.KernelReport` shape from the
 same place.
 
-Instrumentation attaches through :class:`Observer` — per-segment and
-per-trace callbacks (stats, tracing, future fault injection) instead of
-copy-pasted plumbing in each caller.  Observers see state *after* each
-event; they must not mutate the memories mid-program.
+When a telemetry session is active the engine records its own counters
+(``program.executions``, ``program.segments``, ``program.traces``,
+``program.trace_cycles``, ``program.compute_boundaries``,
+``program.cycles``), the ``program:<name>`` and ``segment:<i>`` spans and
+one ``compute:<label>`` instant per host-compute boundary.  A replay
+error leaves the program and segment spans open;
+:meth:`~repro.telemetry.spans.SpanTracer.close_open_spans` closes them at
+export time with ``"aborted": true``.
 """
 
 from __future__ import annotations
@@ -28,45 +32,12 @@ from typing import Any, Mapping
 from ..core.exceptions import ProgramError
 from ..core.polymem import PolyMem
 from ..telemetry import context as _telemetry
-from ..telemetry.observers import TelemetryObserver
 from .fuse import fusion_plan
 from .ir import AccessProgram, Compute
 from .passes import CompiledProgram, compile_program, warm_plans
 from .report import CycleScope, KernelReport
 
-__all__ = ["Observer", "ProgramResult", "execute"]
-
-
-class Observer:
-    """Base class for engine instrumentation; all hooks default to no-ops.
-
-    Hook order per execution: ``on_program_start``, then per segment
-    ``on_segment_start`` → (``on_trace`` per step) → ``on_compute`` (if
-    the segment closes with host work) → ``on_segment_end``, and finally
-    ``on_program_end``.  A replay error aborts the program mid-hook
-    sequence (no ``on_program_end``), matching the hand-built paths where
-    the caller's plumbing stopped at the raise.
-    """
-
-    def on_program_start(
-        self, compiled: CompiledProgram, mems: Mapping[str, PolyMem]
-    ) -> None:
-        pass
-
-    def on_segment_start(self, segment) -> None:
-        pass
-
-    def on_trace(self, segment, step, outputs: dict, mem: PolyMem) -> None:
-        pass
-
-    def on_compute(self, segment, boundary: Compute, env: dict) -> None:
-        pass
-
-    def on_segment_end(self, segment, env: dict) -> None:
-        pass
-
-    def on_program_end(self, result: "ProgramResult") -> None:
-        pass
+__all__ = ["ProgramResult", "execute"]
 
 
 class ProgramResult:
@@ -106,7 +77,6 @@ def _resolve_mems(compiled: CompiledProgram, polymem) -> dict[str, PolyMem]:
 def execute(
     program: AccessProgram | CompiledProgram,
     polymem,
-    observers=(),
     env: Mapping[str, Any] | None = None,
     result_elements: int | None = None,
 ) -> ProgramResult:
@@ -123,11 +93,6 @@ def execute(
         if isinstance(program, CompiledProgram)
         else compile_program(program)
     )
-    tel = _telemetry.active()
-    if tel is not None:
-        # telemetry rides the existing hook surface — one observer per
-        # execution, appended after the caller's own observers
-        observers = (*observers, TelemetryObserver(tel))
     prog = compiled.program
     mems = _resolve_mems(compiled, polymem)
     scope_mems = [mems[name] for name in compiled.mems]
@@ -141,26 +106,48 @@ def execute(
     warm_plans(compiled, mems)
     plan = fusion_plan(compiled, mems)
     env = dict(env or {})
+    tel = _telemetry.active()
+    tracer = None if tel is None else tel.tracer
+    if tel is not None:
+        tel.metrics.counter("program.executions").inc()
+        tel.metrics.counter("program.segments").inc(len(compiled.segments))
+    if tracer is not None:
+        tracer.begin(
+            f"program:{prog.name}",
+            cat="program",
+            segments=len(compiled.segments),
+            traces=compiled.n_traces,
+            access_cycles=compiled.access_cycles,
+        )
     with CycleScope(scope_mems[0], prog.name, *scope_mems[1:]) as scope:
-        for observer in observers:
-            observer.on_program_start(compiled, mems)
         for segment in compiled.segments:
-            for observer in observers:
-                observer.on_segment_start(segment)
-            plan.run_segment(segment, mems, env, observers)
+            if tracer is not None:
+                tracer.begin(
+                    f"segment:{segment.index}",
+                    cat="program",
+                    steps=len(segment.steps),
+                    access_cycles=segment.access_cycles,
+                )
+            plan.run_segment(segment, mems, env, tel)
             if isinstance(segment.boundary, Compute):
                 product = segment.boundary.fn(env)
                 if isinstance(product, dict):
                     env.update(product)
-                for observer in observers:
-                    observer.on_compute(segment, segment.boundary, env)
-            for observer in observers:
-                observer.on_segment_end(segment, env)
+                if tel is not None:
+                    tel.metrics.counter("program.compute_boundaries").inc()
+                if tracer is not None:
+                    tracer.instant(
+                        f"compute:{segment.boundary.label}", cat="program"
+                    )
+            if tracer is not None:
+                tracer.end()
         if result_elements is None:
             result_elements = env.get(
                 "result_elements", prog.metadata.get("result_elements", 0)
             )
         result = ProgramResult(prog, env, scope.report(int(result_elements)))
-    for observer in observers:
-        observer.on_program_end(result)
+    if tel is not None:
+        tel.metrics.counter("program.cycles").inc(result.report.cycles)
+    if tracer is not None:
+        tracer.end(cycles=result.report.cycles)
     return result

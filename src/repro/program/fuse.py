@@ -66,7 +66,7 @@ __all__ = [
 
 #: version tag of the kernel-key format; bump on any change to the key
 #: header or the cached kernel structure
-KEY_FORMAT = "repro.program.fuse/1"
+KEY_FORMAT = "repro.program.fuse/2"
 
 _MISS = object()
 
@@ -228,8 +228,10 @@ class _StepTables:
     ``reads`` maps each port to its ``(n, lanes)`` slot table;
     ``w_slots`` is the flattened write-slot table (last-write-wins under
     flat fancy assignment, exactly like replay's scatter); ``forwards``
-    maps ports to ``(flat_result_index, flat_value_index)`` gather pairs
-    implementing the collision policy's same-trace write visibility.
+    maps ports to ``(flat_result_index, flat_value_index, same_cycle)``:
+    the gather pairs implementing the collision policy's same-trace write
+    visibility, and how many of them forward a write of the read's own
+    cycle (what ``polymem.collision.forwarded`` counts).
     """
 
     __slots__ = ("reads", "w_slots", "forwards")
@@ -286,9 +288,10 @@ def _classify_step(step, pm):
 
 
 def _forward_indices(read_tabs, w_slots, pm):
-    """Per read port, the ``(flat_result_index, flat_value_index)`` pairs
-    of same-trace writes each read element observes, or ``None`` when a
-    ``forbid`` collision must take replay's serial error path.
+    """Per read port, the ``(flat_result_index, flat_value_index,
+    same_cycle)`` forwards of same-trace writes each read element
+    observes, or ``None`` when a ``forbid`` collision must take replay's
+    serial error path.
 
     The same structure replay derives per call, computed once: a read at
     cycle t sees the latest write to its slot at a cycle < t (<= t under
@@ -303,6 +306,14 @@ def _forward_indices(read_tabs, w_slots, pm):
     forbid = pm.collision_policy == "forbid"
     inclusive = pm.collision_policy == "write_first"
     forwards = {}
+
+    def forward(hit, w_idx):
+        r_idx = np.flatnonzero(hit)
+        same = 0  # only write_first forwards a write of the read's own cycle
+        if inclusive:
+            same = int(np.count_nonzero(r_idx // lanes == w_idx // lanes))
+        return (r_idx, w_idx, same)
+
     total_slots = lanes * pm.banks.bank_depth
     if total_slots <= pm.DENSE_SLOT_LIMIT:
         # sentinel flat_w.size: "written after every cycle" (cycle n);
@@ -318,7 +329,7 @@ def _forward_indices(read_tabs, w_slots, pm):
                     return None
                 hit = w_t <= t_col if inclusive else w_t < t_col
                 if hit.any():
-                    forwards[port] = (np.flatnonzero(hit), w_idx[hit])
+                    forwards[port] = forward(hit, w_idx[hit])
             return forwards
     kw = (w_slots * (n + 1) + t_col).ravel()
     w_order = np.argsort(kw)
@@ -336,7 +347,7 @@ def _forward_indices(read_tabs, w_slots, pm):
         clipped = np.maximum(pos, 0)
         hit = (pos >= 0) & (kw_sorted[clipped] // (n + 1) == r_slots.ravel())
         if hit.any():
-            forwards[port] = (np.flatnonzero(hit), w_order[clipped[hit]])
+            forwards[port] = forward(hit, w_order[clipped[hit]])
     return forwards
 
 
@@ -462,28 +473,30 @@ class FusionPlan:
 
     # -- execution ----------------------------------------------------------
     @staticmethod
-    def _publish(segment, step, outputs, mem, env, observers) -> None:
+    def _publish(step, outputs, env, tel) -> None:
         for tag, port, start, stop in step.bindings:
             env[tag] = outputs[port][start:stop]
-        for observer in observers:
-            observer.on_trace(segment, step, outputs, mem)
+        if tel is not None:
+            m = tel.metrics
+            m.counter("program.traces").inc()
+            m.counter("program.trace_cycles").inc(step.n)
 
-    def run_segment(self, segment, mems, env, observers) -> None:
-        """Execute one segment's steps through its kernel units.
+    def run_segment(self, segment, mems, env, tel) -> None:
+        """Execute one segment's steps through its kernel units, recording
+        into the telemetry session *tel* (``None`` when off).
 
         Bit-identical to replaying every step through
         :meth:`PolyMem.replay`: same outputs, bindings, memory state,
-        statistics, error behaviour and observer hook order — fused units
-        only skip the per-execution re-derivation of index tables and
-        collision structure.
+        statistics, error behaviour and telemetry — fused units only skip
+        the per-execution re-derivation of index tables and collision
+        structure.
         """
-        tel = _telemetry.active()
         for unit in self.units[segment.index]:
             if unit[0] == "replay":
                 step = segment.steps[unit[1]]
                 mem = mems[step.mem]
                 outputs = mem.replay(step.trace(env))
-                self._publish(segment, step, outputs, mem, env, observers)
+                self._publish(step, outputs, env, tel)
             elif unit[0] == "run":
                 _, indices, cat = unit
                 mem = mems[segment.steps[indices[0]].mem]
@@ -500,7 +513,7 @@ class FusionPlan:
                     }
                     offset += step.n
                     self._account(mem, step, len(outputs), False, tel)
-                    self._publish(segment, step, outputs, mem, env, observers)
+                    self._publish(step, outputs, env, tel)
             else:
                 _, idx, tables = unit
                 step = segment.steps[idx]
@@ -520,14 +533,14 @@ class FusionPlan:
                     fwd = tables.forwards.get(port)
                     if fwd is not None:
                         result.reshape(-1)[fwd[0]] = flat_values[fwd[1]]
-                        if tel is not None:
+                        if fwd[2] and tel is not None:
                             tel.metrics.counter(
                                 "polymem.collision.forwarded"
-                            ).inc(int(fwd[0].size))
+                            ).inc(fwd[2])
                     outputs[port] = result
                 mem.banks.write_slots(tables.w_slots, flat_values)
                 self._account(mem, step, len(outputs), True, tel)
-                self._publish(segment, step, outputs, mem, env, observers)
+                self._publish(step, outputs, env, tel)
 
     @staticmethod
     def _account(mem, step, n_ports, has_write, tel) -> None:

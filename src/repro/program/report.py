@@ -1,12 +1,10 @@
 """Kernel-style cycle accounting, shared by every program execution.
 
-:class:`KernelReport` and :class:`CycleScope` started life in
-``repro.kernels.base``; they moved here when the execution engine became
-the one place producing them (``repro.kernels.base`` re-exports both for
-backward compatibility).  :class:`KernelReport` normalizes the
-accounting: parallel-access cycles consumed, elements touched, and the
-speedup over a scalar (one-element-per-cycle) memory — the metric family
-of the paper's §III-A.
+The execution engine is the one place producing :class:`KernelReport`
+(through :class:`CycleScope`); the application kernels import it from
+here.  :class:`KernelReport` normalizes the accounting: parallel-access
+cycles consumed, elements touched, and the speedup over a scalar
+(one-element-per-cycle) memory — the metric family of the paper's §III-A.
 """
 
 from __future__ import annotations

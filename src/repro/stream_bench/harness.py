@@ -9,7 +9,8 @@ Two measurement paths exist, matching DESIGN.md's conventions:
 * :meth:`StreamHarness.measure_analytic` — the closed-form cycle count
   validated against the simulator (``tests/stream_bench``):
   ``cycles_per_run = vectors + read_latency + pipeline_slack``.  Used to
-  sweep Fig. 10 quickly and to extrapolate to 1000-run batches.
+  sweep Fig. 10 (:func:`sweep_fig10`) and to extrapolate to 1000-run
+  batches.
 
 Timing follows the paper's methodology: every stage is a sequence of
 blocking host calls (each charged the ~300 ns PCIe overhead), the compute
@@ -28,7 +29,7 @@ from ..core.exceptions import SimulationError
 from ..hw.calibration import STREAM_COPY
 from ..maxeler.conditions import StreamFill
 from ..telemetry import context as _telemetry
-from .apps import DEFAULT_SCALAR, StreamApp
+from .apps import COPY, DEFAULT_SCALAR, StreamApp
 from .controller import Job, JobsDone, Mode, StreamDesign, build_stream_design
 
 __all__ = ["StreamMeasurement", "StreamHarness", "Fig10Point", "sweep_fig10"]
@@ -244,17 +245,23 @@ class StreamHarness:
     ) -> StreamMeasurement:
         """Closed-form measurement (no simulation): the validated cycle
         model ``vectors + read_latency + slack``."""
-        cycles = vectors + self.design.read_latency + PIPELINE_SLACK_CYCLES
+        return self._analytic(app, vectors, runs).record_telemetry()
+
+    def _analytic(
+        self, app: StreamApp, vectors: int, runs: int
+    ) -> StreamMeasurement:
+        """The closed-form measurement, telemetry not recorded."""
         return StreamMeasurement(
             app_name=app.name,
             elements=vectors * self.lanes,
             runs=runs,
-            cycles_per_run=cycles,
+            cycles_per_run=vectors + self.design.read_latency
+            + PIPELINE_SLACK_CYCLES,
             clock_mhz=self.design.dfe.clock_mhz,
             host_overhead_ns=self.design.dfe.board.pcie.call_overhead_ns,
             bytes_per_element=app.bytes_per_element,
             lanes=self.lanes,
-        ).record_telemetry()
+        )
 
 
 @dataclass(frozen=True)
@@ -266,80 +273,27 @@ class Fig10Point:
     efficiency: float
 
 
-def fig10_point(
-    _config,
-    vectors: int,
-    runs: int,
-    lanes: int,
-    read_latency: int,
-    clock_mhz: float,
-    overhead_ns: float,
-    bytes_per_element: int,
-) -> dict:
-    """One closed-form Fig. 10 point as a plain-JSON payload.
-
-    The :class:`~repro.exec.SweepTask` function of the Fig. 10 size sweep
-    (the design is reduced to the five scalars the analytic cycle model
-    needs, which also form the point's cache identity).
-    """
-    cycles = vectors + read_latency + PIPELINE_SLACK_CYCLES
-    m = StreamMeasurement(
-        app_name="Copy",
-        elements=vectors * lanes,
-        runs=runs,
-        cycles_per_run=cycles,
-        clock_mhz=clock_mhz,
-        host_overhead_ns=overhead_ns,
-        bytes_per_element=bytes_per_element,
-        lanes=lanes,
-    )
-    return {
-        "copied_kb": vectors * lanes * 8 / 1024,
-        "mbps": m.mbps,
-        "efficiency": m.efficiency,
-    }
-
-
 def sweep_fig10(
     sizes_kb: list[float] | None = None,
     runs: int = STREAM_COPY.runs,
     harness: StreamHarness | None = None,
-    cache=None,
 ) -> list[Fig10Point]:
     """Regenerate Fig. 10: Copy bandwidth vs copied data size.
 
-    Uses the validated analytic cycle model (the full-size cycle-accurate
-    run is covered by the integration tests), executed as one
-    :func:`repro.exec.run_sweep` grid so the CLI's ``--cache-dir`` /
-    ``--no-cache`` flags apply here too.
+    Uses the validated analytic cycle model of
+    :meth:`StreamHarness.measure_analytic` (the full-size cycle-accurate
+    run is covered by the integration tests); each point is a few float
+    operations, so no result cache is involved.
     """
-    from ..exec import SweepTask, run_sweep
-    from .apps import COPY
-
     harness = harness or StreamHarness()
     lanes = harness.lanes
     if sizes_kb is None:
         max_kb = harness.max_vectors * lanes * 8 / 1024
         sizes_kb = [max_kb * f / 20 for f in range(1, 21)]
-    design = harness.design
-    tasks = []
+    points = []
     for kb in sizes_kb:
         vectors = max(1, int(round(kb * 1024 / 8 / lanes)))
         vectors = min(vectors, harness.max_vectors)
-        tasks.append(
-            SweepTask(
-                "stream.fig10",
-                fig10_point,
-                params={
-                    "vectors": vectors,
-                    "runs": runs,
-                    "lanes": lanes,
-                    "read_latency": design.read_latency,
-                    "clock_mhz": design.dfe.clock_mhz,
-                    "overhead_ns": design.dfe.board.pcie.call_overhead_ns,
-                    "bytes_per_element": COPY.bytes_per_element,
-                },
-            )
-        )
-    sweep = run_sweep(tasks, cache=cache)
-    return [Fig10Point(**v) for v in sweep.values()]
+        m = harness._analytic(COPY, vectors, runs)
+        points.append(Fig10Point(vectors * lanes * 8 / 1024, m.mbps, m.efficiency))
+    return points

@@ -26,7 +26,6 @@ __all__ = export_lazily(__name__, {
     ),
     "ledger": ("LEDGER_FORMAT", "Ledger", "LedgerEntry", "record_run"),
     "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
-    "observers": ("TelemetryObserver",),
     "regress": (
         "GATE_TABLE", "RegressReport", "check_gates", "evaluate_gate",
         "regress", "render_regress",

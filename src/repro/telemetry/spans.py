@@ -15,9 +15,9 @@ exist side by side:
   amortization becomes visible.
 
 The tracer is append-only and never raises into instrumented code; spans
-left open by an error path (e.g. a replay abort skipping
-``Observer.on_program_end``) are closed at export time and flagged
-``"aborted": true``.
+left open by an error path (e.g. the program and segment spans of a
+program execution a replay error aborts) are closed at export time and
+flagged ``"aborted": true``.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class SpanTracer:
 
     def end(self, **args) -> None:
         """Close the innermost open span (no-op when none is open, so
-        observer-driven end hooks stay safe after an aborted begin)."""
+        an unmatched end stays safe after an aborted begin)."""
         if not self._stack:
             return
         top = self._stack.pop()

@@ -90,16 +90,6 @@ class TestRunSweep:
         assert resumed.n_cached == len(done)
         assert resumed.n_computed == len(later)
 
-    def test_explicit_key_overrides_derived(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        a = SweepTask("test.square", square, 3, key="pinned")
-        run_sweep([a], cache=cache)
-        # a different config under the same pinned key is a cache hit
-        b = SweepTask("test.square", square, 4, key="pinned")
-        sweep = run_sweep([b], cache=cache)
-        assert sweep.n_cached == 1
-        assert sweep.values() == [{"square": 9}]
-
 
 class TestTableIIIEquivalence:
     """The cached Table III sweep is byte-identical to the computed one."""

@@ -270,13 +270,59 @@ class TestEngineMatchesSerialStepping:
     @settings(max_examples=60, deadline=None)
     def test_fused_read_write_traces(self, case):
         args, prog = case
-        # polymem.collision.forwarded is left out: within one trace,
-        # replay (and so the engine) counts every read served from a
-        # same-trace write, while step() counts same-cycle ones only
         _assert_matches_serial(
-            prog, {"default": _memory(*args)}, prog, {"default": _memory(*args)},
-            counters=("polymem.parallel_accesses",),
+            prog, {"default": _memory(*args)}, prog, {"default": _memory(*args)}
         )
+
+
+def _forwarded_counts(policy):
+    """``polymem.collision.forwarded`` for one three-cycle trace that
+    writes rows 0, 1, 2 and reads rows 3, 0, 2 (cycle 1 reads a row
+    written earlier in the trace, cycle 2 the row written in the same
+    cycle), issued three ways: a ``step`` loop, one ``replay`` and
+    ``execute``."""
+    aj = np.zeros(3, dtype=np.int64)
+    values = np.arange(3 * 8, dtype=np.uint64).reshape(3, 8)
+    prog = (
+        AccessProgram("forwarded")
+        .read(PatternKind.ROW, np.array([3, 0, 2]), aj, tag="r")
+        .write(PatternKind.ROW, np.arange(3), aj, values=values, fuse=True)
+    )
+    args = (2, 4, Scheme.ReRo, 32, 32, policy, 1, 7)
+    compiled = compile_program(prog)
+    (step,) = compiled.segments[0].steps
+    counts = {}
+    for path in ("step", "replay", "execute"):
+        pm = _memory(*args)
+        tel = Telemetry(label=f"forwarded-{path}")
+        with session(tel):
+            if path == "step":
+                trace = step.trace({})
+                for t in range(trace.n):
+                    reads, write = trace.cycle_args(t)
+                    pm.step(reads=reads, write=write)
+            elif path == "replay":
+                pm.replay(step.trace({}))
+            else:
+                execute(prog, pm)
+        counters = tel.snapshot()["metrics"]["counters"]
+        counts[path] = counters.get("polymem.collision.forwarded", 0)
+    return counts
+
+
+class TestForwardedCounter:
+    """``polymem.collision.forwarded`` counts same-cycle forwards only,
+    on every execution path."""
+
+    def test_read_first_counts_zero(self):
+        assert _forwarded_counts("read_first") == {
+            "step": 0, "replay": 0, "execute": 0,
+        }
+
+    def test_write_first_counts_the_same_cycle_row(self):
+        assert _forwarded_counts("write_first") == {
+            "step": 8, "replay": 8, "execute": 8,
+        }
 
 
 class TestProductionLowerings:

@@ -121,11 +121,11 @@ class TestCommands:
 
 
 class TestExecFlags:
-    """The shared repro.exec flags on dse/stream/experiments."""
+    """The shared repro.exec flags on dse/experiments."""
 
     def test_registered_on_grid_subcommands(self):
         parser = build_parser()
-        for cmd in ("dse", "stream", "experiments"):
+        for cmd in ("dse", "experiments"):
             args = parser.parse_args(
                 [cmd, "--no-cache", "--cache-dir", "/tmp/c"]
             )
@@ -173,8 +173,7 @@ class TestExecFlags:
     def test_stream_json(self, tmp_path, capsys):
         path = tmp_path / "stream.json"
         rc = main(
-            ["stream", "--fig10", "--runs", "10", "--no-cache",
-             "--json", str(path)]
+            ["stream", "--fig10", "--runs", "10", "--json", str(path)]
         )
         assert rc == 0
         report = Report.from_json(path.read_text())
