@@ -42,7 +42,6 @@ from repro.telemetry import context as _context
 def _workload(vectors):
     """One cycle-accurate STREAM triad pass; returns (cycles, data)."""
     design = build_stream_design()
-    design.dfe.simulator.engine = "batched"
     harness = StreamHarness(design)
     app = next(a for a in all_apps() if a.name.lower() == "triad")
     arrays = harness.load_arrays(vectors)

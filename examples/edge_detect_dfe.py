@@ -95,7 +95,7 @@ def main() -> None:
         s_edge = mgr.add_kernel(SinkKernel("edge"))
         mgr.connect(kernel, "mag", s_mag, "in")
         mgr.connect(kernel, "edge", s_edge, "in")
-        result = DFE(mgr, clock_mhz=150).run()
+        result = DFE(mgr, clock_mhz=150).simulator.run()
         total_cycles += result.cycles
         # the first two outputs are warm-up (offsets not yet filled)
         mags[out_row] = np.array(s_mag.collected[2:], dtype=np.int64)

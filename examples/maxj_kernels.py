@@ -26,7 +26,7 @@ def run(graph, inputs, fill=0):
         snk = mgr.add_kernel(SinkKernel(f"snk_{name}"))
         mgr.connect(kernel, name, snk, "in")
         sinks[name] = snk
-    result = DFE(mgr, clock_mhz=150).run()
+    result = DFE(mgr, clock_mhz=150).simulator.run()
     return {n: s.collected for n, s in sinks.items()}, result
 
 

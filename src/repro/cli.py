@@ -181,10 +181,11 @@ def cmd_info(args) -> int:
     from . import __version__
     from .core.conflict import ConflictAnalyzer
 
+    analyzer = ConflictAnalyzer(args.p, args.q)
     print(f"repro {__version__} — MAX-PolyMem reproduction")
     print("schemes and conflict-free patterns "
           f"(empirical, {args.p}x{args.q} lanes):")
-    table = ConflictAnalyzer(args.p, args.q).table()
+    table = analyzer.table()
     for scheme, row in table.items():
         pats = [
             f"{k.value}[{d.label}]" for k, d in row.items() if d.label != "none"
@@ -257,10 +258,18 @@ def cmd_dse(args) -> int:
     return 0
 
 
+def _require_positive(what: str, count: int) -> None:
+    from .core.exceptions import ConfigurationError
+
+    if count < 1:
+        raise ConfigurationError(f"{what} must be >= 1, got {count}")
+
+
 def cmd_stream(args) -> int:
     from .exec import Report, ReportEntry
     from .stream_bench import StreamHarness, all_apps, stream_report, sweep_fig10
 
+    _require_positive("--runs", args.runs)
     harness = StreamHarness()
     measurements = [
         harness.measure_analytic(app, harness.max_vectors, runs=args.runs)
@@ -312,10 +321,9 @@ def cmd_stream_run(args) -> int:
 
     from .stream_bench.apps import DEFAULT_SCALAR
 
+    _require_positive("--vectors", args.vectors)
     app = {a.name.lower(): a for a in all_apps()}[args.app]
     design = build_stream_design()
-    design.dfe.simulator.engine = args.engine
-    design.dfe.simulator.profile = args.profile
     harness = StreamHarness(design)
     vectors = min(args.vectors, harness.max_vectors)
     t0 = time.perf_counter()
@@ -341,7 +349,7 @@ def cmd_stream_run(args) -> int:
     ).record_telemetry()
     print(
         f"{app.name}: {vectors} vectors ({elements * 8 / 1024:.0f} KB) "
-        f"on the {args.engine} engine (verified against NumPy)"
+        "(verified against NumPy)"
     )
     print(f"  compute cycles: {cycles}, total simulated: {total}")
     print(
@@ -357,7 +365,6 @@ def cmd_stream_run(args) -> int:
             quantity=f"{app.name} compute cycles",
             measured=cycles,
             metrics={
-                "engine": args.engine,
                 "vectors": vectors,
                 "elements": elements,
                 "total_cycles": total,
@@ -849,12 +856,6 @@ def _stream_args(p) -> None:
         "--app", default="copy", choices=["copy", "scale", "sum", "triad"]
     )
     p_srun.add_argument("--vectors", type=int, default=1024)
-    p_srun.add_argument(
-        "--engine",
-        default="batched",
-        choices=["scalar", "batched"],
-        help="tick engine (batched fast-forwards uniform phases)",
-    )
     p_srun.add_argument(
         "--profile",
         action="store_true",

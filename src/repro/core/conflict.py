@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import ConfigurationError
 from .patterns import AccessPattern, PatternKind, kinds_in_table_order
 from .plan import compile_plan
 from .schemes import Scheme, flat_module_assignment
@@ -122,6 +123,8 @@ class ConflictAnalyzer:
     """
 
     def __init__(self, p: int, q: int):
+        if p < 1 or q < 1:
+            raise ConfigurationError(f"lane grid must be positive, got {p}x{q}")
         self.p = p
         self.q = q
         #: anchor periodicity of every MAF on this lane grid

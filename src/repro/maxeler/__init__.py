@@ -21,7 +21,7 @@ __all__ = export_lazily(__name__, {
     ),
     "manager": ("DesignResources", "Manager"),
     "pcie": ("VECTIS_PCIE", "PcieLink"),
-    "simulator": ("ENGINES", "KernelStats", "SimulationResult", "Simulator"),
+    "simulator": ("KernelStats", "SimulationResult", "Simulator"),
     "stream": ("Stream",),
     "trace": ("CycleEvent", "TraceRecorder"),
 })

@@ -5,16 +5,17 @@ A kernel that can fast-forward publishes a :class:`BatchPlan` describing a
 behaviour is one element per port per cycle, decomposed into
 :class:`BatchOp` sub-activities.  The simulator collects plans from every
 kernel (registration order), validates that a chunk of ``n`` cycles is
-safe against stream occupancy/headroom, orders the sub-activities along
+safe against stream occupancy and free space, orders the sub-activities along
 the dataflow dependencies, and executes each as one vectorized call.
 
-Why sub-activities instead of whole-kernel ``tick_many``?  Feedback loops.
-In Fig. 9's STREAM design the controller consumes, mid-chunk, data the
-PolyMem kernel produces mid-chunk — and vice versa.  No whole-kernel
-order can satisfy both, but the kernels' *sub*-machines (command issue,
-pipeline retire, write drain, ...) form an acyclic graph, because the
-only cycle-carrying dependency (read data feeding writes) is broken by
-the pipeline latency slack each plan proves it has.
+Why sub-activities instead of fast-forwarding whole kernels one after
+another?  Feedback loops.  In Fig. 9's STREAM design the controller
+consumes, mid-chunk, data the PolyMem kernel produces mid-chunk — and vice
+versa.  No whole-kernel order can satisfy both, but the kernels'
+*sub*-machines (command issue, pipeline retire, write drain, ...) form an
+acyclic graph, because the only cycle-carrying dependency (read data
+feeding writes) is broken by the pipeline latency slack each plan proves
+it has.
 
 The correctness argument lives in DESIGN.md ("Batched tick engine"); the
 short form: a chunk is executed only when every plan guarantees exact

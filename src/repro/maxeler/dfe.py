@@ -37,17 +37,13 @@ class DFE:
         clock_mhz: float,
         board: VectisBoard | None = None,
         max_cycles: int = 50_000_000,
-        engine: str = "batched",
-        profile: bool = False,
     ):
         if clock_mhz <= 0:
             raise SimulationError(f"clock must be positive, got {clock_mhz}")
         self.board = board or VectisBoard()
         self.manager = manager
         self.clock_mhz = clock_mhz
-        self.simulator = Simulator(
-            manager, max_cycles=max_cycles, engine=engine, profile=profile
-        )
+        self.simulator = Simulator(manager, max_cycles=max_cycles)
         manager.freeze()
 
     @property
@@ -57,9 +53,3 @@ class DFE:
 
     def cycles_to_ns(self, cycles: int) -> float:
         return cycles * self.cycle_ns
-
-    def run(self, until=None, max_cycles=None, engine=None):
-        """Run the on-chip simulation (see :class:`Simulator.run`)."""
-        return self.simulator.run(
-            until=until, max_cycles=max_cycles, engine=engine
-        )

@@ -141,23 +141,16 @@ class Host:
         with self._host_call("signal"):
             self._charge_pcie(payload_bytes=0)
 
-    def run_kernel(self, until=None, max_cycles=None, engine=None):
+    def run_kernel(self, until=None, max_cycles=None):
         """Blocking kernel execution: runs the on-chip simulation and
         advances the wall clock by the consumed cycles plus one call
         overhead."""
         with self._host_call("run_kernel"):
             before = self.dfe.simulator.cycles
-            result = self.dfe.run(until=until, max_cycles=max_cycles, engine=engine)
+            result = self.dfe.simulator.run(until=until, max_cycles=max_cycles)
             self._charge_pcie(payload_bytes=0)
             self._charge_compute(result.cycles - before)
         return result
-
-    def charge_external_compute(self, cycles: int) -> None:
-        """Account for on-chip cycles computed analytically (the vectorized
-        fast path) without ticking the simulator."""
-        with self._host_call("external_compute"):
-            self._charge_pcie(payload_bytes=0)
-            self._charge_compute(cycles)
 
 
 class _HostCallScope:

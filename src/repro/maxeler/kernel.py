@@ -8,17 +8,12 @@ The contract per tick:
 * push at most one element to each output stream;
 * stall (do nothing) when required inputs are missing or outputs are full.
 
-Two faster execution surfaces ride on top of the scalar tick:
-
-* :meth:`Kernel.tick_many` — ``n`` consecutive ticks of *this* kernel in
-  one call (default: a scalar loop; library kernels vectorize the uniform
-  prefix).  Exactly equivalent to calling :meth:`tick` ``n`` times with no
-  other kernel in between.
-* :meth:`Kernel.batch_plan` — the batched tick engine's contract (see
-  :mod:`repro.maxeler.batch`): a kernel in a *uniform phase* publishes the
-  sub-activities the simulator may fast-forward chunk-wise, interleaved
-  with every other kernel.  Returning ``None`` (the default) always falls
-  back to exact scalar ticking.
+The scalar tick is the reference semantics.  :meth:`Kernel.batch_plan`
+is the tick engine's fast-path contract (see :mod:`repro.maxeler.batch`):
+a kernel in a *uniform phase* publishes the sub-activities the simulator
+may fast-forward chunk-wise, interleaved with every other kernel.
+Returning ``None`` (the default) always falls back to exact scalar
+ticking.
 
 A library of generic kernels used by the STREAM design is provided:
 :class:`SourceKernel`, :class:`SinkKernel`, :class:`MapKernel`,
@@ -95,16 +90,6 @@ class Kernel:
     def _tick(self) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def tick_many(self, n: int) -> None:
-        """Advance *n* consecutive cycles of this kernel.
-
-        Semantically identical to ``for _ in range(n): self.tick()`` with
-        no other kernel ticking in between.  Subclasses override to
-        vectorize the uniform prefix of the window.
-        """
-        for _ in range(n):
-            self.tick()
-
     def batch_plan(self, ctx: dict) -> BatchPlan | None:
         """Declare this kernel's current uniform phase for the batched
         engine, or ``None`` to force exact scalar ticking.  *ctx* maps
@@ -152,18 +137,6 @@ class SourceKernel(Kernel):
         out = self.outputs["out"]
         out.push_many([self._pending.popleft() for _ in range(n)])
 
-    def tick_many(self, n: int) -> None:
-        out = self.outputs["out"]
-        room = len(self._pending)
-        if out.capacity is not None:
-            room = min(room, out.capacity - len(out))
-        k = min(n, room)
-        if k:
-            self._emit(k)
-            self._charge(k, active=True)
-        if n - k:
-            self._charge(n - k, active=False)
-
     def batch_plan(self, ctx: dict) -> BatchPlan | None:
         if not self._pending:
             return IDLE_PLAN
@@ -199,14 +172,6 @@ class SinkKernel(Kernel):
     def _absorb(self, n: int) -> None:
         self.collected.extend(self.inputs["in"].pop_many(n))
 
-    def tick_many(self, n: int) -> None:
-        k = min(n, len(self.inputs["in"]))
-        if k:
-            self._absorb(k)
-            self._charge(k, active=True)
-        if n - k:
-            self._charge(n - k, active=False)
-
     def batch_plan(self, ctx: dict) -> BatchPlan | None:
         if not self._flows(self.inputs["in"], ctx):
             return BatchPlan(sensitive=("in",))
@@ -231,17 +196,6 @@ class MapKernel(Kernel):
         fn = self.fn
         values = self.inputs["in"].pop_many(n)
         self.outputs["out"].push_many([fn(v) for v in values])
-
-    def tick_many(self, n: int) -> None:
-        inp, out = self.inputs["in"], self.outputs["out"]
-        k = min(n, len(inp))
-        if out.capacity is not None:
-            k = min(k, out.capacity - len(out))
-        if k:
-            self._apply(k)
-            self._charge(k, active=True)
-        if n - k:
-            self._charge(n - k, active=False)
 
     def batch_plan(self, ctx: dict) -> BatchPlan | None:
         if not self._flows(self.inputs["in"], ctx):
@@ -272,17 +226,6 @@ class BinOpKernel(Kernel):
         lhs = self.inputs["a"].pop_many(n)
         rhs = self.inputs["b"].pop_many(n)
         self.outputs["out"].push_many([fn(x, y) for x, y in zip(lhs, rhs)])
-
-    def tick_many(self, n: int) -> None:
-        out = self.outputs["out"]
-        k = min(n, len(self.inputs["a"]), len(self.inputs["b"]))
-        if out.capacity is not None:
-            k = min(k, out.capacity - len(out))
-        if k:
-            self._apply(k)
-            self._charge(k, active=True)
-        if n - k:
-            self._charge(n - k, active=False)
 
     def batch_plan(self, ctx: dict) -> BatchPlan | None:
         flowing = self._flows(self.inputs["a"], ctx) and self._flows(

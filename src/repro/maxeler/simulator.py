@@ -7,40 +7,34 @@ semantics of real MaxJ designs.  The simulator tracks total cycles, detects
 quiescence (no kernel progressed and none has pending internal work) and
 deadlock (no progress while work is still pending).
 
-Two engines share that contract:
-
-``scalar``
-    The reference path: one Python-level :meth:`Kernel.tick` per kernel
-    per cycle.
-
-``batched`` (default)
-    Fast-forwards *uniform phases*: when every kernel publishes a
-    :class:`~repro.maxeler.batch.BatchPlan` proving one-element-per-cycle
-    behaviour, a chunk of ``n`` cycles runs as a handful of vectorized
-    sub-activity calls.  The chunk size is bounded by every stream's
-    headroom/occupancy, every plan's phase length, the remaining cycle
-    budget and the ``until`` condition's flip horizon, so the observable
-    state at every chunk boundary — stream contents, kernel state, cycle
-    and utilization counters — is bit-identical to the scalar path.
-    Anywhere a plan cannot be proven (ramp-up, stalls, drains, data-
-    dependent routing), the engine falls back to scalar ticks, keeping
-    quiescence/deadlock detection semantics unchanged.
+The engine fast-forwards *uniform phases*: when every kernel publishes a
+:class:`~repro.maxeler.batch.BatchPlan` proving one-element-per-cycle
+behaviour, a chunk of ``n`` cycles runs as a handful of vectorized
+sub-activity calls.  The chunk size is bounded by every stream's free
+space/occupancy, every plan's phase length, the remaining cycle budget and
+the ``until`` condition's flip horizon, so the observable state at every
+chunk boundary — stream contents, kernel state, cycle and utilization
+counters — is bit-identical to scalar ticking.  Anywhere a plan cannot be
+proven (ramp-up, stalls, drains, data-dependent routing), the engine falls
+back to the scalar reference, one :meth:`Kernel.tick` per kernel per
+cycle, keeping quiescence/deadlock detection semantics unchanged.
+:func:`scalar_reference` turns chunk planning off so tests and benchmarks
+can compare the engine against that reference.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from ..core.exceptions import SimulationError
 from ..telemetry import context as _telemetry
 from .batch import BatchOp, PushClaim
 from .manager import Manager
 
-__all__ = ["Simulator", "SimulationResult", "KernelStats", "ENGINES"]
-
-ENGINES = ("scalar", "batched")
+__all__ = ["Simulator", "SimulationResult", "KernelStats", "scalar_reference"]
 
 #: chunks below this size are not worth the planning overhead
 MIN_CHUNK = 4
@@ -81,7 +75,6 @@ class SimulationResult:
 
     cycles: int
     quiesced: bool
-    kernel_activity: dict[str, float] = field(default_factory=dict)
     kernel_stats: dict[str, KernelStats] = field(default_factory=dict)
 
     def wall_time_ns(self, clock_mhz: float) -> float:
@@ -90,37 +83,16 @@ class SimulationResult:
 
 
 class Simulator:
-    """Runs a frozen :class:`~repro.maxeler.manager.Manager` design.
+    """Runs a frozen :class:`~repro.maxeler.manager.Manager` design."""
 
-    Parameters
-    ----------
-    engine:
-        ``"batched"`` (default) or ``"scalar"``; per-run override via
-        :meth:`run`.
-    profile:
-        When True, scalar ticks are individually wall-clock timed per
-        kernel (adds overhead; chunked execution is always timed).
-    """
-
-    def __init__(
-        self,
-        manager: Manager,
-        max_cycles: int = 10_000_000,
-        engine: str = "batched",
-        profile: bool = False,
-    ):
-        if engine not in ENGINES:
-            raise SimulationError(f"unknown engine {engine!r} (use {ENGINES})")
+    def __init__(self, manager: Manager, max_cycles: int = 10_000_000):
         self.manager = manager
         self.max_cycles = max_cycles
-        self.engine = engine
-        self.profile = profile
         self.cycles = 0
         #: attached instrumentation (e.g. :class:`~repro.maxeler.trace.
         #: TraceRecorder`): objects with ``on_cycle(sim, progressed)`` /
         #: ``on_chunk(sim, n, plans)`` hooks, notified after the cycle
-        #: counter moves — on both engines, so tracing works under
-        #: ``engine="batched"`` too
+        #: counter moves — after scalar ticks and batched chunks alike
         self.observers: list = []
 
     def _pending_work(self) -> bool:
@@ -141,7 +113,6 @@ class Simulator:
         self,
         until: Callable[[], bool] | None = None,
         max_cycles: int | None = None,
-        engine: str | None = None,
     ) -> SimulationResult:
         """Tick until *until()* is satisfied, or quiescence when no
         predicate is given.
@@ -157,25 +128,21 @@ class Simulator:
         """
         tel = _telemetry.active()
         if tel is None or tel.tracer is None:
-            return self._run(until, max_cycles, engine, tel)
+            return self._run(until, max_cycles, tel)
         tracer = tel.tracer
         start = self.cycles
-        tracer.begin("kernel.run", cat="sim", engine=engine or self.engine)
+        tracer.begin("kernel.run", cat="sim")
         try:
-            result = self._run(until, max_cycles, engine, tel)
+            result = self._run(until, max_cycles, tel)
         except BaseException:
             tracer.end(cycles=self.cycles - start, aborted=True)
             raise
         tracer.end(cycles=self.cycles - start)
         return result
 
-    def _run(self, until, max_cycles, engine, tel) -> SimulationResult:
-        engine = engine if engine is not None else self.engine
-        if engine not in ENGINES:
-            raise SimulationError(f"unknown engine {engine!r} (use {ENGINES})")
+    def _run(self, until, max_cycles, tel) -> SimulationResult:
         budget = max_cycles if max_cycles is not None else self.max_cycles
         kernels = list(self.manager.kernels.values())
-        batching = engine == "batched"
         start = self.cycles
         idle_streak = 0
         # telemetry state, hoisted so the disabled-path loop cost is zero
@@ -192,7 +159,7 @@ class Simulator:
             while True:
                 if until is not None and until():
                     return self._result(quiesced=False)
-                if batching and idle_streak == 0:
+                if idle_streak == 0:
                     chunk = self._plan_chunk(
                         kernels, until, budget - (self.cycles - start)
                     )
@@ -239,20 +206,15 @@ class Simulator:
 
     def _tick_all(self, kernels) -> bool:
         progressed = False
-        if self.profile:
-            clock = time.perf_counter_ns
-            for kernel in kernels:
-                t0 = clock()
-                if kernel.tick():
-                    progressed = True
-                kernel.wall_ns += clock() - t0
-        else:
-            for kernel in kernels:
-                if kernel.tick():
-                    progressed = True
+        clock = time.perf_counter_ns
+        for kernel in kernels:
+            t0 = clock()
+            if kernel.tick():
+                progressed = True
+            kernel.wall_ns += clock() - t0
         return progressed
 
-    # -- batched engine ----------------------------------------------------
+    # -- chunk planning ----------------------------------------------------
     def _plan_chunk(self, kernels, until, budget_left: int):
         """Assemble a provably-safe chunk: collected plans, a dependency
         order over their sub-activities, and the chunk size.  Returns None
@@ -381,16 +343,23 @@ class Simulator:
         }
 
     def _result(self, quiesced: bool) -> SimulationResult:
-        activity = {
-            k.name: k.active_cycles / k.total_cycles if k.total_cycles else 0.0
-            for k in self.manager.kernels.values()
-        }
         return SimulationResult(
-            cycles=self.cycles,
-            quiesced=quiesced,
-            kernel_activity=activity,
-            kernel_stats=self.stats(),
+            cycles=self.cycles, quiesced=quiesced, kernel_stats=self.stats()
         )
+
+
+@contextmanager
+def scalar_reference() -> Iterator[None]:
+    """Run every :class:`Simulator` on the scalar reference path inside
+    the block: chunk planning is turned off, so each cycle is one
+    :meth:`Kernel.tick` per kernel.  Equivalence tests and throughput
+    benchmarks compare the engine against this path."""
+    plan = Simulator._plan_chunk
+    Simulator._plan_chunk = lambda self, kernels, until, budget_left: None
+    try:
+        yield
+    finally:
+        Simulator._plan_chunk = plan
 
 
 def _toposort(ops, producer, consumer):

@@ -6,10 +6,10 @@ per tick: push at most one element, pop at most one element.  A full stream
 exerts *back-pressure* — the producer must check :meth:`Stream.can_push`
 and stall otherwise, exactly like a MaxJ stream with a full FIFO.
 
-The storage is a NumPy ring buffer of object references, so the batched
-tick engine (:mod:`repro.maxeler.simulator`) can move whole chunks of
-elements per Python call through :meth:`push_many` / :meth:`pop_many`
-while the scalar one-element API keeps its exact semantics.
+The storage is a NumPy ring buffer of object references, so the tick
+engine's batched chunks (:mod:`repro.maxeler.simulator`) can move whole
+runs of elements per Python call through :meth:`push_many` /
+:meth:`pop_many`, while the one-element API serves scalar ticks.
 """
 
 from __future__ import annotations
@@ -59,13 +59,6 @@ class Stream:
     @property
     def full(self) -> bool:
         return self.capacity is not None and self._size >= self.capacity
-
-    @property
-    def headroom(self) -> int | None:
-        """Free slots before back-pressure (``None`` = unbounded)."""
-        if self.capacity is None:
-            return None
-        return self.capacity - self._size
 
     def can_push(self) -> bool:
         """Producer-side back-pressure check."""
@@ -119,7 +112,7 @@ class Stream:
             raise SimulationError(f"stream {self.name!r} peek on empty")
         return self._ring[self._head]
 
-    # -- bulk API (the batched tick engine's transport) --------------------
+    # -- bulk API (the batched chunks' transport) ---------------------------
     def push_many(self, values: Sequence[Any]) -> None:
         """Enqueue a chunk of elements in order (bulk :meth:`push`)."""
         count = len(values)

@@ -92,26 +92,19 @@ class TraceRecorder:
         if self in self.simulator.observers:
             self.simulator.observers.remove(self)
 
-    def run(
-        self,
-        until=None,
-        max_cycles: int | None = None,
-        engine: str | None = None,
-    ):
+    def run(self, until=None, max_cycles: int | None = None):
         """Run the wrapped simulator, snapshotting after every cycle.
 
         The recorder attaches itself as a simulator observer (idempotently
         — a manual :meth:`attach` beforehand is safe) and detaches after
-        the run, so it traces both engines: scalar ticks snapshot one
-        event per cycle; batched chunks expand into one synthesized event
-        per fast-forwarded cycle (stream depths show the post-chunk state
-        — interior depths are not materialized by the vectorized path).
+        the run.  Scalar ticks snapshot one event per cycle; batched
+        chunks expand into one synthesized event per fast-forwarded cycle
+        (stream depths show the post-chunk state — interior depths are not
+        materialized by the vectorized path).
         """
         self.attach()
         try:
-            return self.simulator.run(
-                until=until, max_cycles=max_cycles, engine=engine
-            )
+            return self.simulator.run(until=until, max_cycles=max_cycles)
         finally:
             self.detach()
 

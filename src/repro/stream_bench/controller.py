@@ -228,15 +228,13 @@ class StreamController(Kernel):
         if self._job is None:
             return progressed
         mode = self._job.mode
-        handler = {
-            Mode.LOAD: self._tick_load,
-            Mode.COPY: self._tick_copy,
-            Mode.SCALE: self._tick_scale,
-            Mode.SUM: self._tick_sum,
-            Mode.TRIAD: self._tick_triad,
-            Mode.OFFLOAD: self._tick_offload,
-        }[mode]
-        if handler():
+        if mode is Mode.LOAD:
+            stepped = self._tick_load()
+        elif mode is Mode.OFFLOAD:
+            stepped = self._tick_offload()
+        else:
+            stepped = self._tick_feedback(*self._mode_spec(self._job))
+        if stepped:
             progressed = True
         if self._job is not None and self._writes_done >= self._job.vectors:
             self._job = None
@@ -277,35 +275,19 @@ class StreamController(Kernel):
         bit-identical either way.
         """
         q = job.scalar
-        if job.mode is Mode.COPY:
+        if job.mode is Mode.COPY:  # c = a
             return (0,), 2, lambda a: a
-        if job.mode is Mode.SCALE:
+        if job.mode is Mode.SCALE:  # a = q * b
             return (1,), 0, lambda b: _as_bits(q * _as_floats(b))
-        if job.mode is Mode.SUM:
+        if job.mode is Mode.SUM:  # a = b + c
             return (1, 2), 0, lambda b, c: _as_bits(_as_floats(b) + _as_floats(c))
-        if job.mode is Mode.TRIAD:
+        if job.mode is Mode.TRIAD:  # a = b + q * c
             return (
                 (1, 2),
                 0,
                 lambda b, c: _as_bits(_as_floats(b) + q * _as_floats(c)),
             )
         raise SimulationError(f"{job.mode} is not a compute stage")
-
-    # COPY: read A on port 0, feed back through the MUX, write C.
-    def _tick_copy(self) -> bool:
-        return self._tick_feedback(*self._mode_spec(self._job))
-
-    # SCALE: a = q * b -> read B, multiply, write A.
-    def _tick_scale(self) -> bool:
-        return self._tick_feedback(*self._mode_spec(self._job))
-
-    # SUM: a = b + c -> read B (port 0) and C (port 1), add, write A.
-    def _tick_sum(self) -> bool:
-        return self._tick_feedback(*self._mode_spec(self._job))
-
-    # TRIAD: a = b + q * c.
-    def _tick_triad(self) -> bool:
-        return self._tick_feedback(*self._mode_spec(self._job))
 
     def _tick_feedback(self, src_arrays, dst_array, combine) -> bool:
         """Shared logic for the compute stages: issue one parallel read per
@@ -386,14 +368,9 @@ class StreamController(Kernel):
     # PolyMem command streams claim their access anchors (so the memory
     # kernel can prove slot disjointness before committing to the chunk).
 
-    def _vec_anchors(self, array: int, start: int, n: int):
-        """Vectorized :meth:`_vec_anchor` for vectors ``start..start+n`` —
-        a slice of the band's lowered anchor stream."""
-        return self._band_slice(array, start, n)
-
     def _anchors_fn(self, array: int, start: int):
         def anchors(n: int):
-            return self._vec_anchors(array, start, n)
+            return self._band_slice(array, start, n)
 
         return anchors
 
@@ -418,7 +395,7 @@ class StreamController(Kernel):
 
         def run(n: int) -> None:
             for port, array in enumerate(src_arrays):
-                kind, ai, aj = self._vec_anchors(array, start, n)
+                kind, ai, aj = self._band_slice(array, start, n)
                 self.outputs[f"rd_cmd{port}"].push_many(
                     [
                         AccessRequest(kind, i, j)

@@ -17,6 +17,20 @@ def _hermetic_result_cache(tmp_path_factory, monkeypatch):
         str(tmp_path_factory.getbasetemp() / "repro-exec-cache"),
     )
 
+
+@pytest.fixture(params=["scalar", "batched"])
+def tick_path(request):
+    """Run the test once on the simulator's scalar reference path (chunk
+    planning off) and once on the batched engine."""
+    if request.param == "batched":
+        yield request.param
+        return
+    from repro.maxeler.simulator import scalar_reference
+
+    with scalar_reference():
+        yield request.param
+
+
 #: lane grids covering the paper's DSE (2x4, 2x8) plus edge geometries
 LANE_GRIDS = [(2, 4), (2, 8), (4, 2), (2, 2), (4, 4)]
 

@@ -18,7 +18,7 @@ def run_two_input(graph, xs, ys):
         mgr.connect(src, "out", k, name)
     snk = mgr.add_kernel(SinkKernel("snk"))
     mgr.connect(k, next(iter(graph.outputs)), snk, "in")
-    DFE(mgr, 120).run()
+    DFE(mgr, 120).simulator.run()
     return np.array(snk.collected)
 
 

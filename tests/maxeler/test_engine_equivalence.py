@@ -1,10 +1,11 @@
-"""Property test: the batched engine is bit-identical to the scalar one.
+"""Property test: the batched engine is bit-identical to scalar ticking.
 
 Randomized source -> (map|delay)* -> sink pipelines with random FIFO
-depths, latencies and sizes run under both engines; the sink data, total
-cycles and per-kernel activity counters must match exactly.  The batched
-engine must also actually batch (take the fast path) on the uniform
-designs, or this test would pass vacuously.
+depths, latencies and sizes run on the scalar reference path and on the
+batched engine; the sink data, total cycles and per-kernel activity
+counters must match exactly.  The batched engine must also actually batch
+(take the fast path) on the uniform designs, or this test would pass
+vacuously.
 """
 
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from repro.maxeler import (
     SourceKernel,
     Simulator,
 )
+from repro.maxeler.simulator import scalar_reference
 
 _STAGES = st.lists(
     st.one_of(
@@ -53,10 +55,9 @@ def _build(n_values, stages, tail_cap):
     return mgr, sink
 
 
-def _run(engine, n_values, stages, tail_cap):
+def _run(n_values, stages, tail_cap):
     mgr, sink = _build(n_values, stages, tail_cap)
-    sim = Simulator(mgr, engine=engine)
-    result = sim.run()
+    result = Simulator(mgr).run()
     counters = {
         k.name: (k.active_cycles, k.total_cycles)
         for k in mgr.kernels.values()
@@ -72,10 +73,9 @@ def _run(engine, n_values, stages, tail_cap):
     tail_cap=st.sampled_from([2, 8, 64, None]),
 )
 def test_batched_engine_bit_identical(n_values, stages, tail_cap):
-    s_data, s_cycles, s_counters, _ = _run("scalar", n_values, stages, tail_cap)
-    b_data, b_cycles, b_counters, batched = _run(
-        "batched", n_values, stages, tail_cap
-    )
+    with scalar_reference():
+        s_data, s_cycles, s_counters, _ = _run(n_values, stages, tail_cap)
+    b_data, b_cycles, b_counters, _ = _run(n_values, stages, tail_cap)
     assert b_data == s_data
     assert b_cycles == s_cycles
     assert b_counters == s_counters
@@ -85,6 +85,6 @@ def test_batched_path_actually_taken():
     """Guard against a vacuous pass: an unconstrained long pipeline must
     execute mostly through chunks, not scalar fallback."""
     _, cycles, _, batched = _run(
-        "batched", 500, [("delay", 9, None), ("map", 3, None)], None
+        500, [("delay", 9, None), ("map", 3, None)], None
     )
     assert batched > 0.8 * cycles

@@ -80,13 +80,6 @@ class TestHost:
         with pytest.raises(SimulationError):
             host.stage("nope")
 
-    def test_charge_external_compute(self, passthrough):
-        host, _ = passthrough
-        host.begin_stage("x")
-        host.charge_external_compute(1000)
-        # 1000 cycles at 100 MHz = 10 us, plus one 300 ns call
-        assert host.stage("x").total_ns == pytest.approx(10_000 + 300)
-
     def test_clock_positive(self):
         mgr = Manager("m")
         with pytest.raises(SimulationError):

@@ -32,21 +32,21 @@ class TestPipelines:
     def test_source_to_sink(self):
         src, snk = SourceKernel("src", range(5)), SinkKernel("snk")
         mgr = build_linear(src, snk)
-        DFE(mgr, 100).run()
+        DFE(mgr, 100).simulator.run()
         assert snk.collected == [0, 1, 2, 3, 4]
 
     def test_map(self):
         src = SourceKernel("src", [1, 2, 3])
         sq = MapKernel("sq", lambda x: x * x)
         snk = SinkKernel("snk")
-        DFE(build_linear(src, sq, snk), 100).run()
+        DFE(build_linear(src, sq, snk), 100).simulator.run()
         assert snk.collected == [1, 4, 9]
 
     def test_delay_preserves_order_and_latency(self):
         src = SourceKernel("src", range(4))
         dly = DelayKernel("dly", 5)
         snk = SinkKernel("snk")
-        res = DFE(build_linear(src, dly, snk), 100).run()
+        res = DFE(build_linear(src, dly, snk), 100).simulator.run()
         assert snk.collected == [0, 1, 2, 3]
         # last element leaves >= 5 cycles after entering
         assert res.cycles >= 4 + 5
@@ -57,7 +57,7 @@ class TestPipelines:
         src = SourceKernel("src", [7])
         dly = DelayKernel("dly", 20)
         snk = SinkKernel("snk")
-        DFE(build_linear(src, dly, snk), 100).run()
+        DFE(build_linear(src, dly, snk), 100).simulator.run()
         assert snk.collected == [7]
 
     def test_delay_validates_latency(self):
@@ -73,7 +73,7 @@ class TestPipelines:
         mgr.connect(a, "out", add, "a")
         mgr.connect(b, "out", add, "b")
         mgr.connect(add, "out", snk, "in")
-        DFE(mgr, 100).run()
+        DFE(mgr, 100).simulator.run()
         assert snk.collected == [11, 22, 33]
 
     def test_backpressure_stalls_producer(self):
@@ -82,7 +82,7 @@ class TestPipelines:
         src = mgr.add_kernel(SourceKernel("src", range(50)))
         snk = mgr.add_kernel(SinkKernel("snk"))
         mgr.connect(src, "out", snk, "in", capacity=1)
-        DFE(mgr, 100).run()
+        DFE(mgr, 100).simulator.run()
         assert snk.collected == list(range(50))
 
 
@@ -98,7 +98,7 @@ class TestMuxDemux:
         mgr.connect(b, "out", mux, "in1")
         mgr.connect(sel, "out", mux, "select")
         mgr.connect(mux, "out", snk, "in")
-        DFE(mgr, 100).run()
+        DFE(mgr, 100).simulator.run()
         assert snk.collected == [1, 10, 2]
 
     def test_demux_routes_by_select(self):
@@ -112,7 +112,7 @@ class TestMuxDemux:
         mgr.connect(sel, "out", dmx, "select")
         mgr.connect(dmx, "out0", s0, "in")
         mgr.connect(dmx, "out1", s1, "in")
-        DFE(mgr, 100).run()
+        DFE(mgr, 100).simulator.run()
         assert s0.collected == [1, 4]
         assert s1.collected == [2, 3]
 
@@ -126,26 +126,26 @@ class TestMuxDemux:
         mgr.connect(sel, "out", mux, "select")
         mgr.connect(mux, "out", snk, "in")
         with pytest.raises(SimulationError, match="out of range"):
-            DFE(mgr, 100).run()
+            DFE(mgr, 100).simulator.run()
 
 
 class TestSimulatorBehaviour:
     def test_quiescence_detected(self):
         src, snk = SourceKernel("src", range(3)), SinkKernel("snk")
-        res = DFE(build_linear(src, snk), 100).run()
+        res = DFE(build_linear(src, snk), 100).simulator.run()
         assert res.quiesced
 
     def test_until_predicate(self):
         src, snk = SourceKernel("src", range(100)), SinkKernel("snk")
         dfe = DFE(build_linear(src, snk), 100)
-        dfe.run(until=lambda: len(snk.collected) >= 10)
+        dfe.simulator.run(until=lambda: len(snk.collected) >= 10)
         assert len(snk.collected) in (10, 11)
 
     def test_cycle_budget_enforced(self):
         src, snk = SourceKernel("src", range(1000)), SinkKernel("snk")
         dfe = DFE(build_linear(src, snk), 100)
         with pytest.raises(SimulationError, match="exceeded"):
-            dfe.run(max_cycles=5, until=lambda: False)
+            dfe.simulator.run(max_cycles=5, until=lambda: False)
 
     def test_deadlock_detected(self):
         """A consumer waiting on data that never arrives deadlocks cleanly
@@ -160,16 +160,16 @@ class TestSimulatorBehaviour:
         mgr.connect(mux, "out", snk, "in")
         dfe = DFE(mgr, 100)
         with pytest.raises(SimulationError, match="deadlock"):
-            dfe.run(until=lambda: len(snk.collected) == 1)
+            dfe.simulator.run(until=lambda: len(snk.collected) == 1)
 
     def test_activity_stats(self):
         src, snk = SourceKernel("src", range(3)), SinkKernel("snk")
-        res = DFE(build_linear(src, snk), 100).run()
-        assert 0 < res.kernel_activity["src"] <= 1.0
+        res = DFE(build_linear(src, snk), 100).simulator.run()
+        assert 0 < res.kernel_stats["src"].utilization <= 1.0
 
     def test_wall_time(self):
         src, snk = SourceKernel("src", range(3)), SinkKernel("snk")
-        res = DFE(build_linear(src, snk), clock_mhz=100).run()
+        res = DFE(build_linear(src, snk), clock_mhz=100).simulator.run()
         assert res.wall_time_ns(100) == pytest.approx(res.cycles * 10.0)
 
 

@@ -32,18 +32,18 @@ class TestResume:
         cumulative and no data is lost."""
         mgr, snk = linear(range(20))
         dfe = DFE(mgr, 100)
-        dfe.run(until=lambda: len(snk.collected) >= 5)
+        dfe.simulator.run(until=lambda: len(snk.collected) >= 5)
         first = dfe.simulator.cycles
-        dfe.run()  # to quiescence
+        dfe.simulator.run()  # to quiescence
         assert snk.collected == list(range(20))
         assert dfe.simulator.cycles > first
 
     def test_quiescent_design_run_again_is_cheap(self):
         mgr, snk = linear(range(3))
         dfe = DFE(mgr, 100)
-        dfe.run()
+        dfe.simulator.run()
         before = dfe.simulator.cycles
-        dfe.run()
+        dfe.simulator.run()
         assert dfe.simulator.cycles - before <= 2
 
 
@@ -51,23 +51,23 @@ class TestBudgets:
     def test_budget_is_per_run_not_global(self):
         mgr, snk = linear(range(200))
         dfe = DFE(mgr, 100)
-        dfe.run(until=lambda: len(snk.collected) >= 50, max_cycles=100)
+        dfe.simulator.run(until=lambda: len(snk.collected) >= 50, max_cycles=100)
         # second run gets its own budget
-        dfe.run(until=lambda: len(snk.collected) >= 100, max_cycles=100)
+        dfe.simulator.run(until=lambda: len(snk.collected) >= 100, max_cycles=100)
         assert len(snk.collected) >= 100
 
     def test_default_budget_from_constructor(self):
         mgr, _ = linear(range(5))
         dfe = DFE(mgr, 100, max_cycles=3)
         with pytest.raises(SimulationError, match="exceeded"):
-            dfe.run(until=lambda: False)
+            dfe.simulator.run(until=lambda: False)
 
 
 class TestCounters:
     def test_stream_counters(self):
         mgr, snk = linear(range(7))
         dfe = DFE(mgr, 100)
-        dfe.run()
+        dfe.simulator.run()
         (stream,) = [
             s for n, s in mgr.streams.items() if n.startswith("src")
         ]
@@ -78,8 +78,8 @@ class TestCounters:
     def test_kernel_activity_fractions(self):
         mgr, snk = linear(range(4), latency=3)
         dfe = DFE(mgr, 100)
-        result = dfe.run()
-        act = result.kernel_activity
+        result = dfe.simulator.run()
+        act = {n: s.utilization for n, s in result.kernel_stats.items()}
         assert set(act) == {"src", "dly", "snk"}
         assert all(0.0 <= v <= 1.0 for v in act.values())
         # the delay kernel works longer than the source
@@ -99,7 +99,7 @@ class TestEvaluationOrder:
         mgr.connect(src, "out", m1, "in")
         mgr.connect(m1, "out", m2, "in")
         mgr.connect(m2, "out", snk, "in")
-        result = DFE(mgr, 100).run()
+        result = DFE(mgr, 100).simulator.run()
         assert snk.collected == [4]
         assert result.cycles <= 3
 
@@ -113,6 +113,6 @@ class TestEvaluationOrder:
         mgr.connect(src, "out", m1, "in")
         mgr.connect(m1, "out", m2, "in")
         mgr.connect(m2, "out", snk, "in")
-        result = DFE(mgr, 100).run()
+        result = DFE(mgr, 100).simulator.run()
         assert snk.collected == [4]
         assert result.cycles >= 4

@@ -11,6 +11,7 @@ from repro.maxeler import (
     SourceKernel,
     TraceRecorder,
 )
+from repro.maxeler.simulator import scalar_reference
 
 
 def pipeline(n=6, latency=3):
@@ -93,7 +94,7 @@ class TestTraceRecorder:
         # chunks; tracing must still yield one event per simulated cycle
         mgr, snk = pipeline(n=200, latency=3)
         rec = TraceRecorder(mgr)
-        result = rec.run(engine="batched")
+        result = rec.run()
         assert result.quiesced
         assert snk.collected == list(range(200))
         assert len(rec.events) == result.cycles
@@ -105,13 +106,15 @@ class TestTraceRecorder:
         assert any("dly" in e.active_kernels for e in rec.events)
 
     def test_engines_agree_on_trace_shape(self):
-        runs = {}
-        for engine in ("scalar", "batched"):
+        def shape():
             mgr, _ = pipeline(n=120, latency=4)
             rec = TraceRecorder(mgr)
-            result = rec.run(engine=engine)
-            runs[engine] = (result.cycles, len(rec.events))
-        assert runs["scalar"] == runs["batched"]
+            result = rec.run()
+            return result.cycles, len(rec.events)
+
+        with scalar_reference():
+            scalar = shape()
+        assert scalar == shape()
 
     def test_watch_streams_filter(self):
         mgr, _ = pipeline()

@@ -16,7 +16,7 @@ def run(graph, inputs, fill=0):
         snk = mgr.add_kernel(SinkKernel(f"k_{name}"))
         mgr.connect(k, name, snk, "in")
         sinks[name] = snk
-    DFE(mgr, 100).run()
+    DFE(mgr, 100).simulator.run()
     return {n: s.collected for n, s in sinks.items()}
 
 

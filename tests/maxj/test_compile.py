@@ -17,7 +17,7 @@ def run_graph(graph, inputs, fill=0, clock=100):
         snk = mgr.add_kernel(SinkKernel(f"snk_{name}"))
         mgr.connect(k, name, snk, "in")
         sinks[name] = snk
-    result = DFE(mgr, clock).run()
+    result = DFE(mgr, clock).simulator.run()
     return {name: s.collected for name, s in sinks.items()}, result
 
 
@@ -130,7 +130,7 @@ class TestTiming:
         mgr.connect(src, "out", k, "x")
         mgr.connect(k, "out", snk, "in")
         dfe = DFE(mgr, 100)
-        dfe.run(until=lambda: len(snk.collected) == 1, max_cycles=100)
+        dfe.simulator.run(until=lambda: len(snk.collected) == 1, max_cycles=100)
         assert dfe.simulator.cycles >= g.pipeline_depth()
 
     def test_streams_at_one_per_cycle(self):

@@ -83,7 +83,7 @@ def test_random_expression_dags(plan, pairs):
     mgr.connect(sx, "out", kernel, "x")
     mgr.connect(sy, "out", kernel, "y")
     mgr.connect(kernel, "out", snk, "in")
-    DFE(mgr, 100).run()
+    DFE(mgr, 100).simulator.run()
 
     assert len(snk.collected) == len(pairs)
     for got, a, b in zip(snk.collected, xs, ys):

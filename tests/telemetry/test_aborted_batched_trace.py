@@ -45,7 +45,7 @@ class TestAbortedBatchedSpans:
         with session(tracing=True) as tel:
             sim = Simulator(exploding_pipeline())
             with pytest.raises(RuntimeError, match="device fault"):
-                sim.run(engine="batched")
+                sim.run()
             tracer = tel.tracer
             # the batched segment was open when the op died; run() closed
             # it on the way out, leaving only kernel.run dangling
@@ -65,7 +65,7 @@ class TestAbortedBatchedSpans:
     def test_aborted_spans_nest_consistently(self):
         with session(tracing=True) as tel:
             with pytest.raises(RuntimeError):
-                Simulator(exploding_pipeline()).run(engine="batched")
+                Simulator(exploding_pipeline()).run()
             doc = tel.tracer.to_chrome_trace()
         spans = {e["name"]: e for e in doc["traceEvents"] if e["ph"] == "X"}
         seg, run = spans["segment.batched"], spans["kernel.run"]
@@ -75,14 +75,14 @@ class TestAbortedBatchedSpans:
     def test_tracer_recovers_for_subsequent_runs(self):
         with session(tracing=True) as tel:
             with pytest.raises(RuntimeError):
-                Simulator(exploding_pipeline()).run(engine="batched")
+                Simulator(exploding_pipeline()).run()
             tel.tracer.close_open_spans()
 
             mgr = Manager("ok")
             src = mgr.add_kernel(SourceKernel("src", range(32)))
             snk = mgr.add_kernel(SinkKernel("snk"))
             mgr.connect(src, "out", snk, "in")
-            result = Simulator(mgr).run(engine="batched")
+            result = Simulator(mgr).run()
             assert result.quiesced
             assert snk.collected == list(range(32))
             doc = tel.tracer.to_chrome_trace()

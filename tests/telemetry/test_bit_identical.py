@@ -25,9 +25,8 @@ def no_leaked_session():
     deactivate()
 
 
-def _run_stream(engine, vectors=96):
+def _run_stream(vectors=96):
     design = build_stream_design()
-    design.dfe.simulator.engine = engine
     harness = StreamHarness(design)
     app = next(a for a in all_apps() if a.name.lower() == "triad")
     arrays = harness.load_arrays(vectors)
@@ -45,11 +44,10 @@ def _run_program(name):
 
 
 class TestStreamBitIdentical:
-    @pytest.mark.parametrize("engine", ["scalar", "batched"])
-    def test_telemetry_does_not_perturb_simulation(self, engine):
-        base = _run_stream(engine)
+    def test_telemetry_does_not_perturb_simulation(self, tick_path):
+        base = _run_stream()
         with session(Telemetry(tracing=True)) as tel:
-            instrumented = _run_stream(engine)
+            instrumented = _run_stream()
         # telemetry actually observed the run ...
         counters = tel.metrics.to_dict()["counters"]
         assert counters["sim.cycles.scalar"] + counters.get(

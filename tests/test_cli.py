@@ -106,8 +106,18 @@ class TestCommands:
             (["whatif", "-p", "3"], "not a whole number of 3x4"),
             (["validate", "-p", "0"], "lane grid must be positive"),
             (["report", "--ports", "0"], "need >= 1 read port"),
+            (["info", "-p", "0"], "lane grid must be positive"),
+            (["info", "-q", "-2"], "lane grid must be positive"),
+            (["stream", "run", "--vectors", "0"], "--vectors must be >= 1"),
+            (["stream", "run", "--vectors", "-5"], "--vectors must be >= 1"),
+            (["stream", "--runs", "-1"], "--runs must be >= 1"),
+            (["stream", "--runs", "0"], "--runs must be >= 1"),
         ],
-        ids=["validate-p3-q4", "whatif-p3", "validate-p0", "report-ports0"],
+        ids=[
+            "validate-p3-q4", "whatif-p3", "validate-p0", "report-ports0",
+            "info-p0", "info-q-2", "stream-run-vectors0",
+            "stream-run-vectors-5", "stream-runs-1", "stream-runs0",
+        ],
     )
     def test_bad_configuration_is_a_diagnostic(self, argv, message, capsys):
         """An invalid configuration exits 2 with one stderr line, not a
@@ -201,33 +211,12 @@ class TestExecFlags:
         rc = main(["stream", "run", "--vectors", "96", "--profile"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "batched engine" in out
+        assert "verified against NumPy" in out
         assert "compute cycles: 112" in out  # 96 + 14 latency + 2 slack
         # the per-kernel activity table
         for name in ("controller", "mux", "demux", "polymem"):
             assert name in out
         assert "util" in out and "batched" in out
-
-    def test_stream_run_scalar_same_cycles(self, capsys):
-        rc = main(
-            ["stream", "run", "--vectors", "96", "--engine", "scalar",
-             "--app", "triad"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "scalar engine" in out
-        assert "compute cycles: 112" in out
-
-    def test_stream_run_engine_arg_parsed(self):
-        parser = build_parser()
-        args = parser.parse_args(["stream", "run"])
-        assert args.engine == "batched" and args.profile is False
-        args = parser.parse_args(
-            ["stream", "run", "--engine", "scalar", "--profile"]
-        )
-        assert args.engine == "scalar" and args.profile is True
-        with pytest.raises(SystemExit):
-            parser.parse_args(["stream", "run", "--engine", "turbo"])
 
     def test_stream_run_json_report(self, tmp_path, capsys):
         path = tmp_path / "run.json"
@@ -238,7 +227,7 @@ class TestExecFlags:
         assert rc == 0
         report = Report.from_json(path.read_text())
         compute = [e for e in report.entries if e.experiment == "§V STREAM"]
-        assert compute and compute[0].metrics["engine"] == "batched"
+        assert compute and "engine" not in compute[0].metrics
         profiles = [
             e for e in report.entries if e.experiment == "kernel profile"
         ]
@@ -274,7 +263,7 @@ class TestTelemetryFlags:
         trace = tmp_path / "trace.json"
         report_path = tmp_path / "run.json"
         rc = main(
-            ["stream", "run", "--engine", "batched", "--vectors", "96",
+            ["stream", "run", "--vectors", "96",
              "--metrics", "--trace-out", str(trace),
              "--json", str(report_path)]
         )
@@ -404,6 +393,7 @@ class TestProgramDumpFusion:
         [
             ["program", "dump", "matmul", "--backend", "fused"],
             ["dse", "--no-batch"],
+            ["stream", "run", "--engine", "scalar"],
         ],
     )
     def test_removed_path_switches_are_usage_errors(self, argv, capsys):
