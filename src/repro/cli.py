@@ -601,6 +601,8 @@ def cmd_whatif(args) -> int:
     from .dse import whatif_devices
     from .exec import Report, ReportEntry
 
+    _require_positive("--stride-words", args.stride_words)
+    _require_positive("--n-words", args.n_words)
     cfg = PolyMemConfig.from_any(args)
     backends = tuple(args.backends) if args.backends else None
     rows = whatif_devices(

@@ -19,7 +19,7 @@ asked — which is how the paper "validate[s] each design" across the DSE.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -29,8 +29,9 @@ from ..core.exceptions import ConflictError
 from ..core.patterns import AccessPattern, PatternKind
 from ..core.plan import compile_plan, compile_plan_batch
 from ..core.schemes import SCHEME_SPECS
-from .design import PolyMemDesign
-from .kernel import WriteCommand
+
+if TYPE_CHECKING:
+    from .design import PolyMemDesign
 
 __all__ = [
     "ValidationReport",
@@ -107,6 +108,8 @@ def validate_design(design: PolyMemDesign, max_rows: int | None = 64) -> Validat
     full 4 MB space would need half a million stream elements); ``None``
     validates everything.
     """
+    from .kernel import WriteCommand
+
     cfg = design.config
     host = design.host()
     rows = cfg.rows if max_rows is None else min(cfg.rows, max_rows)

@@ -95,7 +95,8 @@ def _schedule():
 def _stream_copy():
     from ..core.config import PolyMemConfig
     from ..core.schemes import Scheme
-    from ..stream_bench.controller import Job, Mode, StreamController
+    from ..stream_bench.apps import Mode
+    from ..stream_bench.controller import Job, StreamController
     from .builder import build
 
     config = PolyMemConfig(

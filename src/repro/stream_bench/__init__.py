@@ -3,10 +3,9 @@
 from .._lazy import export_lazily
 
 __all__ = export_lazily(__name__, {
-    "apps": ("COPY", "SCALE", "SUM", "TRIAD", "StreamApp", "all_apps"),
+    "apps": ("COPY", "SCALE", "SUM", "TRIAD", "Mode", "StreamApp", "all_apps"),
     "controller": (
-        "Job", "Mode", "StreamController", "StreamDesign",
-        "build_stream_design",
+        "Job", "StreamController", "StreamDesign", "build_stream_design",
     ),
     "reporting": ("stream_report",),
     "harness": (

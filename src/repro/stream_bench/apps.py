@@ -12,17 +12,27 @@ verification.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .controller import Mode
-
-__all__ = ["StreamApp", "COPY", "SCALE", "SUM", "TRIAD", "all_apps"]
+__all__ = ["Mode", "StreamApp", "COPY", "SCALE", "SUM", "TRIAD", "all_apps"]
 
 #: STREAM's traditional scalar constant
 DEFAULT_SCALAR = 3.0
+
+
+class Mode(str, enum.Enum):
+    """The Controller's Mode signal (Fig. 9)."""
+
+    LOAD = "load"
+    COPY = "copy"
+    SCALE = "scale"
+    SUM = "sum"
+    TRIAD = "triad"
+    OFFLOAD = "offload"
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ Stage semantics (paper §V):
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass
 
@@ -33,17 +32,17 @@ from ..core.agu import AccessRequest
 from ..core.config import PolyMemConfig
 from ..core.exceptions import SimulationError
 from ..core.patterns import PatternKind
-from ..core.schemes import Scheme
+from ..hw.calibration import STREAM_COPY
 from ..maxeler.batch import BatchOp, BatchPlan, PushClaim
 from ..maxeler.conditions import RunCondition
 from ..maxeler.dfe import DFE, VectisBoard
 from ..maxeler.kernel import DemuxKernel, Kernel, MuxKernel
 from ..maxeler.manager import Manager
-from ..maxpolymem.kernel import DEFAULT_READ_LATENCY, FusedPolyMemKernel, WriteCommand
+from ..maxpolymem.kernel import FusedPolyMemKernel, WriteCommand
 from ..program import AccessProgram
+from .apps import Mode
 
 __all__ = [
-    "Mode",
     "Job",
     "JobsDone",
     "StreamController",
@@ -68,17 +67,6 @@ def _as_bits(x: np.ndarray) -> np.ndarray:
 
 def _as_floats(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.uint64).view(np.float64)
-
-
-class Mode(str, enum.Enum):
-    """The Controller's Mode signal."""
-
-    LOAD = "load"
-    COPY = "copy"
-    SCALE = "scale"
-    SUM = "sum"
-    TRIAD = "triad"
-    OFFLOAD = "offload"
 
 
 @dataclass(frozen=True)
@@ -600,26 +588,28 @@ class StreamDesign:
 
 def build_stream_design(
     config: PolyMemConfig | None = None,
-    clock_mhz: float = 120.0,
-    read_latency: int = DEFAULT_READ_LATENCY,
+    clock_mhz: float = STREAM_COPY.clock_mhz,
+    read_latency: int = STREAM_COPY.read_latency_cycles,
     board: VectisBoard | None = None,
     style: str = "fused",
     collision_policy: str = "read_first",
 ) -> StreamDesign:
     """Assemble the STREAM framework of Fig. 9.
 
-    The default configuration matches the paper's synthesized design: RoCo
-    scheme, 8 lanes (2 x 4), 2 read ports, 120 MHz, a ~2 MB PolyMem of
-    510 x 512 words — three bands of 170 x 512 x 8 B ~ 700 KB each, the
-    paper's maximum array size.
+    The defaults are the paper's synthesized design, read from
+    :data:`~repro.hw.calibration.STREAM_COPY`: RoCo scheme, 8 lanes
+    (2 x 4), 2 read ports, 120 MHz, a ~2 MB PolyMem of 510 x 512 words —
+    three bands of 170 x 512 x 8 B ~ 700 KB each, the paper's maximum
+    array size.
     """
     if config is None:
-        rows, cols = 510, 512
+        ref = STREAM_COPY
+        rows, cols = 3 * ref.max_array_rows, ref.array_cols
         config = PolyMemConfig(
-            rows * cols * 8,
-            p=2,
-            q=4,
-            scheme=Scheme.RoCo,
+            rows * cols * ref.word_bytes,
+            p=ref.p,
+            q=ref.q,
+            scheme=ref.scheme,
             read_ports=2,
             rows=rows,
             cols=cols,

@@ -6,11 +6,16 @@ Two measurement paths exist, matching DESIGN.md's conventions:
   cycle-accurately: jobs stream to the Controller, data round-trips
   through the MUX/PolyMem/DEMUX, and per-run cycles come from the tick
   simulator.  Exact, used for correctness tests and small/medium sizes.
+  The design is built on the first stage-driver call.
 * :meth:`StreamHarness.measure_analytic` — the closed-form cycle count
   validated against the simulator (``tests/stream_bench``):
   ``cycles_per_run = vectors + read_latency + pipeline_slack``.  Used to
   sweep Fig. 10 (:func:`sweep_fig10`) and to extrapolate to 1000-run
-  batches.
+  batches.  It needs no design and builds none: a harness made without
+  one reads its five numbers from
+  :data:`~repro.hw.calibration.STREAM_COPY`, the same record
+  :func:`~repro.stream_bench.controller.build_stream_design` takes its
+  defaults from, so it loads no simulator.
 
 Timing follows the paper's methodology: every stage is a sequence of
 blocking host calls (each charged the ~300 ns PCIe overhead), the compute
@@ -22,15 +27,18 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..core.exceptions import SimulationError
 from ..hw.calibration import STREAM_COPY
-from ..maxeler.conditions import StreamFill
 from ..telemetry import context as _telemetry
-from .apps import COPY, DEFAULT_SCALAR, StreamApp
-from .controller import Job, JobsDone, Mode, StreamDesign, build_stream_design
+from .apps import COPY, DEFAULT_SCALAR, Mode, StreamApp
+
+if TYPE_CHECKING:
+    from .controller import StreamDesign
 
 __all__ = ["StreamMeasurement", "StreamHarness", "Fig10Point", "sweep_fig10"]
 
@@ -105,21 +113,69 @@ class StreamMeasurement:
         return self
 
 
+@dataclass(frozen=True)
+class _ClosedForm:
+    """The five numbers the closed-form cycle model reads."""
+
+    lanes: int
+    #: lane-vectors per array band (the paper's 170 x 512 limit)
+    band_vectors: int
+    read_latency: int
+    clock_mhz: float
+    call_overhead_ns: float
+
+    @classmethod
+    def of(cls, design: StreamDesign | None) -> "_ClosedForm":
+        """*design*'s record, or the paper's (``STREAM_COPY``) for None."""
+        if design is None:
+            ref = STREAM_COPY
+            lanes = ref.p * ref.q
+            return cls(
+                lanes=lanes,
+                band_vectors=ref.max_array_rows * (ref.array_cols // lanes),
+                read_latency=ref.read_latency_cycles,
+                clock_mhz=ref.clock_mhz,
+                call_overhead_ns=ref.host_call_overhead_ns,
+            )
+        return cls(
+            lanes=design.config.lanes,
+            band_vectors=design.controller.band_capacity_vectors(),
+            read_latency=design.read_latency,
+            clock_mhz=design.dfe.clock_mhz,
+            call_overhead_ns=design.dfe.board.pcie.call_overhead_ns,
+        )
+
+
 class StreamHarness:
-    """Orchestrates Load / compute / Offload over a Fig. 9 design."""
+    """Orchestrates Load / compute / Offload over a Fig. 9 design.
+
+    Without a *design*, the default Fig. 9 design is built on the first
+    stage-driver call; the closed form never builds it.
+    """
 
     def __init__(self, design: StreamDesign | None = None):
-        self.design = design or build_stream_design()
-        self.host = self.design.host()
+        if design is not None:
+            self.design = design
+        self.closed_form = _ClosedForm.of(design)
+
+    @cached_property
+    def design(self) -> StreamDesign:
+        from .controller import build_stream_design
+
+        return build_stream_design()
+
+    @cached_property
+    def host(self):
+        return self.design.host()
 
     @property
     def lanes(self) -> int:
-        return self.design.config.lanes
+        return self.closed_form.lanes
 
     @property
     def max_vectors(self) -> int:
         """Lane-vectors per array band (the paper's 170 x 512 limit)."""
-        return self.design.controller.band_capacity_vectors()
+        return self.closed_form.band_vectors
 
     # -- stage drivers -----------------------------------------------------
     def load_arrays(self, vectors: int, seed: int = 42) -> dict[str, np.ndarray]:
@@ -127,6 +183,8 @@ class StreamHarness:
 
         Returns the float64 reference arrays keyed ``"a"``, ``"b"``, ``"c"``.
         """
+        from .controller import Job, JobsDone
+
         if vectors > self.max_vectors:
             raise SimulationError(
                 f"{vectors} vectors exceed the {self.max_vectors}-vector band"
@@ -157,6 +215,8 @@ class StreamHarness:
 
         Returns the exact cycle count of the compute stage.
         """
+        from .controller import Job, JobsDone
+
         if app.read_ports_needed > self.design.config.read_ports:
             raise SimulationError(
                 f"{app.name} needs {app.read_ports_needed} read ports"
@@ -182,7 +242,9 @@ class StreamHarness:
 
     def offload_array(self, array_index: int, vectors: int) -> np.ndarray:
         """Stage 3 (Offload): stream one array band back to the host."""
-        ctrl = self.design.controller
+        from ..maxeler.conditions import StreamFill
+        from .controller import Job
+
         self.host.begin_stage("offload")
         out_name = f"{'abc'[array_index]}_out"
         out_stream = self.design.dfe.manager.host_output(out_name)
@@ -229,16 +291,7 @@ class StreamHarness:
                 raise SimulationError(
                     f"{app.name}: offloaded data does not match the reference"
                 )
-        return StreamMeasurement(
-            app_name=app.name,
-            elements=vectors * self.lanes,
-            runs=runs,
-            cycles_per_run=cycles,
-            clock_mhz=self.design.dfe.clock_mhz,
-            host_overhead_ns=self.design.dfe.board.pcie.call_overhead_ns,
-            bytes_per_element=app.bytes_per_element,
-            lanes=self.lanes,
-        ).record_telemetry()
+        return self._measurement(app, vectors, runs, cycles).record_telemetry()
 
     def measure_analytic(
         self, app: StreamApp, vectors: int, runs: int = 1000
@@ -251,16 +304,22 @@ class StreamHarness:
         self, app: StreamApp, vectors: int, runs: int
     ) -> StreamMeasurement:
         """The closed-form measurement, telemetry not recorded."""
+        cycles = vectors + self.closed_form.read_latency + PIPELINE_SLACK_CYCLES
+        return self._measurement(app, vectors, runs, cycles)
+
+    def _measurement(
+        self, app: StreamApp, vectors: int, runs: int, cycles: float
+    ) -> StreamMeasurement:
+        spec = self.closed_form
         return StreamMeasurement(
             app_name=app.name,
-            elements=vectors * self.lanes,
+            elements=vectors * spec.lanes,
             runs=runs,
-            cycles_per_run=vectors + self.design.read_latency
-            + PIPELINE_SLACK_CYCLES,
-            clock_mhz=self.design.dfe.clock_mhz,
-            host_overhead_ns=self.design.dfe.board.pcie.call_overhead_ns,
+            cycles_per_run=cycles,
+            clock_mhz=spec.clock_mhz,
+            host_overhead_ns=spec.call_overhead_ns,
             bytes_per_element=app.bytes_per_element,
-            lanes=self.lanes,
+            lanes=spec.lanes,
         )
 
 

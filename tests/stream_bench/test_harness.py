@@ -155,3 +155,33 @@ class TestFig10:
     def test_max_array_is_paper_limit(self, harness):
         """170 x 512 x 8 B ~ 700 KB per array."""
         assert harness.max_vectors * harness.lanes * 8 == 170 * 512 * 8
+
+
+class TestClosedFormWithoutDesign:
+    """``StreamHarness()`` reads the paper record, not a built design."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return StreamHarness(), StreamHarness(build_stream_design())
+
+    def test_builds_no_design(self):
+        harness = StreamHarness()
+        sweep_fig10(harness=harness)
+        harness.measure_analytic(COPY, harness.max_vectors)
+        assert "design" not in vars(harness)
+
+    def test_record_equals_the_built_designs(self, pair):
+        paper, built = pair
+        assert paper.closed_form == built.closed_form
+
+    @pytest.mark.parametrize("app", all_apps(), ids=lambda a: a.name)
+    def test_measure_analytic_agrees(self, pair, app):
+        paper, built = pair
+        for vectors in (1, 100, paper.max_vectors):
+            assert paper.measure_analytic(app, vectors) == built.measure_analytic(
+                app, vectors
+            )
+
+    def test_sweep_fig10_agrees(self, pair):
+        paper, built = pair
+        assert sweep_fig10(harness=paper) == sweep_fig10(harness=built)

@@ -112,11 +112,17 @@ class TestCommands:
             (["stream", "run", "--vectors", "-5"], "--vectors must be >= 1"),
             (["stream", "--runs", "-1"], "--runs must be >= 1"),
             (["stream", "--runs", "0"], "--runs must be >= 1"),
+            (["whatif", "--stride-words", "-3"], "--stride-words must be >= 1"),
+            (["whatif", "--stride-words", "0"], "--stride-words must be >= 1"),
+            (["whatif", "--n-words", "0"], "--n-words must be >= 1"),
+            (["whatif", "--n-words", "-5"], "--n-words must be >= 1"),
         ],
         ids=[
             "validate-p3-q4", "whatif-p3", "validate-p0", "report-ports0",
             "info-p0", "info-q-2", "stream-run-vectors0",
             "stream-run-vectors-5", "stream-runs-1", "stream-runs0",
+            "whatif-stride-3", "whatif-stride0", "whatif-n-words0",
+            "whatif-n-words-5",
         ],
     )
     def test_bad_configuration_is_a_diagnostic(self, argv, message, capsys):

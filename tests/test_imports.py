@@ -65,10 +65,35 @@ def _loaded_modules(argv, tmp_path) -> set[str]:
             ["repro.program", "repro.maxpolymem", "repro.stream_bench",
              "repro.telemetry.ledger"],
         ),
+        (
+            # Fig. 10 is closed-form: no Fig. 9 design, no simulator
+            ["stream", "--fig10"],
+            ["repro.stream_bench.controller", "repro.maxeler",
+             "repro.maxpolymem", "repro.core.polymem", "repro.program"],
+        ),
+        (
+            # cold cache: the validation grid may simulate, STREAM may not
+            ["experiments"],
+            ["repro.stream_bench.controller"],
+        ),
     ],
 )
 def test_command_loads_only_its_layers(argv, absent, tmp_path):
-    loaded = _loaded_modules(argv, tmp_path)
+    _assert_absent(argv, _loaded_modules(argv, tmp_path), absent)
+
+
+def test_warm_scorecard_loads_no_simulator(tmp_path):
+    _loaded_modules(["experiments"], tmp_path)
+    loaded = _loaded_modules(["experiments"], tmp_path)
+    _assert_absent(
+        ["experiments"],
+        loaded,
+        ["repro.stream_bench.controller", "repro.maxeler.simulator",
+         "repro.maxpolymem.kernel", "repro.core.polymem"],
+    )
+
+
+def _assert_absent(argv, loaded, absent) -> None:
     assert "repro.cli" in loaded
     extra = sorted(
         m for m in loaded
