@@ -195,10 +195,9 @@ def cmd_info(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .core.config import PolyMemConfig
     from .maxpolymem import build_design, validate_design
 
-    cfg = PolyMemConfig.from_any(args)
+    cfg = _config_from_args(args)
     design = build_design(cfg, style=args.style, clock_source="auto")
     print(f"validating {cfg.label()} ({args.style}, "
           f"{design.dfe.clock_mhz:.0f} MHz) ...")
@@ -224,7 +223,7 @@ def cmd_dse(args) -> int:
     if args.load:
         from .util import load_dse_result
 
-        result = load_dse_result(args.load)
+        result = load_dse_result(_require_file(args.load))
     else:
         result = explore(
             cache=_cache_from_args(args),
@@ -258,11 +257,11 @@ def cmd_dse(args) -> int:
     return 0
 
 
-def _require_positive(what: str, count: int) -> None:
+def _require_positive(what: str, count: int, least: int = 1) -> None:
     from .core.exceptions import ConfigurationError
 
-    if count < 1:
-        raise ConfigurationError(f"{what} must be >= 1, got {count}")
+    if count < least:
+        raise ConfigurationError(f"{what} must be >= {least}, got {count}")
 
 
 def cmd_stream(args) -> int:
@@ -411,6 +410,10 @@ def cmd_schedule(args) -> int:
         transpose_trace,
     )
 
+    for flag, value in (("--rows", args.rows), ("--cols", args.cols),
+                        ("-p", args.p), ("-q", args.q)):
+        _require_positive(flag, value)
+    _require_positive("--seed", args.seed, least=0)
     factories = {
         "rows": lambda: row_trace(args.rows, args.cols),
         "columns": lambda: column_trace(args.rows, args.cols),
@@ -597,13 +600,12 @@ def cmd_program_dump(args) -> int:
 
 def cmd_whatif(args) -> int:
     from .backend import backend_names
-    from .core.config import PolyMemConfig
     from .dse import whatif_devices
     from .exec import Report, ReportEntry
 
     _require_positive("--stride-words", args.stride_words)
     _require_positive("--n-words", args.n_words)
-    cfg = PolyMemConfig.from_any(args)
+    cfg = _config_from_args(args)
     backends = tuple(args.backends) if args.backends else None
     rows = whatif_devices(
         cfg,
@@ -643,10 +645,9 @@ def cmd_whatif(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .core.config import PolyMemConfig
     from .hw.report import synthesis_report_text
 
-    print(synthesis_report_text(PolyMemConfig.from_any(args)))
+    print(synthesis_report_text(_config_from_args(args)))
     return 0
 
 
@@ -657,6 +658,16 @@ def cmd_experiments(args) -> int:
     print(card.report.render())
     _emit_json(args, card.report)
     return 0 if card.ok else 1
+
+
+def _config_from_args(args):
+    """The subcommand's :class:`~repro.core.config.PolyMemConfig`; a
+    ``--config`` path that names no file is a diagnostic."""
+    from .core.config import PolyMemConfig
+
+    if args.config:
+        _require_file(args.config)
+    return PolyMemConfig.from_any(args)
 
 
 def _require_file(path: str) -> str:

@@ -120,7 +120,6 @@ def evaluate_point(
     validate: bool = False,
     validate_rows: int = 16,
     device: str | None = None,
-    _model: SynthesisModel | None = None,
 ) -> dict:
     """Evaluate one grid point to its plain-JSON payload.
 
@@ -128,9 +127,7 @@ def evaluate_point(
     synthesis model is resolved from the *device* name (fit once, then
     cached by :func:`default_model`).
     """
-    model = _model if _model is not None else (
-        default_model(device) if device else default_model()
-    )
+    model = default_model(device) if device else default_model()
     report = model.estimate(config)
     paper = table_iv_frequency(
         config.scheme,
@@ -159,7 +156,6 @@ def evaluate_points_batch(
     validate: bool = False,
     validate_rows: int = 16,
     device: str | None = None,
-    _model: SynthesisModel | None = None,
 ) -> list[dict]:
     """Vectorized :func:`evaluate_point` over a config array.
 
@@ -173,14 +169,8 @@ def evaluate_points_batch(
     and ``tests/dse/test_batch_equivalence.py`` pins.
     """
     configs = list(configs)
-    model = _model if _model is not None else (
-        default_model(device) if device else default_model()
-    )
-    estimate_many = getattr(model, "estimate_many", None)
-    if estimate_many is not None:
-        reports = estimate_many(configs)
-    else:
-        reports = [model.estimate(cfg) for cfg in configs]
+    model = default_model(device) if device else default_model()
+    reports = model.estimate_many(configs)
     validated: list[bool | None] = [None] * len(configs)
     if validate:
         from ..maxpolymem.validation import validate_points_batch
@@ -277,7 +267,6 @@ def _prune_dominated(
 
 def explore(
     space: DesignSpace = PAPER_SPACE,
-    model: SynthesisModel | None = None,
     validate: bool = False,
     validate_rows: int = 16,
     cache: ResultCache | None = None,
@@ -290,8 +279,7 @@ def explore(
     the §IV-A validation cycle on its first *validate_rows* logical rows.
 
     The grid runs through :func:`repro.exec.run_sweep`, which consults
-    *cache* first.  Passing a custom *model* forces uncached per-point
-    evaluation (an ad-hoc estimator has no stable cache identity).
+    *cache* first.
 
     Sibling grid points evaluate through :func:`evaluate_points_batch` —
     one vectorized pass for the whole grid, byte-identical to per-point
@@ -319,36 +307,31 @@ def explore(
     candidates = len(cfgs)
     pruned = 0
     if prune:
-        prune_model = model if model is not None else default_model(space.device.name)
-        cfgs, pruned = _prune_dominated(cfgs, prune_model)
-    params = {"validate": validate, "validate_rows": validate_rows}
-    if model is not None:
-        values = [evaluate_point(cfg, _model=model, **params) for cfg in cfgs]
-        sweep = None
-        batched_points, batch_calls, scalar_points = 0, 0, len(cfgs)
-    else:
-        tasks = [
-            SweepTask(
-                "dse.point",
-                evaluate_point,
-                cfg,
-                params={**params, "device": space.device.name},
-                batch_fn=evaluate_points_batch,
-            )
-            for cfg in cfgs
-        ]
-        sweep = run_sweep(tasks, cache=cache)
-        values = sweep.values()
-        batched_points = sweep.batched_points
-        batch_calls = sweep.batch_calls
-        scalar_points = sweep.n_computed - sweep.batched_points
+        cfgs, pruned = _prune_dominated(cfgs, default_model(space.device.name))
+    params = {
+        "validate": validate,
+        "validate_rows": validate_rows,
+        "device": space.device.name,
+    }
+    tasks = [
+        SweepTask(
+            "dse.point",
+            evaluate_point,
+            cfg,
+            params=params,
+            batch_fn=evaluate_points_batch,
+        )
+        for cfg in cfgs
+    ]
+    sweep = run_sweep(tasks, cache=cache)
     tel = _telemetry.active()
     if tel is not None:
         metrics = tel.metrics
         metrics.counter("dse.batch.candidates").inc(candidates)
         metrics.counter("dse.batch.pruned").inc(pruned)
-        metrics.counter("dse.batch.configs").inc(batched_points)
-        metrics.counter("dse.batch.scalar_configs").inc(scalar_points)
-        metrics.counter("dse.batch.passes").inc(batch_calls)
-    points = [DsePoint(config=cfg, **value) for cfg, value in zip(cfgs, values)]
+        metrics.counter("dse.batch.configs").inc(sweep.batched_points)
+        metrics.counter("dse.batch.passes").inc(sweep.batch_calls)
+    points = [
+        DsePoint(config=cfg, **value) for cfg, value in zip(cfgs, sweep.values())
+    ]
     return DseResult(space=space, points=points, sweep=sweep, backend=backend_name)

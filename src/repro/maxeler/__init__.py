@@ -23,5 +23,4 @@ __all__ = export_lazily(__name__, {
     "pcie": ("VECTIS_PCIE", "PcieLink"),
     "simulator": ("KernelStats", "SimulationResult", "Simulator"),
     "stream": ("Stream",),
-    "trace": ("CycleEvent", "TraceRecorder"),
 })

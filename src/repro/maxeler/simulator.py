@@ -89,11 +89,6 @@ class Simulator:
         self.manager = manager
         self.max_cycles = max_cycles
         self.cycles = 0
-        #: attached instrumentation (e.g. :class:`~repro.maxeler.trace.
-        #: TraceRecorder`): objects with ``on_cycle(sim, progressed)`` /
-        #: ``on_chunk(sim, n, plans)`` hooks, notified after the cycle
-        #: counter moves — after scalar ticks and batched chunks alike
-        self.observers: list = []
 
     def _pending_work(self) -> bool:
         """True when any kernel has internal state or any internal stream
@@ -184,9 +179,6 @@ class Simulator:
                     metrics.counter("sim.cycles.scalar").inc()
                     if not progressed:
                         metrics.counter("sim.stall_cycles").inc()
-                if self.observers:
-                    for obs in self.observers:
-                        obs.on_cycle(self, progressed)
                 if progressed:
                     idle_streak = 0
                     continue
@@ -323,9 +315,6 @@ class Simulator:
                 m.gauge(f"stream.depth.{name}").set(len(stream))
         if tracer is not None:
             tracer.end()
-        if self.observers:
-            for obs in self.observers:
-                obs.on_chunk(self, n, plans)
 
     def stats(self) -> dict[str, KernelStats]:
         """Per-kernel performance counters accumulated so far."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.agu import AccessRequest
 from ..core.config import PolyMemConfig
-from ..core.exceptions import ConflictError
+from ..core.exceptions import ConfigurationError, ConflictError
 from ..core.patterns import AccessPattern, PatternKind
 from ..core.plan import compile_plan, compile_plan_batch
 from ..core.schemes import SCHEME_SPECS
@@ -106,15 +106,21 @@ def validate_design(design: PolyMemDesign, max_rows: int | None = 64) -> Validat
 
     ``max_rows`` bounds the validated region for very large memories (the
     full 4 MB space would need half a million stream elements); ``None``
-    validates everything.
+    validates everything.  The region must be a positive whole number of
+    ``p``-row lane blocks, else :class:`ConfigurationError` is raised.
     """
     from .kernel import WriteCommand
 
     cfg = design.config
-    host = design.host()
     rows = cfg.rows if max_rows is None else min(cfg.rows, max_rows)
     cols = cfg.cols
     p, q = cfg.p, cfg.q
+    if rows <= 0 or rows % p:
+        raise ConfigurationError(
+            f"validated region of {rows} rows is not a positive multiple "
+            f"of p={p} (max_rows={max_rows})"
+        )
+    host = design.host()
     report = ValidationReport(config_label=cfg.label())
     ref = _reference_matrix(rows, cols)
 
@@ -305,7 +311,8 @@ def validate_points_batch(
     the readback, so sibling port counts reuse the same pass).  Any
     config the fast path cannot prove clean — a misaligned validated
     region, a conflicting or mismatching probe — falls back to the scalar
-    simulator cycle, so every payload equals the scalar one byte for byte
+    simulator cycle, so every payload (and the :class:`ConfigurationError`
+    a misaligned region raises) equals the scalar one byte for byte
     (pinned by ``tests/dse/test_batch_equivalence.py``).
     """
     configs = list(configs)

@@ -136,21 +136,11 @@ def derived_values(snapshot: dict) -> list[tuple[str, str]]:
         )
 
     batch_configs = c.get("dse.batch.configs", 0)
-    scalar_configs = c.get("dse.batch.scalar_configs", 0)
-    if batch_configs or scalar_configs:
-        evaluated = batch_configs + scalar_configs
+    passes = c.get("dse.batch.passes", 0)
+    if batch_configs and passes:
         out.append(
-            (
-                "DSE batch-path share",
-                f"{batch_configs} of {evaluated} points "
-                f"({100.0 * batch_configs / evaluated:.1f}%)",
-            )
+            ("DSE configs per batch pass", f"{batch_configs / passes:.1f}")
         )
-        passes = c.get("dse.batch.passes", 0)
-        if passes:
-            out.append(
-                ("DSE configs per batch pass", f"{batch_configs / passes:.1f}")
-            )
     candidates = c.get("dse.batch.candidates", 0)
     if candidates:
         pruned = c.get("dse.batch.pruned", 0)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import KB, PolyMemConfig
-from repro.core.exceptions import ConflictError
+from repro.core.exceptions import ConfigurationError, ConflictError
 from repro.core.patterns import PatternKind
 from repro.core.plan import compile_plan
 from repro.core.schemes import Scheme
@@ -181,10 +181,8 @@ class TestValidatePointsBatch:
 
     def test_misaligned_region_falls_back_bit_identical(self):
         """max_rows not divisible by p forces the scalar fallback — and
-        the scalar cycle rejects the truncated fill rectangle, so the
-        batch path must surface the identical error."""
-        from repro.core.exceptions import PatternError
-
+        the scalar cycle rejects the misaligned region, so the batch path
+        must surface the identical error."""
         configs = ALL_CONFIGS[:1]
         outcomes = []
         for run in (
@@ -193,10 +191,26 @@ class TestValidatePointsBatch:
         ):
             try:
                 outcomes.append(("ok", run()))
-            except PatternError as err:
+            except ConfigurationError as err:
                 outcomes.append(("error", str(err)))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == "error"
+
+    @pytest.mark.parametrize("max_rows", [3, 0, -4])
+    def test_bad_region_is_a_configuration_error(self, max_rows):
+        """A validated region that is not a positive whole number of
+        p-row blocks is rejected up front, on the batch path and through
+        a validated explore alike."""
+        cfg = PolyMemConfig(16 * KB, p=2, q=4, scheme=Scheme.ReRo)
+        match = "not a positive multiple of p=2"
+        with pytest.raises(ConfigurationError, match=match):
+            validate_points_batch([cfg], max_rows=max_rows)
+        space = DesignSpace(
+            capacities_kb=(16,), lane_counts=(8,), read_ports=(1,),
+            schemes=(Scheme.ReRo,),
+        )
+        with pytest.raises(ConfigurationError, match=match):
+            explore(space, validate=True, validate_rows=max_rows)
 
     def test_port_siblings_share_one_pass(self):
         """Read-port count only scales the report's read counter."""
@@ -344,5 +358,4 @@ class TestBatchTelemetry:
         assert c["dse.batch.configs"] == (
             len(ALL_CONFIGS) - c["dse.batch.pruned"]
         )
-        assert c["dse.batch.scalar_configs"] == 0
         assert c["dse.batch.passes"] == 1

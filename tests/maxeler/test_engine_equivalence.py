@@ -6,20 +6,30 @@ batched engine; the sink data, total cycles and per-kernel activity
 counters must match exactly.  The batched engine must also actually batch
 (take the fast path) on the uniform designs, or this test would pass
 vacuously.
+
+The span trace (``--trace-out``) is the simulator's cycle trace: on both
+engines the ``segment.scalar`` / ``segment.batched`` spans account for
+every cycle of the enclosing ``kernel.run`` span exactly once.
 """
 
+from contextlib import nullcontext
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.exceptions import SimulationError
 from repro.maxeler import (
     DelayKernel,
     Manager,
     MapKernel,
+    MuxKernel,
     SinkKernel,
     SourceKernel,
     Simulator,
 )
 from repro.maxeler.simulator import scalar_reference
+from repro.telemetry import Telemetry, session
 
 _STAGES = st.lists(
     st.one_of(
@@ -88,3 +98,75 @@ def test_batched_path_actually_taken():
         500, [("delay", 9, None), ("map", 3, None)], None
     )
     assert batched > 0.8 * cycles
+
+
+def _spans(tel, name):
+    """The args of every closed span called *name*, in close order."""
+    return [
+        e["args"] for e in tel.tracer.events
+        if e["ph"] == "X" and e["name"] == name
+    ]
+
+
+def _segment_cycles(tel):
+    segments = _spans(tel, "segment.scalar") + _spans(tel, "segment.batched")
+    return [seg["cycles"] for seg in segments]
+
+
+def _traced_pipeline():
+    mgr = Manager("traced")
+    src = mgr.add_kernel(SourceKernel("src", range(120)))
+    dly = mgr.add_kernel(DelayKernel("dly", 4))
+    snk = mgr.add_kernel(SinkKernel("snk"))
+    mgr.connect(src, "out", dly, "in")
+    mgr.connect(dly, "out", snk, "in")
+    with session(Telemetry(tracing=True)) as tel:
+        result = Simulator(mgr).run()
+    return result, snk.collected, tel
+
+
+class TestSpanTrace:
+    @pytest.fixture(scope="class")
+    def sides(self):
+        with scalar_reference():
+            scalar = _traced_pipeline()
+        return scalar, _traced_pipeline()
+
+    def test_engines_agree_on_run_span(self, sides):
+        (s_result, s_out, s_tel), (b_result, b_out, b_tel) = sides
+        assert b_result.cycles == s_result.cycles
+        assert _spans(b_tel, "kernel.run") == _spans(s_tel, "kernel.run")
+        assert _spans(s_tel, "kernel.run") == [{"cycles": s_result.cycles}]
+        assert b_out == s_out == list(range(120))
+
+    def test_segments_partition_the_run(self, sides):
+        for result, _, tel in sides:
+            segments = _segment_cycles(tel)
+            assert all(n > 0 for n in segments)
+            assert sum(segments) == result.cycles
+
+    def test_only_the_batched_engine_emits_batched_segments(self, sides):
+        (_, _, s_tel), (_, _, b_tel) = sides
+        assert _spans(b_tel, "segment.batched")
+        assert not _spans(s_tel, "segment.batched")
+
+    @pytest.mark.parametrize("reference", [True, False], ids=["scalar", "batched"])
+    def test_deadlock_leaves_aborted_run_span(self, reference):
+        mgr = Manager("dead")
+        mux = mgr.add_kernel(MuxKernel("mux", 1))
+        src = mgr.add_kernel(SourceKernel("src", [1]))
+        sel = mgr.add_kernel(SourceKernel("sel", []))
+        snk = mgr.add_kernel(SinkKernel("snk"))
+        mgr.connect(src, "out", mux, "in0")
+        mgr.connect(sel, "out", mux, "select")
+        mgr.connect(mux, "out", snk, "in")
+        sim = Simulator(mgr)
+        engine = scalar_reference() if reference else nullcontext()
+        with engine, session(Telemetry(tracing=True)) as tel:
+            with pytest.raises(SimulationError, match="deadlock"):
+                sim.run(until=lambda: len(snk.collected) == 1)
+        assert sim.cycles > 0
+        assert _spans(tel, "kernel.run") == [
+            {"cycles": sim.cycles, "aborted": True}
+        ]
+        assert sum(_segment_cycles(tel)) == sim.cycles

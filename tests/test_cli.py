@@ -116,18 +116,38 @@ class TestCommands:
             (["whatif", "--stride-words", "0"], "--stride-words must be >= 1"),
             (["whatif", "--n-words", "0"], "--n-words must be >= 1"),
             (["whatif", "--n-words", "-5"], "--n-words must be >= 1"),
+            (["validate", "--max-rows", "3"], "not a positive multiple of p=2"),
+            (["validate", "--max-rows", "0"], "not a positive multiple of p=2"),
+            (["validate", "--max-rows", "-4"], "not a positive multiple of p=2"),
+            (["validate", "--config", "missing.cfg"], "missing.cfg: no such file"),
+            (["report", "--config", "."], ".: not a file"),
+            (["whatif", "--config", "missing.cfg"], "missing.cfg: no such file"),
+            (["dse", "--load", "missing.json"], "missing.json: no such file"),
+            (["dse", "--load", "."], ".: not a file"),
+            (["schedule", "rows", "--rows", "0"], "--rows must be >= 1"),
+            (["schedule", "columns", "--cols", "-1"], "--cols must be >= 1"),
+            (["schedule", "rows", "-p", "0"], "-p must be >= 1"),
+            (["schedule", "rows", "-q", "0"], "-q must be >= 1"),
+            (["schedule", "random", "--seed", "-1"], "--seed must be >= 0"),
         ],
         ids=[
             "validate-p3-q4", "whatif-p3", "validate-p0", "report-ports0",
             "info-p0", "info-q-2", "stream-run-vectors0",
             "stream-run-vectors-5", "stream-runs-1", "stream-runs0",
             "whatif-stride-3", "whatif-stride0", "whatif-n-words0",
-            "whatif-n-words-5",
+            "whatif-n-words-5", "validate-max-rows3", "validate-max-rows0",
+            "validate-max-rows-4", "validate-config-missing",
+            "report-config-dir", "whatif-config-missing", "dse-load-missing",
+            "dse-load-dir", "schedule-rows0", "schedule-cols-1",
+            "schedule-p0", "schedule-q0", "schedule-seed-1",
         ],
     )
-    def test_bad_configuration_is_a_diagnostic(self, argv, message, capsys):
+    def test_bad_configuration_is_a_diagnostic(
+        self, argv, message, capsys, tmp_path, monkeypatch
+    ):
         """An invalid configuration exits 2 with one stderr line, not a
         traceback."""
+        monkeypatch.chdir(tmp_path)  # the "missing" paths really are
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"polymem {argv[0]}: error: ")
