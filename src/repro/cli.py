@@ -169,6 +169,18 @@ def _emit_json(args, report) -> None:
         print(f"JSON report written to {args.json_out}")
 
 
+def _print_or_write(path: str, text: str, what: str) -> None:
+    """``--json -`` prints *text*; a path gets it written, its missing
+    directories created."""
+    if path == "-":
+        print(text)
+        return
+    from .util.output import write_text
+
+    write_text(path, text + "\n")
+    print(f"{what} written to {path}")
+
+
 def _sweep_stats_line(sweep) -> str:
     return (
         f"sweep: {len(sweep.results)} points "
@@ -195,9 +207,10 @@ def cmd_info(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .maxpolymem import build_design, validate_design
+    from .maxpolymem import build_design, validate_design, validated_rows
 
     cfg = _config_from_args(args)
+    validated_rows(cfg, args.max_rows)  # a bad region fails before any output
     design = build_design(cfg, style=args.style, clock_source="auto")
     print(f"validating {cfg.label()} ({args.style}, "
           f"{design.dfe.clock_mhz:.0f} MHz) ...")
@@ -533,13 +546,8 @@ def cmd_program_dump(args) -> int:
                 if any(s["elements"] is None for s in stats)
                 else sum(s["elements"] for s in stats),
             }
-        text = json.dumps(doc, indent=2, default=str)
-        if args.json_out == "-":
-            print(text)
-        else:
-            with open(args.json_out, "w") as fh:
-                fh.write(text + "\n")
-            print(f"JSON dump written to {args.json_out}")
+        _print_or_write(args.json_out, json.dumps(doc, indent=2, default=str),
+                        "JSON dump")
         return 0
     print(f"program {program.name!r}")
     if program.metadata:
@@ -716,12 +724,7 @@ def cmd_telemetry_ledger(args) -> int:
         entries = entries[-args.last:]
     if args.json_out is not None:
         text = json.dumps([e.to_dict() for e in entries], indent=2, sort_keys=True)
-        if args.json_out == "-":
-            print(text)
-        else:
-            with open(args.json_out, "w") as fh:
-                fh.write(text + "\n")
-            print(f"JSON written to {args.json_out}")
+        _print_or_write(args.json_out, text, "JSON")
         return 0
     if not entries:
         print(f"{args.file}: no ledger entries"
@@ -760,12 +763,7 @@ def cmd_telemetry_regress(args) -> int:
     )
     if args.json_out is not None:
         text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-        if args.json_out == "-":
-            print(text)
-        else:
-            with open(args.json_out, "w") as fh:
-                fh.write(text + "\n")
-            print(f"JSON written to {args.json_out}")
+        _print_or_write(args.json_out, text, "JSON")
     else:
         print(render_regress(report))
     if not report.ok:

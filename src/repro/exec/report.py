@@ -155,10 +155,9 @@ class Report:
         )
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json())
-        return path
+        from ..util.output import write_text
+
+        return write_text(path, self.to_json())
 
     # -- human rendering ----------------------------------------------------
     def render(self, header: bool = True) -> str:

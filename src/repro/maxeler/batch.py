@@ -5,7 +5,8 @@ A kernel that can fast-forward publishes a :class:`BatchPlan` describing a
 behaviour is one element per port per cycle, decomposed into
 :class:`BatchOp` sub-activities.  The simulator collects plans from every
 kernel (registration order), validates that a chunk of ``n`` cycles is
-safe against stream occupancy and free space, orders the sub-activities along
+safe against stream occupancy and free space (an edge with both ends in
+the chunk keeps a constant occupancy), orders the sub-activities along
 the dataflow dependencies, and executes each as one vectorized call.
 
 Why sub-activities instead of fast-forwarding whole kernels one after

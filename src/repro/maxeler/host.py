@@ -104,11 +104,10 @@ class Host:
 
     # -- blocking calls -----------------------------------------------------
     @staticmethod
-    def _element_bytes(value: Any) -> int:
-        """Wire size of one stream element: array elements carry their real
-        byte count (wide lane vectors), anything else is one 64-bit word."""
-        nbytes = getattr(value, "nbytes", None)
-        return int(nbytes) if nbytes is not None else 8
+    def _payload_bytes(values: list[Any]) -> int:
+        """Wire size of a transfer: array elements carry their real byte
+        count (wide lane vectors), anything else is one 64-bit word."""
+        return int(sum(getattr(value, "nbytes", 8) for value in values))
 
     def write_stream(self, name: str, values: Iterable[Any]) -> int:
         """Blocking host->DFE transfer into input stream *name*.
@@ -116,24 +115,16 @@ class Host:
         Returns the element count.
         """
         with self._host_call("write_stream", stream=name):
-            stream = self.dfe.manager.host_input(name)
-            count = 0
-            payload = 0
-            for value in values:
-                stream.push(value)
-                payload += self._element_bytes(value)
-                count += 1
-            self._charge_pcie(payload_bytes=payload)
-        return count
+            values = list(values)
+            self.dfe.manager.host_input(name).push_many(values)
+            self._charge_pcie(payload_bytes=self._payload_bytes(values))
+        return len(values)
 
     def read_stream(self, name: str) -> list[Any]:
         """Blocking DFE->host drain of output stream *name*."""
         with self._host_call("read_stream", stream=name):
-            stream = self.dfe.manager.host_output(name)
-            values = stream.drain()
-            self._charge_pcie(
-                payload_bytes=sum(self._element_bytes(v) for v in values)
-            )
+            values = self.dfe.manager.host_output(name).drain()
+            self._charge_pcie(payload_bytes=self._payload_bytes(values))
         return values
 
     def signal(self) -> None:

@@ -10,16 +10,21 @@ deadlock (no progress while work is still pending).
 The engine fast-forwards *uniform phases*: when every kernel publishes a
 :class:`~repro.maxeler.batch.BatchPlan` proving one-element-per-cycle
 behaviour, a chunk of ``n`` cycles runs as a handful of vectorized
-sub-activity calls.  The chunk size is bounded by every stream's free
-space/occupancy, every plan's phase length, the remaining cycle budget and
-the ``until`` condition's flip horizon, so the observable state at every
-chunk boundary — stream contents, kernel state, cycle and utilization
-counters — is bit-identical to scalar ticking.  Anywhere a plan cannot be
-proven (ramp-up, stalls, drains, data-dependent routing), the engine falls
-back to the scalar reference, one :meth:`Kernel.tick` per kernel per
-cycle, keeping quiescence/deadlock detection semantics unchanged.
-:func:`scalar_reference` turns chunk planning off so tests and benchmarks
-can compare the engine against that reference.
+sub-activity calls.  The chunk size is bounded by stream occupancy, the
+free space of every stream whose consumer is outside the chunk, every
+plan's phase length, the remaining cycle budget and the ``until``
+condition's flip horizon, so the observable state at every chunk
+boundary — stream contents, kernel state, cycle and utilization counters
+— is bit-identical to scalar ticking.  A *transit edge* (producer and
+consumer both in the chunk) holds a constant occupancy, so its FIFO depth
+does not bound the chunk; an end-of-chunk occupancy check proves it.
+Anywhere a plan cannot be proven (ramp-up, stalls, drains,
+data-dependent routing), the engine falls back to the scalar reference,
+one :meth:`Kernel.tick` per kernel per cycle, keeping quiescence/deadlock
+detection semantics unchanged, and counts the fallback with its reason
+(``sim.plan_rejects.<reason>``).  :func:`scalar_reference` turns chunk
+planning off so tests and benchmarks can compare the engine against that
+reference.
 """
 
 from __future__ import annotations
@@ -38,6 +43,10 @@ __all__ = ["Simulator", "SimulationResult", "KernelStats", "scalar_reference"]
 
 #: chunks below this size are not worth the planning overhead
 MIN_CHUNK = 4
+#: a transit edge bounds a chunk at ``max(capacity - len, TRANSIT_CHUNK)``
+#: cycles: long enough to amortize planning, short enough to keep the
+#: transient ring growth and the elements live in one chunk small
+TRANSIT_CHUNK = 1024
 
 
 @dataclass
@@ -158,14 +167,18 @@ class Simulator:
                     chunk = self._plan_chunk(
                         kernels, until, budget - (self.cycles - start)
                     )
-                    if chunk is not None:
+                    if not isinstance(chunk, str):
                         if tracer is not None and seg_cycles is not None:
                             tracer.end(cycles=self.cycles - seg_cycles)
                             seg_cycles = None
                         self._run_chunk(*chunk)
                         continue
-                    if metrics is not None:
-                        metrics.counter("sim.plan_rejects").inc()
+                    reason = chunk
+                else:
+                    reason = "idle_streak"  # the deadlock probe ticks scalar
+                if metrics is not None:
+                    metrics.counter("sim.plan_rejects").inc()
+                    metrics.counter(f"sim.plan_rejects.{reason}").inc()
                 if self.cycles - start >= budget:
                     raise SimulationError(
                         f"simulation exceeded {budget} cycles without completing"
@@ -209,16 +222,19 @@ class Simulator:
     # -- chunk planning ----------------------------------------------------
     def _plan_chunk(self, kernels, until, budget_left: int):
         """Assemble a provably-safe chunk: collected plans, a dependency
-        order over their sub-activities, and the chunk size.  Returns None
-        whenever exact scalar ticking is required instead."""
+        order over their sub-activities, the chunk size and the chunk's
+        transit edges.  Returns the reason as a string whenever exact
+        scalar ticking is required instead."""
+        if budget_left < MIN_CHUNK:
+            return "budget"
         n = budget_left
         if until is not None:
             horizon = getattr(until, "min_cycles_to_flip", None)
             if horizon is None:
-                return None  # opaque predicate: cannot bound overshoot
+                return "horizon"  # opaque predicate: cannot bound overshoot
             n = min(n, horizon())
-        if n < MIN_CHUNK:
-            return None
+            if n < MIN_CHUNK:
+                return "horizon"
 
         ctx: dict = {}
         plans: list[tuple] = []
@@ -228,12 +244,12 @@ class Simulator:
         for kidx, kernel in enumerate(kernels):
             plan = kernel.batch_plan(ctx)
             if plan is None:
-                return None
+                return f"no_plan.{kernel.name}"
             plans.append((kernel, plan))
             if plan.cycles is not None:
                 n = min(n, plan.cycles)
                 if n < MIN_CHUNK:
-                    return None
+                    return "quota"
             prev = None
             for op in plan.ops:
                 op._kernel = kernel
@@ -244,63 +260,101 @@ class Simulator:
                 for port in op.pushes:
                     stream = kernel.outputs[port]
                     if stream in producer:
-                        return None
+                        return "cycle"  # two pushers: no single edge order
                     producer[stream] = op
                     claim = op.claims.get(port)
                     ctx[stream] = claim if claim is not None else PushClaim()
                 for port in op.pops:
                     stream = kernel.inputs[port]
                     if stream in consumer:
-                        return None
+                        return "cycle"  # two poppers: no single edge order
                     consumer[stream] = op
         if not ops:
-            return None
+            return "idle"
 
         # a sensitive port must see no in-chunk traffic from other plans
         for kernel, plan in plans:
             for port in plan.sensitive:
                 stream = kernel.inputs.get(port)
                 if stream is not None and stream in producer:
-                    return None
+                    return "sensitive"
                 stream = kernel.outputs.get(port)
                 if stream is not None and stream in consumer:
-                    return None
+                    return "sensitive"
 
-        # stream feasibility: consumers without an in-chunk producer are
-        # bounded by occupancy; a backward edge (producer registered after
-        # its consumer) needs one queued element of slack; every in-chunk
-        # push must fit the stream's free space, as sub-activities push a
-        # whole chunk before the downstream activity pops it
+        # stream feasibility.  A consumer without an in-chunk producer is
+        # bounded by occupancy.  A *transit edge* (producer and consumer
+        # both in the chunk) moves one element in and one out per cycle,
+        # so its occupancy is constant: a forward edge needs one free slot
+        # (the producer pushes first each scalar cycle), a backward edge
+        # one queued element (the consumer pops first), and neither is
+        # bounded by its depth.  Every other pushed stream must fit the
+        # whole chunk in its free space.
+        transit = []
         for stream, op in consumer.items():
             prod = producer.get(stream)
             if prod is None:
                 n = min(n, len(stream))
-            elif prod._kidx > op._kidx and len(stream) < 1:
-                return None
+            elif prod._kidx > op._kidx:
+                if len(stream) < 1:
+                    return "occupancy"
+                transit.append(stream)
+            else:
+                if stream.full:
+                    return "headroom"
+                transit.append(stream)
+        if n < MIN_CHUNK:
+            return "occupancy"
+        safe = n  # the free-space bound, as if no edge were a transit edge
         for stream in producer:
             if stream.capacity is not None:
-                n = min(n, stream.capacity - len(stream))
+                free = stream.capacity - len(stream)
+                safe = min(safe, free)
+                if stream in consumer:
+                    free = max(free, TRANSIT_CHUNK)
+                n = min(n, free)
         if n < MIN_CHUNK:
-            return None
+            return "headroom"
 
         order = _toposort(ops, producer, consumer)
         if order is None:
-            return None
-        for kernel, plan in plans:
-            if plan.validate is not None and not plan.validate(n):
-                return None
-        return plans, order, n
+            return "cycle"
+        if not _validates(plans, n):
+            # a long transit chunk may alias reads and writes that a
+            # free-space-bounded one keeps apart: retry once at that bound
+            if not MIN_CHUNK <= safe < n or not _validates(plans, safe):
+                return "validate"
+            n = safe
+        return plans, order, n, transit
 
-    def _run_chunk(self, plans, order, n: int) -> None:
+    def _run_chunk(self, plans, order, n: int, transit) -> None:
         tel = _telemetry.active()
         tracer = tel.tracer if tel is not None else None
         if tracer is not None:
             tracer.begin("segment.batched", cat="sim", cycles=n)
+        # a transit edge may hold up to n extra elements between its
+        # producer's and its consumer's sub-activity: lift its push bound
+        # for the chunk, and prove afterwards that its occupancy is back
+        # where it started (so no scalar cycle could have overflowed it)
+        held = [(stream, len(stream), stream.capacity) for stream in transit]
         clock = time.perf_counter_ns
-        for op in order:
-            t0 = clock()
-            op.run(n)
-            op._kernel.wall_ns += clock() - t0
+        try:
+            for stream in transit:
+                stream.capacity = None
+            for op in order:
+                t0 = clock()
+                op.run(n)
+                op._kernel.wall_ns += clock() - t0
+        finally:
+            for stream, _, capacity in held:
+                stream.capacity = capacity
+        for stream, before, _ in held:
+            if len(stream) != before:
+                raise SimulationError(
+                    f"stream {stream.name!r}: transit edge holds "
+                    f"{len(stream)} elements after a {n}-cycle chunk, "
+                    f"not {before}"
+                )
         for kernel, plan in plans:
             kernel._charge(n, plan.is_active)
         self.cycles += n
@@ -344,11 +398,16 @@ def scalar_reference() -> Iterator[None]:
     :meth:`Kernel.tick` per kernel.  Equivalence tests and throughput
     benchmarks compare the engine against this path."""
     plan = Simulator._plan_chunk
-    Simulator._plan_chunk = lambda self, kernels, until, budget_left: None
+    Simulator._plan_chunk = lambda self, kernels, until, budget_left: "forced"
     try:
         yield
     finally:
         Simulator._plan_chunk = plan
+
+
+def _validates(plans, n: int) -> bool:
+    """Every plan's last safety check passes for a chunk of *n* cycles."""
+    return all(plan.validate is None or plan.validate(n) for _, plan in plans)
 
 
 def _toposort(ops, producer, consumer):

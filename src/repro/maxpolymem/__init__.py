@@ -21,6 +21,6 @@ __all__ = export_lazily(__name__, {
     "modular": ("Bundle", "ModularDesign", "build_modular_design"),
     "validation": (
         "ValidationReport", "validate_config", "validate_configs",
-        "validate_design",
+        "validate_design", "validated_rows",
     ),
 })

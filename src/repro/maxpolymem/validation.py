@@ -40,6 +40,7 @@ __all__ = [
     "validate_config",
     "validate_configs",
     "validate_points_batch",
+    "validated_rows",
 ]
 
 
@@ -101,25 +102,33 @@ def _read_anchors(pattern: AccessPattern, rows: int, cols: int, entry, p, q):
     return out
 
 
+def validated_rows(config: PolyMemConfig, max_rows: int | None) -> int:
+    """Rows of the §IV-A validated region: the memory's rows, capped at
+    *max_rows* (``None``: all of them).  The region must be a positive
+    whole number of ``p``-row lane blocks, else :class:`ConfigurationError`
+    is raised."""
+    rows = config.rows if max_rows is None else min(config.rows, max_rows)
+    if rows <= 0 or rows % config.p:
+        raise ConfigurationError(
+            f"validated region of {rows} rows is not a positive multiple "
+            f"of p={config.p} (max_rows={max_rows})"
+        )
+    return rows
+
+
 def validate_design(design: PolyMemDesign, max_rows: int | None = 64) -> ValidationReport:
     """Run the §IV-A validation cycle through the design's streams.
 
     ``max_rows`` bounds the validated region for very large memories (the
     full 4 MB space would need half a million stream elements); ``None``
-    validates everything.  The region must be a positive whole number of
-    ``p``-row lane blocks, else :class:`ConfigurationError` is raised.
+    validates everything; see :func:`validated_rows`.
     """
     from .kernel import WriteCommand
 
     cfg = design.config
-    rows = cfg.rows if max_rows is None else min(cfg.rows, max_rows)
+    rows = validated_rows(cfg, max_rows)
     cols = cfg.cols
     p, q = cfg.p, cfg.q
-    if rows <= 0 or rows % p:
-        raise ConfigurationError(
-            f"validated region of {rows} rows is not a positive multiple "
-            f"of p={p} (max_rows={max_rows})"
-        )
     host = design.host()
     report = ValidationReport(config_label=cfg.label())
     ref = _reference_matrix(rows, cols)

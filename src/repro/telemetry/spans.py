@@ -230,5 +230,6 @@ class SpanTracer:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_chrome_trace(), fh)
+        from ..util.output import write_text
+
+        write_text(path, json.dumps(self.to_chrome_trace()))

@@ -3,9 +3,9 @@
 ``repro telemetry summary FILE`` (and ``--metrics`` on run commands)
 renders a snapshot's raw counters plus the *derived* quantities the
 paper reasons in: achieved vs. theoretical bandwidth (Fig. 10), stall
-and scalar-fallback percentages (batched engine), cache hit rates
-(plans, fused kernels, exec results) and PCIe overhead share (§V's
-~300 ns amortization).
+and scalar-fallback percentages with the fallback reasons (batched
+engine), cache hit rates (plans, fused kernels, exec results) and PCIe
+overhead share (§V's ~300 ns amortization).
 
 Accepted inputs: a raw telemetry snapshot (``repro.telemetry/1``) or a
 ``repro.exec.report/1`` JSON whose ``meta.telemetry`` block carries one.
@@ -84,6 +84,19 @@ def derived_values(snapshot: dict) -> list[tuple[str, str]]:
             (
                 "scalar-fallback cycles",
                 f"{scalar} ({100.0 * scalar / total_cycles:.2f}%)",
+            )
+        )
+    prefix = "sim.plan_rejects."
+    reasons = sorted(
+        (-count, name[len(prefix):])
+        for name, count in c.items()
+        if name.startswith(prefix)
+    )
+    if reasons:
+        out.append(
+            (
+                "scalar-fallback reasons",
+                ", ".join(f"{reason} {-count}" for count, reason in reasons),
             )
         )
 

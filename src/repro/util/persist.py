@@ -19,6 +19,7 @@ from ..dse.explore import DsePoint, DseResult
 from ..dse.space import DesignSpace
 from ..schedule.cover import CandidateAccess
 from ..schedule.customize import Schedule
+from .output import write_text
 
 __all__ = [
     "dse_result_to_json",
@@ -73,9 +74,7 @@ def dse_result_to_json(result: DseResult) -> str:
 
 def save_dse_result(result: DseResult, path: Path | str) -> Path:
     """Write the sweep to *path* (JSON)."""
-    path = Path(path)
-    path.write_text(dse_result_to_json(result))
-    return path
+    return write_text(path, dse_result_to_json(result))
 
 
 def load_dse_result(path: Path | str) -> DseResult:
@@ -132,9 +131,7 @@ def schedule_to_json(schedule: Schedule) -> str:
 
 
 def save_schedule(schedule: Schedule, path: Path | str) -> Path:
-    path = Path(path)
-    path.write_text(schedule_to_json(schedule))
-    return path
+    return write_text(path, schedule_to_json(schedule))
 
 
 def load_schedule(path: Path | str) -> Schedule:

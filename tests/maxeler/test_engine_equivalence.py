@@ -10,6 +10,11 @@ vacuously.
 The span trace (``--trace-out``) is the simulator's cycle trace: on both
 engines the ``segment.scalar`` / ``segment.batched`` spans account for
 every cycle of the enclosing ``kernel.run`` span exactly once.
+
+A *transit edge* (a stream whose producer and consumer both run in the
+chunk) carries a whole chunk whatever its depth; the end-of-chunk
+occupancy check catches an op that breaks the one-in/one-out contract.
+Every fallback to a scalar tick is counted with its reason.
 """
 
 from contextlib import nullcontext
@@ -28,7 +33,8 @@ from repro.maxeler import (
     SourceKernel,
     Simulator,
 )
-from repro.maxeler.simulator import scalar_reference
+from repro.maxeler.batch import BatchPlan
+from repro.maxeler.simulator import MIN_CHUNK, scalar_reference
 from repro.telemetry import Telemetry, session
 
 _STAGES = st.lists(
@@ -170,3 +176,137 @@ class TestSpanTrace:
             {"cycles": sim.cycles, "aborted": True}
         ]
         assert sum(_segment_cycles(tel)) == sim.cycles
+
+
+def _stats(mgr, result):
+    """KernelStats without the engine-specific fields (wall time, and
+    which cycles ran batched)."""
+    drop = ("wall_ns", "batched_cycles")
+    return {
+        name: {k: v for k, v in ks.to_dict().items() if k not in drop}
+        for name, ks in result.kernel_stats.items()
+    }
+
+
+def _shallow_pipeline(map_kernel=None, cap=4, n=200):
+    """Source -> Map -> Delay -> Sink over capacity-*cap* streams."""
+    mgr = Manager("shallow")
+    src = mgr.add_kernel(SourceKernel("src", range(n)))
+    mp = mgr.add_kernel(map_kernel or MapKernel("map", lambda v: 3 * v + 1))
+    dly = mgr.add_kernel(DelayKernel("dly", 5))
+    snk = mgr.add_kernel(SinkKernel("snk"))
+    mgr.connect(src, "out", mp, "in", capacity=cap)
+    mgr.connect(mp, "out", dly, "in", capacity=cap)
+    mgr.connect(dly, "out", snk, "in", capacity=cap)
+    return mgr, snk
+
+
+def _counted_run(mgr):
+    with session(Telemetry()) as tel:
+        result = Simulator(mgr).run()
+    return result, tel.metrics.to_dict()
+
+
+class TestTransitEdges:
+    def test_chunks_outgrow_the_fifo_depth(self):
+        with scalar_reference():
+            s_mgr, s_snk = _shallow_pipeline()
+            s_result, _ = _counted_run(s_mgr)
+        b_mgr, b_snk = _shallow_pipeline()
+        b_result, metrics = _counted_run(b_mgr)
+        assert metrics["histograms"]["sim.chunk_cycles"]["max"] > 4
+        assert b_result.cycles == s_result.cycles
+        assert b_snk.collected == s_snk.collected == [3 * v + 1 for v in range(200)]
+        assert _stats(b_mgr, b_result) == _stats(s_mgr, s_result)
+
+    def test_unbalanced_transit_edge_raises(self):
+        """An op that pushes n - 1 elements for n cycles leaves its transit
+        edge short; the end-of-chunk occupancy check names the stream."""
+
+        class ShortMap(MapKernel):
+            def _apply(self, n):
+                values = self.inputs["in"].pop_many(n)
+                self.outputs["out"].push_many(values[: n - 1])
+
+        # the sink registers before the map, so map -> sink is a backward
+        # edge holding one element: the sink's n pops still succeed
+        mgr = Manager("short")
+        snk = mgr.add_kernel(SinkKernel("snk"))
+        src = mgr.add_kernel(SourceKernel("src", range(100)))
+        mp = mgr.add_kernel(ShortMap("map", lambda v: v))
+        mgr.connect(src, "out", mp, "in", capacity=4)
+        mgr.connect(mp, "out", snk, "in", capacity=4)
+        with pytest.raises(SimulationError, match="map.out->snk.in.*transit"):
+            Simulator(mgr).run()
+
+    def test_validate_failure_retries_at_the_free_space_bound(self):
+        """A plan whose validate(n) fails above 8 still batches, at the
+        edge-depth bound, instead of falling back to scalar ticks."""
+
+        class PickyMap(MapKernel):
+            def batch_plan(self, ctx):
+                plan = super().batch_plan(ctx)
+                if plan is None or not plan.ops:
+                    return plan
+                return BatchPlan(
+                    ops=plan.ops, sensitive=plan.sensitive,
+                    validate=lambda n: n <= 8,
+                )
+
+        with scalar_reference():
+            s_mgr, s_snk = _shallow_pipeline(PickyMap("map", abs), cap=8)
+            s_result, _ = _counted_run(s_mgr)
+        b_mgr, b_snk = _shallow_pipeline(PickyMap("map", abs), cap=8)
+        b_result, metrics = _counted_run(b_mgr)
+        counters = metrics["counters"]
+        assert metrics["histograms"]["sim.chunk_cycles"]["max"] == 8
+        assert "sim.plan_rejects.validate" not in counters
+        assert counters["sim.cycles.batched"] > 0.8 * b_result.cycles
+        assert b_result.cycles == s_result.cycles
+        assert b_snk.collected == s_snk.collected
+
+
+class TestPlanRejectReasons:
+    def test_every_reject_has_one_reason(self):
+        mgr, _ = _shallow_pipeline()
+        _, metrics = _counted_run(mgr)
+        counters = metrics["counters"]
+        reasons = {
+            k: v for k, v in counters.items()
+            if k.startswith("sim.plan_rejects.")
+        }
+        assert reasons
+        assert sum(reasons.values()) == counters["sim.plan_rejects"]
+        assert counters["sim.plan_rejects"] == counters["sim.cycles.scalar"]
+
+    def test_forced_scalar_run_has_its_own_reason(self):
+        with scalar_reference():
+            mgr, _ = _shallow_pipeline()
+            result, metrics = _counted_run(mgr)
+        counters = metrics["counters"]
+        assert counters["sim.plan_rejects.forced"] == result.cycles
+        assert not any(
+            k.startswith("sim.plan_rejects.") and k != "sim.plan_rejects.forced"
+            for k in counters
+        )
+
+    def test_missing_plan_names_the_kernel(self):
+        class Opaque(MapKernel):
+            def batch_plan(self, ctx):
+                return None
+
+        mgr, _ = _shallow_pipeline(Opaque("opaque", abs), n=20)
+        _, metrics = _counted_run(mgr)
+        assert metrics["counters"]["sim.plan_rejects.no_plan.opaque"] > 0
+
+    def test_budget_and_horizon(self):
+        mgr, snk = _shallow_pipeline(n=50)
+        sim = Simulator(mgr)
+        with session(Telemetry()) as tel:
+            sim.run(until=lambda: len(snk.collected) >= 10)
+            with pytest.raises(SimulationError, match="exceeded"):
+                sim.run(max_cycles=MIN_CHUNK - 1)
+        counters = tel.metrics.to_dict()["counters"]
+        assert counters["sim.plan_rejects.horizon"] > 0
+        # each of the budget's ticks, then the exhausted check that raises
+        assert counters["sim.plan_rejects.budget"] == MIN_CHUNK

@@ -85,6 +85,22 @@ def test_fig9_batches_under_every_policy(policy):
     assert polymem.batched_cycles > 0.5 * polymem.total_cycles
 
 
+def test_full_copy_runs_in_few_chunks():
+    """The Fig. 9 design's 64-deep edges are transit edges inside a chunk,
+    so a 2,048-vector Load + Copy + Offload takes a handful of long chunks,
+    not one chunk per FIFO depth (~63 cycles)."""
+    design = build_stream_design()
+    harness = StreamHarness(design)
+    copy = all_apps()[0]
+    with session(Telemetry()) as tel:
+        harness.load_arrays(2048)
+        harness.run_app(copy, 2048)
+        harness.offload_array(copy.destination, 2048)
+    counters = tel.metrics.to_dict()["counters"]
+    assert counters["sim.cycles.batched"] > 10_000
+    assert counters["sim.chunks"] <= 20
+
+
 def test_scalar_reference_forces_scalar_ticks():
     """The helper every equivalence suite relies on must really tick: a
     broken one would let them compare the batched engine with itself."""

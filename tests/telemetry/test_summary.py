@@ -57,6 +57,15 @@ class TestDerivedValues:
         assert got["stall cycles"] == "10 (10.00%)"
         assert got["scalar-fallback cycles"] == "25 (25.00%)"
 
+    def test_fallback_reasons_most_frequent_first(self):
+        got = dict(derived_values(snapshot(counters={
+            "sim.cycles.scalar": 5,
+            "sim.plan_rejects": 5,
+            "sim.plan_rejects.horizon": 1,
+            "sim.plan_rejects.no_plan.polymem": 4,
+        })))
+        assert got["scalar-fallback reasons"] == "no_plan.polymem 4, horizon 1"
+
     def test_cache_hit_rates(self):
         got = dict(derived_values(snapshot(counters={
             "polymem.plan_cache.hits": 9,

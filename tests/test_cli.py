@@ -66,6 +66,14 @@ class TestCommands:
         assert "MAXIMUM CLOCK FREQUENCIES" in out
         assert "peak read" in out
 
+    def test_dse_save_creates_missing_directories(self, tmp_path, capsys):
+        from repro.util import load_dse_result
+
+        path = tmp_path / "missing" / "dir" / "s.json"
+        assert main(["dse", "--no-cache", "--save", str(path)]) == 0
+        assert f"sweep saved to {path}" in capsys.readouterr().out
+        assert load_dse_result(path).points
+
     def test_stream(self, capsys):
         assert main(["stream"]) == 0
         out = capsys.readouterr().out
@@ -150,6 +158,7 @@ class TestCommands:
         monkeypatch.chdir(tmp_path)  # the "missing" paths really are
         assert main(argv) == 2
         captured = capsys.readouterr()
+        assert captured.out == ""  # no success-looking header first
         assert captured.err.startswith(f"polymem {argv[0]}: error: ")
         assert message in captured.err
         assert "Traceback" not in captured.err
@@ -320,6 +329,13 @@ class TestTelemetryFlags:
         assert counters["sim.cycles.scalar"] >= 0
         assert "polymem.plan_cache.hits" in counters
         assert snap["metrics"]["gauges"]["stream.peak_mbps"]["value"] > 0
+
+    def test_trace_out_creates_missing_directories(self, tmp_path, capsys):
+        trace = tmp_path / "missing" / "dir" / "t.json"
+        rc = main(["stream", "run", "--vectors", "16", "--trace-out", str(trace)])
+        assert rc == 0
+        names = {e["name"] for e in json.loads(trace.read_text())["traceEvents"]}
+        assert "kernel.run" in names
 
     def test_telemetry_off_leaves_no_session(self, capsys):
         from repro.telemetry import active
