@@ -4,8 +4,7 @@ Runs the full Load / Copy / Offload sequence cycle-accurately on the
 scalar reference path (chunk planning off) and on the batched engine
 across STREAM sizes (up to 128 KB per array), checking that the batched
 engine is bit-identical in cycles while >= 4x faster in wall clock at the
-paper's 64 KB point.  Each entry also records how many batched chunks
-the run took and their mean length.  Emits the unified
+paper's 64 KB point.  Emits the unified
 ``repro.exec.report`` JSON next to the text artifact; the small-size
 smoke variant backs the CI perf gate.
 """
@@ -19,7 +18,6 @@ from repro.exec import Report, ReportEntry
 from repro.maxeler.simulator import scalar_reference
 from repro.stream_bench import StreamHarness, build_stream_design
 from repro.stream_bench.apps import COPY
-from repro.telemetry import Telemetry, session
 
 #: lane-vectors per run; 1024 vectors x 8 lanes x 8 B = 64 KB per array
 SIZES = (128, 512, 1024, 2048)
@@ -36,22 +34,12 @@ def _one_pass(vectors: int):
     return cycles, design.dfe.simulator.cycles, wall
 
 
-def _chunk_counts(vectors: int) -> tuple[int, float]:
-    """Batched chunks of one (untimed) pass and their mean cycles."""
-    with session(Telemetry()) as tel:
-        _one_pass(vectors)
-    counters = tel.metrics.to_dict()["counters"]
-    chunks = counters["sim.chunks"]
-    return chunks, counters["sim.cycles.batched"] / chunks
-
-
 def _measure(vectors: int) -> dict:
     with scalar_reference():
         s_cycles, s_total, s_wall = _one_pass(vectors)
     b_cycles, b_total, b_wall = _one_pass(vectors)
     assert b_cycles == s_cycles, "engines disagree on compute cycles"
     assert b_total == s_total, "engines disagree on total cycles"
-    chunks, cycles_per_chunk = _chunk_counts(vectors)
     elements = vectors * 8
     return {
         "vectors": vectors,
@@ -62,8 +50,6 @@ def _measure(vectors: int) -> dict:
         "scalar_eps": elements / s_wall,
         "batched_eps": elements / b_wall,
         "speedup": s_wall / b_wall,
-        "chunks": chunks,
-        "cycles_per_chunk": cycles_per_chunk,
     }
 
 
@@ -71,7 +57,7 @@ def _row(m: dict) -> str:
     return (
         f"{m['kb']:8.0f} {m['cycles']:8d} {m['scalar_wall_s']:10.3f} "
         f"{m['batched_wall_s']:11.3f} {m['scalar_eps']:11.0f} "
-        f"{m['batched_eps']:12.0f} {m['speedup']:8.1f}x {m['chunks']:7d}\n"
+        f"{m['batched_eps']:12.0f} {m['speedup']:8.1f}x\n"
     )
 
 
@@ -79,8 +65,7 @@ _HEADER = (
     "batched vs scalar tick engine — STREAM Copy, full Fig. 9 design\n"
     "(Load + compute + Offload, cycle counts bit-identical by assertion)\n\n"
     f"{'KB':>8s} {'cycles':>8s} {'scalar s':>10s} {'batched s':>11s} "
-    f"{'scalar el/s':>11s} {'batched el/s':>12s} {'speedup':>9s} "
-    f"{'chunks':>7s}\n"
+    f"{'scalar el/s':>11s} {'batched el/s':>12s} {'speedup':>9s}\n"
 )
 
 
@@ -96,8 +81,6 @@ def _entry(m: dict) -> ReportEntry:
             "batched_wall_s": round(m["batched_wall_s"], 4),
             "scalar_elements_per_s": round(m["scalar_eps"]),
             "batched_elements_per_s": round(m["batched_eps"]),
-            "chunks": m["chunks"],
-            "cycles_per_chunk": round(m["cycles_per_chunk"], 1),
         },
     )
 

@@ -45,7 +45,9 @@ __all__ = ["Simulator", "SimulationResult", "KernelStats", "scalar_reference"]
 MIN_CHUNK = 4
 #: a transit edge bounds a chunk at ``max(capacity - len, TRANSIT_CHUNK)``
 #: cycles: long enough to amortize planning, short enough to keep the
-#: transient ring growth and the elements live in one chunk small
+#: elements live in one chunk few and a transit edge's ring small (it
+#: grows to hold up to ``capacity + TRANSIT_CHUNK`` elements, rounded up
+#: by the ring's doubling, and keeps that size after the first long chunk)
 TRANSIT_CHUNK = 1024
 
 
@@ -173,12 +175,13 @@ class Simulator:
                             seg_cycles = None
                         self._run_chunk(*chunk)
                         continue
-                    reason = chunk
-                else:
-                    reason = "idle_streak"  # the deadlock probe ticks scalar
-                if metrics is not None:
-                    metrics.counter("sim.plan_rejects").inc()
-                    metrics.counter(f"sim.plan_rejects.{reason}").inc()
+                    if metrics is not None:
+                        metrics.counter("sim.plan_rejects").inc()
+                        metrics.counter(f"sim.plan_rejects.{chunk}").inc()
+                elif metrics is not None:
+                    # the deadlock probe ticks scalar without planning a
+                    # chunk: its own reason, outside the reject total
+                    metrics.counter("sim.plan_rejects.idle_streak").inc()
                 if self.cycles - start >= budget:
                     raise SimulationError(
                         f"simulation exceeded {budget} cycles without completing"
@@ -305,11 +308,9 @@ class Simulator:
                 transit.append(stream)
         if n < MIN_CHUNK:
             return "occupancy"
-        safe = n  # the free-space bound, as if no edge were a transit edge
         for stream in producer:
             if stream.capacity is not None:
                 free = stream.capacity - len(stream)
-                safe = min(safe, free)
                 if stream in consumer:
                     free = max(free, TRANSIT_CHUNK)
                 n = min(n, free)
@@ -319,12 +320,9 @@ class Simulator:
         order = _toposort(ops, producer, consumer)
         if order is None:
             return "cycle"
-        if not _validates(plans, n):
-            # a long transit chunk may alias reads and writes that a
-            # free-space-bounded one keeps apart: retry once at that bound
-            if not MIN_CHUNK <= safe < n or not _validates(plans, safe):
+        for kernel, plan in plans:
+            if plan.validate is not None and not plan.validate(n):
                 return "validate"
-            n = safe
         return plans, order, n, transit
 
     def _run_chunk(self, plans, order, n: int, transit) -> None:
@@ -403,11 +401,6 @@ def scalar_reference() -> Iterator[None]:
         yield
     finally:
         Simulator._plan_chunk = plan
-
-
-def _validates(plans, n: int) -> bool:
-    """Every plan's last safety check passes for a chunk of *n* cycles."""
-    return all(plan.validate is None or plan.validate(n) for _, plan in plans)
 
 
 def _toposort(ops, producer, consumer):

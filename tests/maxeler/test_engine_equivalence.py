@@ -33,7 +33,6 @@ from repro.maxeler import (
     SourceKernel,
     Simulator,
 )
-from repro.maxeler.batch import BatchPlan
 from repro.maxeler.simulator import MIN_CHUNK, scalar_reference
 from repro.telemetry import Telemetry, session
 
@@ -239,32 +238,6 @@ class TestTransitEdges:
         with pytest.raises(SimulationError, match="map.out->snk.in.*transit"):
             Simulator(mgr).run()
 
-    def test_validate_failure_retries_at_the_free_space_bound(self):
-        """A plan whose validate(n) fails above 8 still batches, at the
-        edge-depth bound, instead of falling back to scalar ticks."""
-
-        class PickyMap(MapKernel):
-            def batch_plan(self, ctx):
-                plan = super().batch_plan(ctx)
-                if plan is None or not plan.ops:
-                    return plan
-                return BatchPlan(
-                    ops=plan.ops, sensitive=plan.sensitive,
-                    validate=lambda n: n <= 8,
-                )
-
-        with scalar_reference():
-            s_mgr, s_snk = _shallow_pipeline(PickyMap("map", abs), cap=8)
-            s_result, _ = _counted_run(s_mgr)
-        b_mgr, b_snk = _shallow_pipeline(PickyMap("map", abs), cap=8)
-        b_result, metrics = _counted_run(b_mgr)
-        counters = metrics["counters"]
-        assert metrics["histograms"]["sim.chunk_cycles"]["max"] == 8
-        assert "sim.plan_rejects.validate" not in counters
-        assert counters["sim.cycles.batched"] > 0.8 * b_result.cycles
-        assert b_result.cycles == s_result.cycles
-        assert b_snk.collected == s_snk.collected
-
 
 class TestPlanRejectReasons:
     def test_every_reject_has_one_reason(self):
@@ -276,8 +249,27 @@ class TestPlanRejectReasons:
             if k.startswith("sim.plan_rejects.")
         }
         assert reasons
+        assert "sim.plan_rejects.idle_streak" not in reasons
         assert sum(reasons.values()) == counters["sim.plan_rejects"]
         assert counters["sim.plan_rejects"] == counters["sim.cycles.scalar"]
+
+    def test_deadlock_probe_is_not_a_plan_reject(self):
+        """The tick after an idle one probes for deadlock without planning
+        a chunk: it counts its own reason, outside the reject total."""
+        mgr = Manager("dead")
+        mux = mgr.add_kernel(MuxKernel("mux", 1))
+        src = mgr.add_kernel(SourceKernel("src", [1]))
+        sel = mgr.add_kernel(SourceKernel("sel", []))
+        snk = mgr.add_kernel(SinkKernel("snk"))
+        mgr.connect(src, "out", mux, "in0")
+        mgr.connect(sel, "out", mux, "select")
+        mgr.connect(mux, "out", snk, "in")
+        with session(Telemetry()) as tel:
+            with pytest.raises(SimulationError, match="deadlock"):
+                Simulator(mgr).run(until=lambda: len(snk.collected) == 1)
+        counters = tel.metrics.to_dict()["counters"]
+        assert counters["sim.plan_rejects.idle_streak"] == 1
+        assert counters["sim.plan_rejects"] == counters["sim.cycles.scalar"] - 1
 
     def test_forced_scalar_run_has_its_own_reason(self):
         with scalar_reference():
