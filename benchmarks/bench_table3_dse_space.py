@@ -3,8 +3,8 @@
 Regenerates the parameter table and the feasible exploration columns
 (which must match Table IV's 18 columns exactly), then benchmarks
 ``explore()`` — the vectorized config-space evaluation — against an
-explicit scalar per-point sweep (the same ``dse.point`` tasks without a
-``batch_fn``) on the full validated Table III sweep: one batched table
+explicit scalar reference (``evaluate_point`` on each config) on the
+full validated Table III sweep: one batched table
 build and one slot-image validation pass per config family instead of
 90 independent design builds.  Finally it re-runs the validated sweep against a fully
 warm result cache, which must recompute nothing and finish in well under
@@ -39,7 +39,7 @@ from repro.dse import dse_report, explore
 from repro.dse.explore import DsePoint, DseResult, evaluate_point
 from repro.dse.pareto import pareto_frontier
 from repro.dse.space import PAPER_SPACE
-from repro.exec import Report, ReportEntry, ResultCache, SweepTask, run_sweep
+from repro.exec import Report, ReportEntry, ResultCache
 from repro.hw.calibration import TABLE_IV_COLUMNS
 
 #: rows validated per design: enough to exercise every pattern/port, small
@@ -67,19 +67,17 @@ def regenerate():
 
 
 def _scalar_explore():
-    """The per-point reference: ``explore()``'s ``dse.point`` sweep with
-    no ``batch_fn``, so every point runs :func:`evaluate_point`."""
+    """The per-point reference: :func:`evaluate_point` on every config of
+    ``explore()``'s grid, with the same params."""
     cfgs = list(PAPER_SPACE.points(feasible_only=True))
     params = {
         "validate": True,
         "validate_rows": VALIDATE_ROWS,
         "device": PAPER_SPACE.device.name,
     }
-    sweep = run_sweep(
-        [SweepTask("dse.point", evaluate_point, cfg, params=params) for cfg in cfgs]
-    )
-    points = [DsePoint(config=cfg, **v) for cfg, v in zip(cfgs, sweep.values())]
-    return DseResult(space=PAPER_SPACE, points=points, sweep=sweep)
+    values = [evaluate_point(cfg, **params) for cfg in cfgs]
+    points = [DsePoint(config=cfg, **v) for cfg, v in zip(cfgs, values)]
+    return DseResult(space=PAPER_SPACE, points=points)
 
 
 def _timed_explore(batch: bool = True, cache=None):
@@ -96,6 +94,17 @@ def _entries_json(result) -> str:
     wall-clock accounting and is deliberately excluded)."""
     doc = json.loads(dse_report(result).to_json())
     return json.dumps(doc["entries"], sort_keys=True, separators=(",", ":"))
+
+
+def _payloads_json(result) -> str:
+    """Every point's sweep payload, as canonical JSON."""
+    fields = ("paper_mhz", "model_mhz", "logic_pct", "lut_pct", "bram_pct",
+              "validated")
+    return json.dumps(
+        [{f: getattr(p, f) for f in fields} for p in result.points],
+        sort_keys=True,
+        separators=(",", ":"),
+    )
 
 
 def _frontier_key(result):
@@ -144,9 +153,7 @@ def run_batch_vs_scalar() -> tuple[str, Report, list[str], list[dict]]:
     # -- byte-identity: points and report entries ---------------------------
     scalar, batched = results["scalar"], results["batched"]
     identical = _entries_json(scalar) == _entries_json(batched)
-    payloads_identical = (
-        scalar.sweep.payload_json() == batched.sweep.payload_json()
-    )
+    payloads_identical = _payloads_json(scalar) == _payloads_json(batched)
     out.write(
         f"  report entries identical: {identical}, "
         f"sweep payloads identical: {payloads_identical}\n"
@@ -171,16 +178,15 @@ def run_batch_vs_scalar() -> tuple[str, Report, list[str], list[dict]]:
         cache = ResultCache(tmp)
         _timed_explore(cache=cache)
         warm, warm_seconds = _timed_explore(cache=cache)
-    if warm.sweep.n_cached != n_points:
-        failures.append(
-            f"warm-cache re-run recomputed {warm.sweep.n_computed} points"
-        )
-    if warm.sweep.payload_json() != batched.sweep.payload_json():
+    warm_cached = n_points if warm.sweep.cached else 0
+    if not warm.sweep.cached:
+        failures.append(f"warm-cache re-run recomputed {n_points} points")
+    if _payloads_json(warm) != _payloads_json(batched):
         failures.append("warm-cache payload differs from the computed one")
     warm_gate = declare_gate("exec.warm_cache_seconds", warm_seconds)
     out.write(
         f"  warm cache: {warm_seconds * 1e3:.1f} ms "
-        f"({warm.sweep.n_cached}/{n_points} cached) — gate <= 1 s "
+        f"({warm_cached}/{n_points} cached) — gate <= 1 s "
         f"{'PASS' if warm_gate['ok'] else 'FAIL'}\n"
     )
     if not warm_gate["ok"]:
@@ -224,7 +230,7 @@ def run_batch_vs_scalar() -> tuple[str, Report, list[str], list[dict]]:
                 quantity="warm-cache re-run seconds",
                 measured=round(warm_seconds, 4),
                 ok=warm_gate["ok"],
-                metrics={"cached": warm.sweep.n_cached},
+                metrics={"cached": warm_cached},
             ),
         ],
     )

@@ -22,9 +22,9 @@ The grid-shaped subcommands (``dse``, ``experiments``) run on the
 
 ``--cache-dir PATH``
     Where the content-addressed result cache lives (default:
-    ``$REPRO_CACHE_DIR``, else ``~/.cache/repro``).  Warm re-runs skip
-    every sweep point whose (config, model version, experiment) hash is
-    unchanged.
+    ``$REPRO_CACHE_DIR``, else ``~/.cache/repro``).  It holds one entry
+    per sweep; a warm re-run skips every sweep whose (experiment,
+    configs, params, model version) hash is unchanged.
 ``--no-cache``
     Disable the result cache for this invocation.
 ``--json [PATH]``
@@ -182,9 +182,10 @@ def _print_or_write(path: str, text: str, what: str) -> None:
 
 
 def _sweep_stats_line(sweep) -> str:
+    n = len(sweep.values)
+    cached = n if sweep.cached else 0
     return (
-        f"sweep: {len(sweep.results)} points "
-        f"({sweep.n_cached} cached, {sweep.n_computed} computed) "
+        f"sweep: {n} points ({cached} cached, {n - cached} computed) "
         f"in {sweep.wall_seconds:.3f} s"
     )
 

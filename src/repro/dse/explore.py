@@ -6,8 +6,8 @@ frequency, resource utilizations, and the derived bandwidth figures —
 everything Figures 4–8 plot.  Optionally each design is functionally
 validated with the paper's §IV-A unique-value read/write cycle.
 
-The sweep routes through :mod:`repro.exec`: sibling points evaluate in
-one vectorized batch, and ``cache`` skips previously computed points
+The sweep routes through :mod:`repro.exec`: the whole grid evaluates in
+one vectorized batch, and ``cache`` skips a previously computed sweep
 (``python -m repro dse`` uses the on-disk cache by default).
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 from ..backend import DeviceBackend, get_backend
 from ..core.config import PolyMemConfig
 from ..core.schemes import Scheme
-from ..exec import ResultCache, SweepTask, run_sweep
+from ..exec import ResultCache, run_sweep
 from ..hw.calibration import table_iv_frequency
 from ..hw.synthesis import SynthesisModel, default_model
 from ..telemetry import context as _telemetry
@@ -123,9 +123,9 @@ def evaluate_point(
 ) -> dict:
     """Evaluate one grid point to its plain-JSON payload.
 
-    This is the scalar :class:`SweepTask` function of the DSE grid.  The
-    synthesis model is resolved from the *device* name (fit once, then
-    cached by :func:`default_model`).
+    This is the scalar reference of the DSE grid.  The synthesis model is
+    resolved from the *device* name (fit once, then cached by
+    :func:`default_model`).
     """
     model = default_model(device) if device else default_model()
     report = model.estimate(config)
@@ -159,14 +159,13 @@ def evaluate_points_batch(
 ) -> list[dict]:
     """Vectorized :func:`evaluate_point` over a config array.
 
-    The :class:`SweepTask` ``batch_fn`` for the DSE grid: one
+    The sweep's compute function for the DSE grid: one
     :meth:`~repro.hw.synthesis.SynthesisModel.estimate_many` pass covers
     every config's synthesis figures, and with ``validate`` the whole
     group goes through :func:`repro.maxpolymem.validation.validate_points_batch`
     (one batched table build and slot-image cycle per config family).
-    Each payload is byte-identical to ``evaluate_point(config, ...)`` —
-    the contract the batch dispatch in :mod:`repro.exec.runtime` assumes
-    and ``tests/dse/test_batch_equivalence.py`` pins.
+    Each payload is byte-identical to ``evaluate_point(config, ...)``, as
+    ``tests/dse/test_batch_equivalence.py`` pins.
     """
     configs = list(configs)
     model = default_model(device) if device else default_model()
@@ -281,8 +280,8 @@ def explore(
     The grid runs through :func:`repro.exec.run_sweep`, which consults
     *cache* first.
 
-    Sibling grid points evaluate through :func:`evaluate_points_batch` —
-    one vectorized pass for the whole grid, byte-identical to per-point
+    The grid evaluates through :func:`evaluate_points_batch` — one
+    vectorized pass for the whole grid, byte-identical to per-point
     :func:`evaluate_point` (the reference
     ``tests/dse/test_batch_equivalence.py`` pins it against).  ``prune``
     drops Pareto-dominated points *before* evaluation: the frontier of the result is provably unchanged (see
@@ -313,25 +312,18 @@ def explore(
         "validate_rows": validate_rows,
         "device": space.device.name,
     }
-    tasks = [
-        SweepTask(
-            "dse.point",
-            evaluate_point,
-            cfg,
-            params=params,
-            batch_fn=evaluate_points_batch,
-        )
-        for cfg in cfgs
-    ]
-    sweep = run_sweep(tasks, cache=cache)
+    sweep = run_sweep(
+        "dse.point", cfgs, evaluate_points_batch, params=params, cache=cache
+    )
     tel = _telemetry.active()
     if tel is not None:
         metrics = tel.metrics
         metrics.counter("dse.batch.candidates").inc(candidates)
         metrics.counter("dse.batch.pruned").inc(pruned)
-        metrics.counter("dse.batch.configs").inc(sweep.batched_points)
-        metrics.counter("dse.batch.passes").inc(sweep.batch_calls)
+        computed = not sweep.cached
+        metrics.counter("dse.batch.configs").inc(len(cfgs) if computed else 0)
+        metrics.counter("dse.batch.passes").inc(int(computed))
     points = [
-        DsePoint(config=cfg, **value) for cfg, value in zip(cfgs, sweep.values())
+        DsePoint(config=cfg, **value) for cfg, value in zip(cfgs, sweep.values)
     ]
     return DseResult(space=space, points=points, sweep=sweep, backend=backend_name)

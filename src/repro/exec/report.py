@@ -102,11 +102,10 @@ class Report:
     def add_sweep_meta(self, sweep) -> None:
         """Fold a :class:`~repro.exec.runtime.SweepResult`'s accounting into
         ``meta`` (accumulating across several sweeps)."""
-        self.meta["sweep_points"] = self.meta.get("sweep_points", 0) + len(
-            sweep.results
-        )
+        n = len(sweep.values)
+        self.meta["sweep_points"] = self.meta.get("sweep_points", 0) + n
         self.meta["sweep_cached"] = (
-            self.meta.get("sweep_cached", 0) + sweep.n_cached
+            self.meta.get("sweep_cached", 0) + (n if sweep.cached else 0)
         )
         self.meta["sweep_wall_seconds"] = round(
             self.meta.get("sweep_wall_seconds", 0.0) + sweep.wall_seconds, 6

@@ -217,26 +217,25 @@ def _validation_rows(
 ) -> tuple[list[ExperimentRow], object]:
     from .core.config import KB, PolyMemConfig
     from .core.schemes import Scheme
-    from .exec import SweepTask, run_sweep
-    from .maxpolymem.validation import validate_config
+    from .exec import run_sweep
+
+    def validate_each(configs, **params):
+        from .maxpolymem.validation import validate_config
+
+        return [validate_config(cfg, **params) for cfg in configs]
 
     cfgs = [
         PolyMemConfig(16 * KB, p=2, q=4, scheme=scheme, read_ports=2)
         for scheme in Scheme
     ]
-    tasks = [
-        SweepTask(
-            "maxpolymem.validate",
-            validate_config,
-            cfg,
-            params={"max_rows": 8, "style": "fused"},
-        )
-        for cfg in cfgs
-    ]
-    sweep = run_sweep(tasks, cache=cache)
-    passed = sum(
-        v["passed"] and not v["mismatches"] for v in sweep.values()
+    sweep = run_sweep(
+        "maxpolymem.validate",
+        cfgs,
+        validate_each,
+        params={"max_rows": 8, "style": "fused"},
+        cache=cache,
     )
+    passed = sum(v["passed"] and not v["mismatches"] for v in sweep.values)
     total = len(cfgs)
     rows = [
         ExperimentRow(
@@ -267,8 +266,8 @@ class Scorecard:
 def run_scorecard(cache: ResultCache | None = None) -> Scorecard:
     """Run every experiment through :mod:`repro.exec`.
 
-    ``cache`` makes warm re-runs skip every sweep point whose inputs did
-    not change.
+    ``cache`` makes warm re-runs skip every sweep whose inputs did not
+    change.
     """
     from .dse import explore
 

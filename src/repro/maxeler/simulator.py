@@ -154,12 +154,23 @@ class Simulator:
         # telemetry state, hoisted so the disabled-path loop cost is zero
         metrics = tel.metrics if tel is not None else None
         tracer = tel.tracer if tel is not None else None
+        depths = ()
         if metrics is not None:
             # eagerly create the core cycle counters so a snapshot always
             # reports them (a stall-free run still shows 0 stall cycles)
             metrics.counter("sim.stall_cycles")
             metrics.counter("sim.cycles.scalar")
             metrics.counter("sim.cycles.batched")
+            # stream occupancy, sampled at run start and at every cycle
+            # boundary the engine reaches: after each scalar tick and each
+            # chunk.  Within a chunk occupancy is monotone on a one-sided
+            # stream and constant on a transit edge, so these samples give
+            # the exact per-cycle min and max on both engines.
+            depths = [
+                (metrics.gauge(f"stream.depth.{name}"), stream)
+                for name, stream in self.manager.streams.items()
+            ]
+            _sample(depths)
         seg_cycles = None  # cycle count when the open scalar-segment span began
         try:
             while True:
@@ -174,6 +185,7 @@ class Simulator:
                             tracer.end(cycles=self.cycles - seg_cycles)
                             seg_cycles = None
                         self._run_chunk(*chunk)
+                        _sample(depths)
                         continue
                     if metrics is not None:
                         metrics.counter("sim.plan_rejects").inc()
@@ -195,6 +207,7 @@ class Simulator:
                     metrics.counter("sim.cycles.scalar").inc()
                     if not progressed:
                         metrics.counter("sim.stall_cycles").inc()
+                    _sample(depths)
                 if progressed:
                     idle_streak = 0
                     continue
@@ -361,10 +374,6 @@ class Simulator:
             m.counter("sim.chunks").inc()
             m.counter("sim.cycles.batched").inc(n)
             m.histogram("sim.chunk_cycles").observe(n)
-            # stream occupancy sampled at chunk boundaries (never per push
-            # — that is the hot path the batched engine exists to avoid)
-            for name, stream in self.manager.streams.items():
-                m.gauge(f"stream.depth.{name}").set(len(stream))
         if tracer is not None:
             tracer.end()
 
@@ -387,6 +396,11 @@ class Simulator:
         return SimulationResult(
             cycles=self.cycles, quiesced=quiesced, kernel_stats=self.stats()
         )
+
+
+def _sample(depths) -> None:
+    for gauge, stream in depths:
+        gauge.set(len(stream))
 
 
 @contextmanager

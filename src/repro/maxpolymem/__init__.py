@@ -20,7 +20,7 @@ __all__ = export_lazily(__name__, {
     "kernel": ("DEFAULT_READ_LATENCY", "FusedPolyMemKernel", "WriteCommand"),
     "modular": ("Bundle", "ModularDesign", "build_modular_design"),
     "validation": (
-        "ValidationReport", "validate_config", "validate_configs",
-        "validate_design", "validated_rows",
+        "ValidationReport", "validate_config", "validate_design",
+        "validated_rows",
     ),
 })

@@ -11,15 +11,15 @@ values are written through the write port using aligned rectangle accesses
 using every pattern the scheme supports, and compared against the expected
 layout.
 
-:func:`validate_configs` runs the cycle over a whole grid of
-configurations through :mod:`repro.exec` — batched, and cached when
-asked — which is how the paper "validate[s] each design" across the DSE.
+:func:`validate_points_batch` runs the cycle over a whole grid of
+configurations in one vectorized pass, which is how the DSE sweep
+"validate[s] each design" (``explore(validate=True)``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "conflict_free_chunk",
     "validate_design",
     "validate_config",
-    "validate_configs",
     "validate_points_batch",
     "validated_rows",
 ]
@@ -123,6 +122,7 @@ def validate_design(design: PolyMemDesign, max_rows: int | None = 64) -> Validat
     full 4 MB space would need half a million stream elements); ``None``
     validates everything; see :func:`validated_rows`.
     """
+    from ..maxeler.conditions import StreamFill
     from .kernel import WriteCommand
 
     cfg = design.config
@@ -162,7 +162,7 @@ def validate_design(design: PolyMemDesign, max_rows: int | None = 64) -> Validat
             host.write_stream(f"rd_cmd{port}", reqs)
             expected_n = len(reqs)
             host.run_kernel(
-                until=lambda s=out_stream, n=expected_n: len(s) == n,
+                until=StreamFill(out_stream, expected_n),
                 max_cycles=50 * expected_n + 10 * design.read_latency + 1000,
             )
             results = host.read_stream(f"rd_out{port}")
@@ -184,8 +184,7 @@ def validate_config(
     style: str = "fused",
 ) -> dict:
     """Build + validate one configuration, returning the plain-JSON
-    payload (the :class:`~repro.exec.SweepTask` function for the
-    validation grid)."""
+    payload (the per-config reference of the validation grid)."""
     from .design import build_design
 
     design = build_design(config, style=style, clock_source="model")
@@ -374,40 +373,3 @@ def validate_points_batch(
                 }
     return payloads
 
-
-def validate_configs(
-    configs: Iterable[PolyMemConfig],
-    max_rows: int | None = 16,
-    style: str = "fused",
-    cache=None,
-) -> list[ValidationReport]:
-    """The §IV-A cycle over a grid of configurations via :mod:`repro.exec`.
-
-    Returns one :class:`ValidationReport` per config, in input order.
-    ``cache`` goes to :func:`repro.exec.run_sweep`.  Sibling tasks
-    evaluate through :func:`validate_points_batch` in a single vectorized
-    call, byte-identical to per-config :func:`validate_config` (the
-    reference ``tests/dse/test_batch_equivalence.py`` pins it against).
-    """
-    from ..exec import SweepTask, run_sweep
-
-    tasks = [
-        SweepTask(
-            "maxpolymem.validate",
-            validate_config,
-            cfg,
-            params={"max_rows": max_rows, "style": style},
-            batch_fn=validate_points_batch,
-        )
-        for cfg in configs
-    ]
-    sweep = run_sweep(tasks, cache=cache)
-    return [
-        ValidationReport(
-            config_label=v["config_label"],
-            writes=v["writes"],
-            reads=v["reads"],
-            mismatches=list(v["mismatches"]),
-        )
-        for v in sweep.values()
-    ]

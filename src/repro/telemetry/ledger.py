@@ -257,15 +257,12 @@ def maybe_record_sweep(experiment_ids, sweep, telemetry) -> LedgerEntry | None:
         ids = sorted(set(experiment_ids))
         entry = record_run(
             f"sweep.{ids[0] if len(ids) == 1 else 'mixed'}",
-            params={"experiments": ids, "points": len(sweep.results)},
+            params={"experiments": ids, "points": len(sweep.values)},
             timings={
                 "wall_seconds": sweep.wall_seconds,
                 "compute_seconds": sweep.compute_seconds,
             },
-            flags={
-                "cached": sweep.n_cached,
-                "batched_points": sweep.batched_points,
-            },
+            flags={"cached": len(sweep.values) if sweep.cached else 0},
             telemetry=telemetry,
         )
         return Ledger(path).append(entry)

@@ -65,7 +65,7 @@ class Histogram:
 
     The bucket for a value ``v`` is the smallest power of two ``>= v``
     (values ``<= 1`` share the ``1`` bucket) — coarse, allocation-free,
-    and exactly what chunk-size / task-latency distributions need.
+    and exactly what chunk-size distributions need.
     """
 
     __slots__ = ("count", "total", "min", "max", "buckets")

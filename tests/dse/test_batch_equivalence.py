@@ -29,7 +29,6 @@ from repro.dse.explore import (
 )
 from repro.dse.pareto import pareto_frontier
 from repro.dse.space import PAPER_SPACE, DesignSpace
-from repro.exec import SweepTask, run_sweep
 from repro.hw.synthesis import default_model
 from repro.maxpolymem.validation import (
     conflict_free_chunk,
@@ -82,21 +81,22 @@ def _scalar_chunk(configs, kind, ai, aj, *, policy="allow"):
     return out
 
 
-def _scalar_explore(space=PAPER_SPACE, *, prune=False, **params):
-    """``explore()`` on the per-point reference: the same ``dse.point``
-    sweep with no ``batch_fn``, so every point runs ``evaluate_point``."""
+def _scalar_values(space=PAPER_SPACE, *, prune=False, **params):
+    """The per-point reference payloads of ``explore()``'s grid:
+    ``evaluate_point`` on every config, with the same params."""
     cfgs = list(space.points(feasible_only=True))
     if prune:
         cfgs, _ = _prune_dominated(cfgs, default_model(space.device.name))
     params = {"validate": False, "validate_rows": 16, **params,
               "device": space.device.name}
-    sweep = run_sweep(
-        [SweepTask("dse.point", evaluate_point, cfg, params=params)
-         for cfg in cfgs]
-    )
-    assert sweep.batched_points == 0
-    points = [DsePoint(config=cfg, **v) for cfg, v in zip(cfgs, sweep.values())]
-    return DseResult(space=space, points=points, sweep=sweep)
+    return cfgs, [evaluate_point(cfg, **params) for cfg in cfgs]
+
+
+def _scalar_explore(space=PAPER_SPACE, **kwargs):
+    """``explore()`` on the per-point reference."""
+    cfgs, values = _scalar_values(space, **kwargs)
+    points = [DsePoint(config=cfg, **v) for cfg, v in zip(cfgs, values)]
+    return DseResult(space=space, points=points)
 
 
 class TestConflictFreeChunk:
@@ -261,25 +261,22 @@ class TestExploreEquivalence:
     def test_sweep_path_points_identical(self, scalar_result):
         batched = explore()
         assert _points_json(batched) == _points_json(scalar_result)
-        assert batched.sweep.batched_points == len(batched.points)
-        assert batched.sweep.batch_calls >= 1
+        assert len(batched.sweep.values) == len(batched.points)
 
     def test_fast_path_sweep_accounting(self):
         result = explore()
         assert result.sweep is not None
-        assert result.sweep.n_cached == 0
-        assert result.sweep.n_computed == len(result.points)
-        assert result.sweep.batched_points == len(result.points)
-        # the whole default grid is one dispatch group: one batch_fn call
-        assert result.sweep.batch_calls == 1
+        assert not result.sweep.cached
+        assert len(result.sweep.values) == len(result.points)
+        assert result.sweep.wall_seconds >= result.sweep.compute_seconds > 0
 
-    def test_payload_json_matches_scalar_sweep(self, scalar_result):
-        """Cache keys and payloads — not just the points — are identical,
-        so batched and scalar runs share cache entries."""
-        assert (
-            explore().sweep.payload_json()
-            == scalar_result.sweep.payload_json()
-        )
+    def test_payload_json_matches_scalar_sweep(self):
+        """The payloads — not just the points — are byte-identical to the
+        per-point reference."""
+        _, scalar = _scalar_values()
+        assert [_payload_json(v) for v in explore().sweep.values] == [
+            _payload_json(v) for v in scalar
+        ]
 
     def test_validated_small_space(self):
         space = DesignSpace(
@@ -359,3 +356,17 @@ class TestBatchTelemetry:
             len(ALL_CONFIGS) - c["dse.batch.pruned"]
         )
         assert c["dse.batch.passes"] == 1
+
+    def test_cached_sweep_counts_no_batch_pass(self, tmp_path):
+        from repro.exec import ResultCache
+        from repro.telemetry import Telemetry, session
+
+        cache = ResultCache(tmp_path / "cache")
+        explore(cache=cache)
+        with session(Telemetry(label="test")) as tel:
+            assert explore(cache=cache).sweep.cached
+            snap = tel.snapshot()
+        c = snap["metrics"]["counters"]
+        assert c["dse.batch.configs"] == 0
+        assert c["dse.batch.passes"] == 0
+        assert c["exec.cache.hits"] == c["exec.points"] == len(ALL_CONFIGS)

@@ -1,8 +1,9 @@
 """Tests for the repro.exec content-addressed result cache.
 
-Covers the ISSUE-1 cache requirements: hash stability across processes,
-invalidation on PolyMemConfig field changes and model-version bumps, and
-corrupted-entry recovery (recompute, never crash).
+One entry per sweep: the key is stable across processes and changes with
+every config field, the params, the experiment and the model version; a
+damaged entry is a miss, is evicted, and the sweep recomputes the same
+values (recompute, never crash).
 """
 
 import json
@@ -15,14 +16,12 @@ import pytest
 from repro.core.config import KB, PolyMemConfig
 from repro.core.schemes import Scheme
 from repro.exec import (
-    MISS,
-    MODEL_VERSION,
     ResultCache,
-    SweepTask,
     cache_key,
     default_cache_dir,
     run_sweep,
 )
+from repro.exec import cache as cache_mod
 
 
 @pytest.fixture
@@ -37,27 +36,27 @@ def cache(tmp_path):
 
 class TestCacheKey:
     def test_deterministic_within_process(self, config):
-        a = cache_key("dse.point", config, {"validate": False})
-        b = cache_key("dse.point", config, {"validate": False})
+        a = cache_key("dse.point", [config], {"validate": False})
+        b = cache_key("dse.point", [config], {"validate": False})
         assert a == b
         assert len(a) == 64 and int(a, 16) >= 0  # sha256 hex
 
     def test_param_order_irrelevant(self, config):
-        a = cache_key("x", config, {"a": 1, "b": 2})
-        b = cache_key("x", config, {"b": 2, "a": 1})
+        a = cache_key("x", [config], {"a": 1, "b": 2})
+        b = cache_key("x", [config], {"b": 2, "a": 1})
         assert a == b
 
     def test_stable_across_processes_and_hash_seeds(self, config):
         """The key must be reproducible in a fresh interpreter — including
         under a different PYTHONHASHSEED (no dict-order/str-hash leakage)."""
-        expected = cache_key("dse.point", config, {"validate": True, "rows": 8})
+        expected = cache_key("dse.point", [config], {"validate": True, "rows": 8})
         script = (
             "from repro.core.config import KB, PolyMemConfig\n"
             "from repro.core.schemes import Scheme\n"
             "from repro.exec import cache_key\n"
             "cfg = PolyMemConfig(512 * KB, p=2, q=4, scheme=Scheme.ReRo,"
             " read_ports=2)\n"
-            "print(cache_key('dse.point', cfg,"
+            "print(cache_key('dse.point', [cfg],"
             " {'validate': True, 'rows': 8}))\n"
         )
         for seed in ("0", "12345"):
@@ -72,7 +71,7 @@ class TestCacheKey:
             assert proc.stdout.strip() == expected
 
     def test_invalidates_on_config_field_change(self, config):
-        base = cache_key("dse.point", config)
+        base = cache_key("dse.point", [config])
         variants = [
             config.with_(capacity_bytes=1024 * KB),
             config.with_(scheme=Scheme.ReCo),
@@ -80,148 +79,145 @@ class TestCacheKey:
             config.with_(p=2, q=8),
             config.with_(width_bits=32),
         ]
-        keys = {cache_key("dse.point", v) for v in variants}
+        keys = {cache_key("dse.point", [v]) for v in variants}
         assert base not in keys
         assert len(keys) == len(variants)  # every field participates
+        # so does the order and the number of configs in the sweep
+        other = config.with_(scheme=Scheme.ReCo)
+        assert cache_key("x", [config, other]) != cache_key("x", [other, config])
+        assert cache_key("x", [config]) != cache_key("x", [config, config])
 
-    def test_invalidates_on_model_version_bump(self, config):
-        current = cache_key("dse.point", config)
-        assert current == cache_key(
-            "dse.point", config, model_version=MODEL_VERSION
-        )
-        assert current != cache_key(
-            "dse.point", config, model_version="2099.01.0"
-        )
+    def test_invalidates_on_model_version_bump(self, config, monkeypatch):
+        current = cache_key("dse.point", [config])
+        monkeypatch.setattr(cache_mod, "MODEL_VERSION", "2099.01.0")
+        assert current != cache_key("dse.point", [config])
 
     def test_invalidates_on_experiment_and_params(self, config):
-        assert cache_key("dse.point", config) != cache_key(
-            "maxpolymem.validate", config
+        assert cache_key("dse.point", [config]) != cache_key(
+            "maxpolymem.validate", [config]
         )
-        assert cache_key("x", config, {"rows": 8}) != cache_key(
-            "x", config, {"rows": 16}
+        assert cache_key("x", [config], {"rows": 8}) != cache_key(
+            "x", [config], {"rows": 16}
         )
 
     def test_enum_and_mapping_canonicalization(self):
-        a = cache_key("x", {"scheme": Scheme.ReRo, "n": (1, 2)})
-        b = cache_key("x", {"scheme": "ReRo", "n": [1, 2]})
+        a = cache_key("x", [{"scheme": Scheme.ReRo, "n": (1, 2)}])
+        b = cache_key("x", [{"scheme": "ReRo", "n": [1, 2]}])
         assert a == b
+
+
+def _each(configs, offset=0):
+    return [{"v": c * 10 + offset, "seq": [c, None]} for c in configs]
+
+
+def _sweep(cache, n=4):
+    return run_sweep("t", range(n), _each, params={"offset": 1}, cache=cache)
+
+
+def _entry_path(cache, n=4):
+    return cache.path_for(cache_key("t", range(n), {"offset": 1}))
+
+
+def _damage_wrong_key(cache, path):
+    # another sweep's valid entry, padded to this sweep's length
+    _sweep(cache, n=3)
+    entry = json.loads(_entry_path(cache, n=3).read_text())
+    entry["values"].append(entry["values"][-1])
+    path.write_text(json.dumps(entry))
+
+
+def _damage_wrong_length(cache, path):
+    entry = json.loads(path.read_text())
+    entry["values"].pop()
+    path.write_text(json.dumps(entry))
+
+
+DAMAGE = {
+    "corrupted": lambda cache, path: path.write_text("\x00garbage"),
+    "truncated": lambda cache, path: path.write_text(path.read_text()[:20]),
+    "foreign-format": lambda cache, path: path.write_text(
+        json.dumps({"format": "other/1", "value": 42})
+    ),
+    "wrong-key": _damage_wrong_key,
+    "wrong-length": _damage_wrong_length,
+}
 
 
 class TestResultCache:
     def test_roundtrip(self, cache):
-        key = cache_key("t", None, {"i": 1})
-        assert cache.get(key) is MISS
-        value = {"mbps": 15301.5, "nested": {"ok": True}, "seq": [1, 2, 3]}
-        cache.put(key, value)
-        assert key in cache
-        assert cache.get(key) == value
-        assert cache.hits == 1 and cache.misses == 1
+        key = cache_key("t", [1])
+        assert cache.get(key, 1) is None
+        values = [{"mbps": 15301.5, "nested": {"ok": True}, "seq": [1, 2, 3]}]
+        cache.put(key, values)
+        assert cache.path_for(key).is_file()
+        assert cache.get(key, 1) == values
 
     def test_cached_none_distinct_from_miss(self, cache):
-        key = cache_key("t", None, {"i": 2})
-        cache.put(key, None)
-        assert cache.get(key) is None
-        assert cache.get(key) is not MISS
+        key = cache_key("t", [2])
+        cache.put(key, [None])
+        assert cache.get(key, 1) == [None]
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_entry_is_an_evicted_miss(self, cache, damage):
+        first = _sweep(cache)
+        path = _entry_path(cache)
+        DAMAGE[damage](cache, path)
+        assert cache.get(cache_key("t", range(4), {"offset": 1}), 4) is None
+        assert not path.exists()  # evicted
+        again = _sweep(cache)
+        assert not again.cached  # recomputed, no exception
+        assert again.values == first.values
+        assert _sweep(cache).cached  # and stored again
 
     def test_corrupted_entry_recovers(self, cache):
-        key = cache_key("t", None, {"i": 3})
-        cache.put(key, {"v": 1})
+        key = cache_key("t", [3])
+        cache.put(key, [{"v": 1}])
         path = cache.path_for(key)
         path.write_text("{ not json at all")
-        assert cache.get(key) is MISS
+        assert cache.get(key, 1) is None
         assert not path.exists()  # evicted, next put recreates it
-        cache.put(key, {"v": 2})
-        assert cache.get(key) == {"v": 2}
+        cache.put(key, [{"v": 2}])
+        assert cache.get(key, 1) == [{"v": 2}]
 
     def test_truncated_entry_recovers(self, cache):
-        key = cache_key("t", None, {"i": 4})
-        cache.put(key, {"v": list(range(100))})
+        key = cache_key("t", [4])
+        cache.put(key, [{"v": list(range(100))}])
         path = cache.path_for(key)
         path.write_text(path.read_text()[:20])
-        assert cache.get(key) is MISS
+        assert cache.get(key, 1) is None
 
     def test_foreign_or_mismatched_entry_recovers(self, cache):
-        key = cache_key("t", None, {"i": 5})
-        other = cache_key("t", None, {"i": 6})
-        cache.put(other, {"v": "other"})
+        key = cache_key("t", [5])
+        other = cache_key("t", [6])
+        cache.put(other, [{"v": "other"}])
         # copy the other entry under the wrong key: detected and evicted
         path = cache.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(cache.path_for(other).read_text())
-        assert cache.get(key) is MISS
-        assert cache.get(other) == {"v": "other"}
+        assert cache.get(key, 1) is None
+        assert cache.get(other, 1) == [{"v": "other"}]
         # valid JSON without the envelope is also a miss
         path.write_text(json.dumps({"value": 42}))
-        assert cache.get(key) is MISS
+        assert cache.get(key, 1) is None
+        # so is the right envelope holding the wrong number of values
+        assert cache.get(other, 2) is None
 
     def test_corrupted_entry_never_crashes_a_sweep(self, cache, config):
-        from repro.dse.explore import evaluate_point
+        from repro.dse.explore import evaluate_points_batch
 
-        task = SweepTask("dse.point", evaluate_point, config)
-        first = run_sweep([task], cache=cache)
-        assert first.n_computed == 1
-        cache.path_for(task.cache_key()).write_text("\x00garbage")
-        again = run_sweep([task], cache=cache)
-        assert again.n_computed == 1  # recomputed, no exception
-        assert again.payload_json() == first.payload_json()
+        first = run_sweep("dse.point", [config], evaluate_points_batch, cache=cache)
+        assert not first.cached
+        cache.path_for(cache_key("dse.point", [config])).write_text("\x00garbage")
+        again = run_sweep("dse.point", [config], evaluate_points_batch, cache=cache)
+        assert not again.cached  # recomputed, no exception
+        assert again.values == first.values
 
-    def test_len_and_clear(self, cache):
-        for i in range(5):
-            cache.put(cache_key("t", None, {"i": i}), i)
-        assert len(cache) == 5
-        assert cache.clear() == 5
-        assert len(cache) == 0
-
-
-class TestBatchedInterface:
-    """get_many/put_many must be observably identical to get/put loops
-    (the exec runtime uses the batched forms; these pin the parity)."""
-
-    def _keys(self, n):
-        return [cache_key("t", None, {"i": i}) for i in range(n)]
-
-    def test_put_many_then_get_parity(self, cache, tmp_path):
-        keys = self._keys(6)
-        cache.put_many({k: {"i": i} for i, k in enumerate(keys)})
-        single = ResultCache(tmp_path / "single")
-        for i, k in enumerate(keys):
-            single.put(k, {"i": i})
-        for k in keys:
-            assert cache.get(k) == single.get(k)
-            assert cache.path_for(k).read_text() == single.path_for(k).read_text()
-
-    def test_get_many_hits_misses_and_counters(self, cache):
-        keys = self._keys(8)
-        for i, k in enumerate(keys[:5]):
-            cache.put(k, {"i": i})
-        got = cache.get_many(keys)
-        assert set(got) == set(keys[:5])
-        assert [got[k]["i"] for k in keys[:5]] == [0, 1, 2, 3, 4]
-        assert cache.hits == 5 and cache.misses == 3
-
-    def test_get_many_empty_and_cold_dir(self, cache):
-        assert cache.get_many([]) == {}
-        keys = self._keys(4)
-        assert cache.get_many(keys) == {}  # directory does not exist yet
-        assert cache.misses == 4
-
-    def test_get_many_evicts_corrupted_like_get(self, cache):
-        keys = self._keys(3)
-        for i, k in enumerate(keys):
-            cache.put(k, {"i": i})
-        cache.path_for(keys[1]).write_text("{ not json")
-        got = cache.get_many(keys)
-        assert set(got) == {keys[0], keys[2]}
-        assert not cache.path_for(keys[1]).exists()  # evicted
-
-    def test_batched_equals_single_key_api(self, cache, tmp_path):
-        """End to end: a sweep persisted via put_many resolves identically
-        through get and get_many."""
-        keys = self._keys(10)
-        values = {k: {"payload": [i, i * i]} for i, k in enumerate(keys)}
-        cache.put_many(values)
-        assert cache.get_many(keys) == values
-        assert {k: cache.get(k) for k in keys} == values
+    def test_model_version_bump_misses(self, cache, monkeypatch):
+        first = _sweep(cache)
+        monkeypatch.setattr(cache_mod, "MODEL_VERSION", "2099.01.0")
+        bumped = _sweep(cache)
+        assert not bumped.cached
+        assert bumped.values == first.values
+        assert _sweep(cache).cached
 
 
 class TestDefaultCacheDir:

@@ -91,12 +91,12 @@ class TestReport:
         assert "1/2 checks passed" in text
 
     def test_render_sweep_meta(self):
-        from repro.exec import SweepTask, run_sweep
+        from repro.exec import run_sweep
 
-        def _noop(config):
-            return {"v": config}
+        def _noop(configs):
+            return [{"v": c} for c in configs]
 
-        sweep = run_sweep([SweepTask("t", _noop, i) for i in range(3)])
+        sweep = run_sweep("t", range(3), _noop)
         r = self._report()
         r.add_sweep_meta(sweep)
         r.add_sweep_meta(sweep)

@@ -6,9 +6,9 @@ covers every (scheme x lanes x ports) combination at reduced capacity —
 the capacity axis only changes bank depth, which the addressing tests
 already cover exhaustively.
 
-The grid runs through the :mod:`repro.exec` runtime (the same path
-``python -m repro experiments`` uses), exercising the batched dispatch
-and the result cache end to end.
+The grid runs as one :mod:`repro.exec` sweep over the vectorized
+:func:`validate_points_batch`, exercising the batch path and the result
+cache end to end.
 """
 
 import pytest
@@ -16,8 +16,9 @@ import pytest
 from repro.core.config import KB, PolyMemConfig
 from repro.core.schemes import Scheme
 from repro.dse.space import LANE_GRIDS
-from repro.exec import ResultCache
-from repro.maxpolymem import build_design, validate_configs, validate_design
+from repro.exec import ResultCache, run_sweep
+from repro.maxpolymem import build_design, validate_design
+from repro.maxpolymem.validation import validate_points_batch
 
 
 def _grid_configs():
@@ -34,17 +35,23 @@ def test_validation_cycle_grid(tmp_path):
     the repro.exec runtime with a result cache."""
     configs = _grid_configs()
     cache = ResultCache(tmp_path / "cache")
-    reports = validate_configs(configs, max_rows=16, cache=cache)
-    assert len(reports) == len(configs)
-    for cfg, report in zip(configs, reports):
-        assert report.config_label == cfg.label()
-        assert report.passed, report.mismatches
+
+    def sweep():
+        return run_sweep(
+            "maxpolymem.validate", configs, validate_points_batch,
+            params={"max_rows": 16}, cache=cache,
+        )
+
+    cold = sweep()
+    assert len(cold.values) == len(configs)
+    for cfg, payload in zip(configs, cold.values):
+        assert payload["config_label"] == cfg.label()
+        assert payload["passed"], payload["mismatches"]
 
     # warm cache: identical outcome without recomputing a single design
-    again = validate_configs(configs, max_rows=16, cache=cache)
-    assert [r.config_label for r in again] == [r.config_label for r in reports]
-    assert all(r.passed for r in again)
-    assert cache.hits >= len(configs)
+    again = sweep()
+    assert again.cached
+    assert again.values == cold.values
 
 
 @pytest.mark.parametrize("ports", [3, 4])

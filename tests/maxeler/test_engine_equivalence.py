@@ -302,3 +302,30 @@ class TestPlanRejectReasons:
         assert counters["sim.plan_rejects.horizon"] > 0
         # each of the budget's ticks, then the exhausted check that raises
         assert counters["sim.plan_rejects.budget"] == MIN_CHUNK
+
+
+def _copy_depths():
+    """min/max of every ``stream.depth.*`` gauge over a 256-vector
+    Load -> Copy -> Offload on the Fig. 9 design."""
+    from repro.stream_bench import COPY, StreamHarness
+
+    with session(Telemetry()) as tel:
+        StreamHarness().run(COPY, 256)
+    gauges = tel.metrics.to_dict()["gauges"]
+    return {
+        name: (g["min"], g["max"])
+        for name, g in gauges.items()
+        if name.startswith("stream.depth.")
+    }
+
+
+class TestDepthGauges:
+    def test_engines_report_equal_depth_extremes(self):
+        """Depths are sampled at run start and at every cycle boundary
+        the engine reaches, so both engines see the same extremes."""
+        with scalar_reference():
+            scalar = _copy_depths()
+        batched = _copy_depths()
+        assert scalar and batched == scalar
+        # the host queues a whole array before the Load run starts
+        assert batched["stream.depth.host->a_in"][1] == 256

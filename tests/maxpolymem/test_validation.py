@@ -62,3 +62,15 @@ class TestValidateDesign:
         cfg = PolyMemConfig(4 * KB, p=2, q=4, scheme=Scheme.ReTr)
         report = validate_design(build_design(cfg, clock_source="model"))
         assert "ReTr" in report.config_label
+
+    def test_readback_runs_batched(self):
+        """The readback waits on a typed stream-fill condition, so the
+        engine can batch it instead of ticking every cycle scalar."""
+        from repro.maxpolymem.validation import validate_config
+        from repro.telemetry import Telemetry, session
+
+        cfg = PolyMemConfig(16 * KB, p=2, q=4, scheme=Scheme.RoCo, read_ports=2)
+        with session(Telemetry()) as tel:
+            payload = validate_config(cfg, max_rows=8)
+        assert payload["passed"]
+        assert tel.metrics.to_dict()["counters"]["sim.cycles.batched"] > 0

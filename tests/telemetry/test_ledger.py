@@ -167,9 +167,8 @@ class TestMaybeRecordSweep:
         return SimpleNamespace(
             wall_seconds=1.0,
             compute_seconds=0.8,
-            n_cached=0,
-            batched_points=90,
-            results=[1, 2, 3],
+            cached=False,
+            values=[1, 2, 3],
         )
 
     def test_noop_without_ledger_env(self):
@@ -189,7 +188,7 @@ class TestMaybeRecordSweep:
         assert entry.bench == "sweep.dse"
         assert entry.params == {"experiments": ["dse"], "points": 3}
         assert entry.timings == {"wall_seconds": 1.0, "compute_seconds": 0.8}
-        assert entry.provenance["flags"] == {"cached": 0, "batched_points": 90}
+        assert entry.provenance["flags"] == {"cached": 0}
         (stored,) = Ledger(path).entries()
         assert stored.bench == "sweep.dse"
 
