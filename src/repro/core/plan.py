@@ -50,6 +50,7 @@ __all__ = [
     "AccessTrace",
     "compile_plan",
     "compile_plan_batch",
+    "forward_indices",
     "plan_cache_stats",
     "stream_tables",
 ]
@@ -463,6 +464,79 @@ def stream_tables(
     table ``(n, lanes)`` plus the per-cycle validity mask ``(n,)``.
     """
     return _Stream(kind, anchors_i, anchors_j, stride).tables(plan_of)
+
+
+def forward_indices(read_tabs, w_slots, pm):
+    """Which same-trace write each read element observes: the
+    read-after-write resolver of fused program steps and batched
+    MAX-PolyMem chunks (:meth:`PolyMem.replay` inlines its own).
+
+    *read_tabs* maps read ports to their ``(n, lanes)`` slot tables and
+    *w_slots* is the write stream's ``(n, lanes)`` table, every cycle
+    valid (see :meth:`_Stream.tables`); *pm* is the
+    :class:`~repro.core.polymem.PolyMem` they run on.  Returns, per read
+    port that observes any write, the ``(flat_result_index,
+    flat_value_index, same_cycle)`` forwards, or ``None`` when a
+    ``forbid`` collision must take the serial error path.  An empty dict
+    therefore means gathering every read from the pre-trace memory and
+    then scattering the writes equals issuing the trace cycle by cycle.
+
+    A read at cycle t sees the latest write to its slot at a cycle < t
+    (<= t under ``write_first``; paper §III-B's read-before-write ports
+    otherwise).  When no slot is written twice a dense per-slot table
+    answers that with one gather; otherwise write events keyed
+    ``slot * (n + 1) + cycle`` (unique — one cycle's write slots are
+    distinct) are sorted and each read binary-searches its predecessor.
+    """
+    n, lanes = w_slots.shape
+    t_col = np.arange(n, dtype=np.int64)[:, None]
+    flat_w = w_slots.ravel()
+    forbid = pm.collision_policy == "forbid"
+    inclusive = pm.collision_policy == "write_first"
+    forwards = {}
+
+    def forward(hit, w_idx):
+        r_idx = np.flatnonzero(hit)
+        same = 0  # only write_first forwards a write of the read's own cycle
+        if inclusive:
+            same = int(np.count_nonzero(r_idx // lanes == w_idx // lanes))
+        return (r_idx, w_idx, same)
+
+    total_slots = lanes * pm.banks.bank_depth
+    if total_slots <= pm.DENSE_SLOT_LIMIT:
+        # sentinel flat_w.size: "written after every cycle" (cycle n);
+        # int32 halves the table the reads gather from
+        order = np.arange(flat_w.size, dtype=np.int32)
+        last = np.full(total_slots, flat_w.size, dtype=np.int32)
+        last[flat_w] = order
+        if np.array_equal(last[flat_w], order):  # no slot written twice
+            for port, r_slots in read_tabs.items():
+                w_idx = last[r_slots]
+                w_t = w_idx // lanes
+                if forbid and (w_t == t_col).any():
+                    return None
+                hit = w_t <= t_col if inclusive else w_t < t_col
+                if hit.any():
+                    forwards[port] = forward(hit, w_idx[hit])
+            return forwards
+    kw = (w_slots * (n + 1) + t_col).ravel()
+    w_order = np.argsort(kw)
+    kw_sorted = kw[w_order]
+    if forbid:
+        for r_slots in read_tabs.values():
+            kr = (r_slots * (n + 1) + t_col).ravel()
+            pos = np.minimum(np.searchsorted(kw_sorted, kr), kw_sorted.size - 1)
+            if (kw_sorted[pos] == kr).any():
+                return None
+    bound = t_col + 1 if inclusive else t_col
+    for port, r_slots in read_tabs.items():
+        kr = (r_slots * (n + 1) + bound).ravel()
+        pos = np.searchsorted(kw_sorted, kr, side="left") - 1
+        clipped = np.maximum(pos, 0)
+        hit = (pos >= 0) & (kw_sorted[clipped] // (n + 1) == r_slots.ravel())
+        if hit.any():
+            forwards[port] = forward(hit, w_order[clipped[hit]])
+    return forwards
 
 
 class AccessTrace:

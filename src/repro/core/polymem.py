@@ -376,24 +376,6 @@ class PolyMem:
             plan.addrs_many(anchors_i, anchors_j),
         )
 
-    def access_slots(
-        self, kind: PatternKind, anchors_i, anchors_j, stride: int = 1
-    ) -> np.ndarray:
-        """Flat ``bank * depth + address`` slot ids touched by a batch of
-        accesses, shaped ``(B, lanes)`` — no cycle cost, no conflict check.
-
-        The batched tick engine uses this to prove, before fast-forwarding
-        a chunk, that the chunk's reads and writes touch disjoint physical
-        slots (so read-before-write ordering inside the chunk cannot be
-        observed) and that its writes never overlap each other (so
-        :meth:`write_batch`'s fancy-indexed assignment matches sequential
-        issue order).
-        """
-        plan, anchors_i, anchors_j = self._batch_anchors(
-            kind, anchors_i, anchors_j, stride
-        )
-        return plan.slots_many(anchors_i, anchors_j)
-
     def read_batch(
         self,
         kind: PatternKind,
@@ -450,6 +432,28 @@ class PolyMem:
             m = tel.metrics
             m.counter("polymem.cycles.batch").inc(n)
             m.counter("polymem.parallel_accesses").inc(n)
+
+    def account_fused(self, n: int, ports, has_write: bool, tel) -> None:
+        """Charge *n* cycles of precomputed-table accesses — one read on
+        each of *ports* plus the write when *has_write*, every cycle —
+        exactly as *n* :meth:`step` calls would: one memory cycle each,
+        however many ports it served.  Fused program steps and batched
+        MAX-PolyMem chunks account through this; *tel* is the active
+        telemetry session or ``None``.
+        """
+        for port in ports:
+            self.read_stats[port].accesses += n
+            self.read_stats[port].elements += n * self.lanes
+        if has_write:
+            self.write_stats.accesses += n
+            self.write_stats.elements += n * self.lanes
+        self.cycles += n
+        if tel is not None:
+            m = tel.metrics
+            m.counter("polymem.cycles.fused").inc(n)
+            m.counter("polymem.parallel_accesses").inc(
+                n * (len(ports) + (1 if has_write else 0))
+            )
 
     # -- whole-trace replay ----------------------------------------------------
     def _expand_stream(self, stream):

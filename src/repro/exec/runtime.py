@@ -97,5 +97,5 @@ def run_sweep(
         # $REPRO_LEDGER names a destination (never raises into the sweep)
         from ..telemetry.ledger import maybe_record_sweep
 
-        maybe_record_sweep([experiment_id], sweep, tel)
+        maybe_record_sweep(experiment_id, sweep, tel)
     return sweep

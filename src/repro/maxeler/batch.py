@@ -50,8 +50,9 @@ class PushClaim:
     plan time (e.g. a controller pushing the same mux select every cycle) —
     downstream kernels use it to plan data-dependent routing.  ``anchors``
     lazily materializes the access anchors behind a command stream
-    (``anchors(n) -> (kind, i[n], j[n])``) so the PolyMem kernel can prove
-    read/write slot disjointness for the chunk before committing to it.
+    (``anchors(n) -> (kind, i[n], j[n])``) so the PolyMem kernel can
+    build the chunk's slot tables and prove that no read observes an
+    in-chunk write before committing to it.
     """
 
     value: Any = UNSET
@@ -91,7 +92,7 @@ class BatchPlan:
     whether a scalar :meth:`Kernel.tick` would report progress each cycle
     of the phase (defaults to ``bool(ops)``), keeping the utilization
     counters bit-identical.  ``validate(n)``, when given, gets the final
-    chunk size for a last safety check (e.g. memory-slot disjointness).
+    chunk size for a last safety check (e.g. the PolyMem chunk proof).
     """
 
     cycles: int | None = None

@@ -25,10 +25,12 @@ import numpy as np
 
 from ..core.agu import AccessRequest
 from ..core.config import PolyMemConfig
+from ..core.exceptions import PatternError
+from ..core.plan import forward_indices, stream_tables
 from ..core.polymem import PolyMem
 from ..maxeler.batch import IDLE_PLAN, BatchOp, BatchPlan
 from ..maxeler.kernel import Kernel
-from ..program import AccessProgram, slot_disjoint
+from ..telemetry import context as _telemetry
 
 __all__ = ["WriteCommand", "FusedPolyMemKernel", "DEFAULT_READ_LATENCY"]
 
@@ -74,11 +76,12 @@ class FusedPolyMemKernel(Kernel):
             deque() for _ in range(config.read_ports)
         ]
         # batched-chunk scratch: per-port results accepted this chunk,
-        # per-chunk claims, and the step-counter compensation flag
+        # per-chunk claims, and the slot tables the chunk proof built
         self._accepted: dict[int, list[np.ndarray]] = {}
         self._rd_claims: dict[int, object] = {}
         self._wr_claim = None
-        self._chunk_accesses = 0
+        self._rd_slots: dict[int, np.ndarray] = {}
+        self._wr_slots: np.ndarray | None = None
 
     def _tick(self) -> bool:
         self._now += 1
@@ -138,18 +141,16 @@ class FusedPolyMemKernel(Kernel):
     # behaviour exactly, under the uniformity conditions `batch_plan`
     # checks: every accepted command stream delivers one command per cycle
     # (claimed by the upstream plan), every streaming pipe is full with
-    # consecutive stamps and an exactly-ripe head, and the chunk's reads
-    # and writes touch disjoint memory slots (so read-before-write
-    # ordering inside the chunk is unobservable and all collision
-    # policies coincide).
+    # consecutive stamps and an exactly-ripe head, and no read of the
+    # chunk observes one of its writes (`_validate_chunk`), so gathering
+    # every read from the pre-chunk memory and then scattering the writes
+    # equals one `step` per cycle.
 
     def _pop_cmds_read(self, port: int, n: int) -> None:
-        """Accept n read commands on *port* and execute them vectorized
-        against the pre-chunk memory state."""
+        """Accept n read commands on *port*: one gather of the chunk's
+        read slots from the pre-chunk memory state."""
         self.inputs[f"rd_cmd{port}"].pop_many(n)
-        kind, ai, aj = self._rd_claims[port].anchors(n)
-        rows = self.memory.read_batch(kind, ai, aj, port=port, check=True)
-        self._chunk_accesses += 1
+        rows = self.memory.banks.read_slots(port, self._rd_slots[port])
         self._accepted[port] = list(rows)
 
     def _accept_fill(self, port: int):
@@ -198,19 +199,23 @@ class FusedPolyMemKernel(Kernel):
     def _accept_write(self, n: int) -> None:
         cmds = self.inputs["wr_cmd"].pop_many(n)
         values = np.stack([c.values for c in cmds])
-        kind, ai, aj = self._wr_claim.anchors(n)
-        self.memory.write_batch(kind, ai, aj, values, check=True)
-        self._chunk_accesses += 1
+        if values.shape[1:] != (self.memory.lanes,):
+            raise PatternError(
+                f"write expects {self.memory.lanes} lane values, got shape "
+                f"{values.shape[1:]}"
+            )
+        self.memory.banks.write_slots(self._wr_slots, values.ravel())
 
     def _advance(self, n: int) -> None:
-        """Last sub-activity of every chunk: advance local time and undo
-        the per-call cycle counting of read_batch/write_batch so
-        ``memory.cycles`` matches the scalar path (one `step` per cycle,
-        however many ports it served)."""
+        """Last sub-activity of every chunk: advance local time and charge
+        the memory one cycle per chunk cycle that issued an access, as
+        the scalar path's one `step` per cycle does."""
         self._now += n
-        extra = self._planned_accesses - 1
-        if extra > 0:
-            self.memory.cycles -= extra * n
+        has_write = self._wr_claim is not None
+        if self._rd_claims or has_write:
+            self.memory.account_fused(
+                n, self._rd_claims, has_write, _telemetry.active()
+            )
 
     def _ripe_prefix(self, port: int) -> int:
         """Length of the pipe prefix retiring one element per cycle from
@@ -234,7 +239,6 @@ class FusedPolyMemKernel(Kernel):
         cycles: int | None = None
         self._rd_claims = {}
         self._wr_claim = None
-        self._chunk_accesses = 0
         engaged = any(self._pipes)
 
         for port in range(self.config.read_ports):
@@ -322,10 +326,9 @@ class FusedPolyMemKernel(Kernel):
                 return IDLE_PLAN
             return BatchPlan(sensitive=tuple(sensitive))
         # reads run before the write (the intra-kernel chain), pinning the
-        # read-before-write semantics the slot-disjointness proof assumes;
-        # `advance` runs last to move local time once per chunk
+        # read-before-write order the chunk proof assumes; `advance` runs
+        # last to move local time and charge the memory once per chunk
         ops.extend(write_ops)
-        self._planned_accesses = len(self._rd_claims) + len(write_ops)
         ops.append(BatchOp("advance", self._advance))
         return BatchPlan(
             cycles=cycles,
@@ -335,26 +338,31 @@ class FusedPolyMemKernel(Kernel):
             validate=self._validate_chunk,
         )
 
-    def _chunk_program(self, n: int) -> AccessProgram:
-        """The chunk's claimed accesses as a describe-only program."""
-        prog = AccessProgram(f"{self.name}.chunk")
-        for port, claim in self._rd_claims.items():
-            kind, ai, aj = claim.anchors(n)
-            prog.read(kind, ai, aj, port=port)
-        if self._wr_claim is not None:
-            kind, ai, aj = self._wr_claim.anchors(n)
-            prog.write(kind, ai, aj)
-        return prog
-
     def _validate_chunk(self, n: int) -> bool:
-        """Prove slot disjointness for the chunk's accesses.
-
-        Lowers the chunk's claims to a describe-only
-        :class:`AccessProgram` and delegates to
-        :func:`repro.program.slot_disjoint` — one sort of the write slots
-        plus a searchsorted probe per read claim, slot ids straight from
-        the compiled access plans.
+        """The chunk proof, compiled like a fused program step: expand
+        each claimed stream once into slot tables (kept for the chunk's
+        sub-activities) and admit the chunk only when every cycle is
+        valid and :func:`~repro.core.plan.forward_indices` finds no read
+        observing an in-chunk write and no ``forbid`` collision.  Then
+        gathering the reads from the pre-chunk memory and scattering the
+        writes afterwards equals per-cycle :meth:`PolyMem.step`; a
+        rejected chunk ticks scalar, where `step` raises its own error
+        on an invalid access.
         """
+        plan = self.memory.plan
+        self._rd_slots = {}
+        for port, claim in self._rd_claims.items():
+            slots, valid = stream_tables(*claim.anchors(n), plan)
+            if not valid.all():
+                return False
+            self._rd_slots[port] = slots
         if self._wr_claim is None:
             return True
-        return slot_disjoint(self._chunk_program(n), self.memory)
+        w_slots, valid = stream_tables(*self._wr_claim.anchors(n), plan)
+        if not valid.all():
+            return False
+        forwards = forward_indices(self._rd_slots, w_slots, self.memory)
+        if forwards is None or forwards:  # a forbid collision or a forward
+            return False
+        self._wr_slots = w_slots.ravel()
+        return True

@@ -11,9 +11,9 @@ compile to residue tables → segment), and one engine
 (:func:`~repro.program.engine.execute`) that replays each segment whole
 and reports through a single :class:`~repro.program.report.KernelReport`.
 Every PolyMem client — the application kernels, the PRF vector machine,
-the schedule executor, the STREAM controller, the fused MAX-PolyMem
-chunk proof — *lowers* to this IR instead of hand-assembling
-:class:`~repro.core.plan.AccessTrace` objects.
+the schedule executor, the STREAM controller — *lowers* to this IR
+instead of hand-assembling :class:`~repro.core.plan.AccessTrace`
+objects.
 
 Programs are built one way: :func:`~repro.program.builder.build` binds a
 registered lowering name or an :class:`~repro.program.ir.AccessProgram`
@@ -30,7 +30,6 @@ it depends on the kernel modules, which import this package).
 from .._lazy import export_lazily
 
 __all__ = export_lazily(__name__, {
-    "analysis": ("op_slots", "slot_disjoint"),
     "builder": ("BuiltProgram", "SPEC_NAMES", "build"),
     "engine": ("ProgramResult", "execute"),
     "fuse": ("FusionPlan", "KernelCache", "fusion_plan", "kernel_cache"),

@@ -53,7 +53,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..core.exceptions import PolyMemError
-from ..core.plan import AccessTrace, _Stream
+from ..core.plan import AccessTrace, _Stream, forward_indices
 from ..telemetry import context as _telemetry
 
 __all__ = [
@@ -281,74 +281,10 @@ def _classify_step(step, pm):
             return ("replay", "lane_width_mismatch")
     if bad.any():
         return ("replay", "invalid_cycle")
-    forwards = _forward_indices(read_tabs, w_slots, pm)
+    forwards = forward_indices(read_tabs, w_slots, pm)
     if forwards is None:
         return ("replay", "forbid_collision")
     return ("write", _StepTables(read_tabs, w_slots.ravel(), forwards))
-
-
-def _forward_indices(read_tabs, w_slots, pm):
-    """Per read port, the ``(flat_result_index, flat_value_index,
-    same_cycle)`` forwards of same-trace writes each read element
-    observes, or ``None`` when a ``forbid`` collision must take replay's
-    serial error path.
-
-    The same structure replay derives per call, computed once: a read at
-    cycle t sees the latest write to its slot at a cycle < t (<= t under
-    ``write_first``).  When no slot is written twice a dense per-slot
-    table answers that with one gather; otherwise write events keyed
-    ``slot * (n + 1) + cycle`` (unique — one cycle's write slots are
-    distinct) are sorted and each read binary-searches its predecessor.
-    """
-    n, lanes = w_slots.shape
-    t_col = np.arange(n, dtype=np.int64)[:, None]
-    flat_w = w_slots.ravel()
-    forbid = pm.collision_policy == "forbid"
-    inclusive = pm.collision_policy == "write_first"
-    forwards = {}
-
-    def forward(hit, w_idx):
-        r_idx = np.flatnonzero(hit)
-        same = 0  # only write_first forwards a write of the read's own cycle
-        if inclusive:
-            same = int(np.count_nonzero(r_idx // lanes == w_idx // lanes))
-        return (r_idx, w_idx, same)
-
-    total_slots = lanes * pm.banks.bank_depth
-    if total_slots <= pm.DENSE_SLOT_LIMIT:
-        # sentinel flat_w.size: "written after every cycle" (cycle n);
-        # int32 halves the table the reads gather from
-        order = np.arange(flat_w.size, dtype=np.int32)
-        last = np.full(total_slots, flat_w.size, dtype=np.int32)
-        last[flat_w] = order
-        if np.array_equal(last[flat_w], order):  # no slot written twice
-            for port, r_slots in read_tabs.items():
-                w_idx = last[r_slots]
-                w_t = w_idx // lanes
-                if forbid and (w_t == t_col).any():
-                    return None
-                hit = w_t <= t_col if inclusive else w_t < t_col
-                if hit.any():
-                    forwards[port] = forward(hit, w_idx[hit])
-            return forwards
-    kw = (w_slots * (n + 1) + t_col).ravel()
-    w_order = np.argsort(kw)
-    kw_sorted = kw[w_order]
-    if forbid:
-        for r_slots in read_tabs.values():
-            kr = (r_slots * (n + 1) + t_col).ravel()
-            pos = np.minimum(np.searchsorted(kw_sorted, kr), kw_sorted.size - 1)
-            if (kw_sorted[pos] == kr).any():
-                return None
-    bound = t_col + 1 if inclusive else t_col
-    for port, r_slots in read_tabs.items():
-        kr = (r_slots * (n + 1) + bound).ravel()
-        pos = np.searchsorted(kw_sorted, kr, side="left") - 1
-        clipped = np.maximum(pos, 0)
-        hit = (pos >= 0) & (kw_sorted[clipped] // (n + 1) == r_slots.ravel())
-        if hit.any():
-            forwards[port] = forward(hit, w_order[clipped[hit]])
-    return forwards
 
 
 def _build_group_kernel(segments, mems: Mapping[str, Any]) -> tuple:
@@ -512,7 +448,7 @@ class FusionPlan:
                         for port, g in gathered.items()
                     }
                     offset += step.n
-                    self._account(mem, step, len(outputs), False, tel)
+                    mem.account_fused(step.n, step.reads, False, tel)
                     self._publish(step, outputs, env, tel)
             else:
                 _, idx, tables = unit
@@ -539,26 +475,8 @@ class FusionPlan:
                             ).inc(fwd[2])
                     outputs[port] = result
                 mem.banks.write_slots(tables.w_slots, flat_values)
-                self._account(mem, step, len(outputs), True, tel)
+                mem.account_fused(step.n, step.reads, True, tel)
                 self._publish(step, outputs, env, tel)
-
-    @staticmethod
-    def _account(mem, step, n_ports, has_write, tel) -> None:
-        """Replay-identical accounting for one fused step."""
-        n = step.n
-        for port in step.reads:
-            mem.read_stats[port].accesses += n
-            mem.read_stats[port].elements += n * mem.lanes
-        if has_write:
-            mem.write_stats.accesses += n
-            mem.write_stats.elements += n * mem.lanes
-        mem.cycles += n
-        if tel is not None:
-            m = tel.metrics
-            m.counter("polymem.cycles.fused").inc(n)
-            m.counter("polymem.parallel_accesses").inc(
-                n * (n_ports + (1 if has_write else 0))
-            )
 
     @staticmethod
     def _replay_resolved(step, values, mem) -> None:

@@ -354,7 +354,8 @@ class StreamController(Kernel):
     # Command streams carry PushClaims: `mux_select`/`demux_select` claim
     # their uniform value (so the MUX/DEMUX can plan the routing) and the
     # PolyMem command streams claim their access anchors (so the memory
-    # kernel can prove slot disjointness before committing to the chunk).
+    # kernel can compile and check the chunk's slot tables before
+    # committing to it).
 
     def _anchors_fn(self, array: int, start: int):
         def anchors(n: int):

@@ -245,7 +245,7 @@ class Ledger:
         return len(self.entries())
 
 
-def maybe_record_sweep(experiment_ids, sweep, telemetry) -> LedgerEntry | None:
+def maybe_record_sweep(experiment_id: str, sweep, telemetry) -> LedgerEntry | None:
     """Auto-ledger hook for :func:`repro.exec.run_sweep`: append a sweep
     entry when (a) a telemetry session observed the run and (b)
     ``$REPRO_LEDGER`` names a destination.  Never raises into the sweep.
@@ -254,10 +254,9 @@ def maybe_record_sweep(experiment_ids, sweep, telemetry) -> LedgerEntry | None:
     if path is None or telemetry is None:
         return None
     try:
-        ids = sorted(set(experiment_ids))
         entry = record_run(
-            f"sweep.{ids[0] if len(ids) == 1 else 'mixed'}",
-            params={"experiments": ids, "points": len(sweep.values)},
+            f"sweep.{experiment_id}",
+            params={"experiments": [experiment_id], "points": len(sweep.values)},
             timings={
                 "wall_seconds": sweep.wall_seconds,
                 "compute_seconds": sweep.compute_seconds,

@@ -7,7 +7,9 @@ from repro.core.agu import AccessRequest
 from repro.core.config import KB, PolyMemConfig
 from repro.core.patterns import PatternKind
 from repro.core.schemes import Scheme
+from repro.maxeler.batch import PushClaim
 from repro.maxpolymem import WriteCommand, build_design, clock_for
+from repro.maxpolymem.kernel import FusedPolyMemKernel
 
 
 @pytest.fixture
@@ -91,6 +93,44 @@ class TestFusedKernel:
         host.run_kernel(until=lambda: len(out) == 1, max_cycles=200)
         (result,) = host.read_stream("rd_out0")
         assert (np.asarray(result) == 9).all()
+
+
+def _claim(*anchors):
+    ai = np.array([i for i, _ in anchors])
+    aj = np.array([j for _, j in anchors])
+    return PushClaim(anchors=lambda n: (PatternKind.RECTANGLE, ai[:n], aj[:n]))
+
+
+def _chunk_admitted(reads, writes, policy="read_first"):
+    """Whether the fused kernel's chunk proof admits one read stream on
+    port 0 and one write stream, each a list of rectangle anchors."""
+    cfg = PolyMemConfig(4 * KB, p=2, q=4, scheme=Scheme.ReRo, read_ports=2)
+    kernel = FusedPolyMemKernel("polymem", cfg, collision_policy=policy)
+    kernel._rd_claims = {0: _claim(*reads)}
+    kernel._wr_claim = _claim(*writes)
+    return kernel._validate_chunk(len(reads))
+
+
+class TestChunkProof:
+    """A chunk gathers its reads before it scatters its writes, so it is
+    admitted exactly when no read observes one of the chunk's writes."""
+
+    def test_read_of_a_slot_written_later_is_admitted(self):
+        assert _chunk_admitted([(0, 0), (2, 0)], [(4, 0), (0, 0)])
+
+    def test_read_of_a_slot_written_earlier_is_rejected(self):
+        assert not _chunk_admitted([(4, 0), (0, 0)], [(0, 0), (2, 0)])
+
+    @pytest.mark.parametrize(
+        "policy, admitted",
+        [("read_first", True), ("write_first", False), ("forbid", False)],
+    )
+    def test_same_cycle_collision_follows_the_policy(self, policy, admitted):
+        anchors = [(0, 0), (2, 0), (4, 0)]
+        assert _chunk_admitted(anchors, anchors, policy) is admitted
+
+    def test_invalid_access_is_rejected(self):
+        assert not _chunk_admitted([(0, 0), (999, 0)], [(4, 0), (6, 0)])
 
 
 class TestClockSelection:

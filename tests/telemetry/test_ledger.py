@@ -173,31 +173,24 @@ class TestMaybeRecordSweep:
 
     def test_noop_without_ledger_env(self):
         snap = {"format": SNAPSHOT_FORMAT}
-        assert maybe_record_sweep(["dse"], self.sweep(), snap) is None
+        assert maybe_record_sweep("dse", self.sweep(), snap) is None
 
     def test_noop_without_telemetry(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "l.jsonl"))
-        assert maybe_record_sweep(["dse"], self.sweep(), None) is None
+        assert maybe_record_sweep("dse", self.sweep(), None) is None
         assert not (tmp_path / "l.jsonl").exists()
 
     def test_appends_when_configured(self, monkeypatch, tmp_path):
         path = tmp_path / "l.jsonl"
         monkeypatch.setenv("REPRO_LEDGER", str(path))
         snap = {"format": SNAPSHOT_FORMAT}
-        entry = maybe_record_sweep(["dse", "dse"], self.sweep(), snap)
+        entry = maybe_record_sweep("dse", self.sweep(), snap)
         assert entry.bench == "sweep.dse"
         assert entry.params == {"experiments": ["dse"], "points": 3}
         assert entry.timings == {"wall_seconds": 1.0, "compute_seconds": 0.8}
         assert entry.provenance["flags"] == {"cached": 0}
         (stored,) = Ledger(path).entries()
         assert stored.bench == "sweep.dse"
-
-    def test_mixed_experiments_name(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "l.jsonl"))
-        entry = maybe_record_sweep(
-            ["stream", "dse"], self.sweep(), {"format": SNAPSHOT_FORMAT}
-        )
-        assert entry.bench == "sweep.mixed"
 
 
 #: one sweep line as the process-pool runtime wrote it (``sweep_fig10`` at

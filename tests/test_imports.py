@@ -72,9 +72,10 @@ def _loaded_modules(argv, tmp_path) -> set[str]:
              "repro.maxpolymem", "repro.core.polymem", "repro.program"],
         ),
         (
-            # cold cache: the validation grid may simulate, STREAM may not
+            # cold cache: the validation grid may simulate, STREAM may
+            # not, and the fused kernel's chunk proof needs no program IR
             ["experiments"],
-            ["repro.stream_bench.controller"],
+            ["repro.stream_bench.controller", "repro.program"],
         ),
     ],
 )
