@@ -11,11 +11,11 @@ import io
 import numpy as np
 from _util import save_report
 
-from repro.core.agu import AccessRequest
 from repro.core.config import KB, PolyMemConfig
 from repro.core.patterns import PatternKind
+from repro.core.plan import AccessBlock
 from repro.core.schemes import Scheme
-from repro.maxpolymem import WriteCommand, build_design
+from repro.maxpolymem import build_design
 
 
 def make_cfg(read_ports=1):
@@ -24,20 +24,18 @@ def make_cfg(read_ports=1):
 
 def run_reads(design, n=32):
     host = design.host()
+    i, j = np.divmod(np.arange(8), 2)
+    i, j = 2 * i, 4 * j
     host.write_stream(
         "wr_cmd",
-        [
-            WriteCommand(
-                AccessRequest(PatternKind.RECTANGLE, i, j),
-                np.arange(8) + i * 100 + j,
-            )
-            for i in range(0, 8, 2)
-            for j in range(0, 8, 4)
-        ],
+        AccessBlock(
+            PatternKind.RECTANGLE, i, j,
+            values=np.arange(8) + (i * 100 + j)[:, None],
+        ),
     )
     host.run_kernel(max_cycles=10_000)
     host.write_stream(
-        "rd_cmd0", [AccessRequest(PatternKind.ROW, i % 8, 0) for i in range(n)]
+        "rd_cmd0", AccessBlock(PatternKind.ROW, np.arange(n) % 8, np.zeros(n, int))
     )
     out = design.dfe.manager.host_output("rd_out0")
     host.run_kernel(until=lambda: len(out) == n, max_cycles=100_000)

@@ -22,7 +22,10 @@ __all__ = export_lazily(__name__, {
         "ScheduleError", "SchemeError", "SimulationError",
     ),
     "patterns": ("AccessPattern", "PatternKind", "pattern_offsets"),
-    "plan": ("AccessPlan", "AccessTrace", "compile_plan", "plan_cache_stats"),
+    "plan": (
+        "AccessBlock", "AccessPlan", "AccessTrace", "compile_plan",
+        "plan_cache_stats",
+    ),
     "polymem": ("PolyMem",),
     "regions": ("Region", "RegionMap"),
     "schemes": ("SCHEME_SPECS", "Scheme", "all_schemes", "module_assignment"),

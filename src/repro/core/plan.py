@@ -41,18 +41,19 @@ from functools import lru_cache
 import numpy as np
 
 from ..telemetry import context as _telemetry
+from .agu import AccessRequest
 from .exceptions import PatternError, PortError
 from .patterns import PatternKind, pattern_offsets
 from .schemes import Scheme, flat_module_assignment
 
 __all__ = [
+    "AccessBlock",
     "AccessPlan",
     "AccessTrace",
     "compile_plan",
     "compile_plan_batch",
     "forward_indices",
     "plan_cache_stats",
-    "stream_tables",
 ]
 
 #: every plan family ever compiled in this process.  Appended on cache
@@ -197,6 +198,15 @@ def compile_plan(
     prebuilt = _batch_built.pop((rows, cols, p, q, scheme, kind, stride), None)
     if prebuilt is not None:
         return prebuilt
+    return _build_family(p, q, scheme, kind, stride, [(rows, cols)])[0]
+
+
+def _build_family(p, q, scheme, kind, stride, geometries) -> list[AccessPlan]:
+    """The plans of one residue core ``(p, q, scheme, kind, stride)`` on
+    each ``(rows, cols)`` of *geometries*: the bank, conflict and
+    inverse-permutation tables depend on the core alone and are built
+    once, read-only and shared; the address tables are linear in the
+    geometry (``addr_delta = A * blocks_per_row + B``)."""
     di, dj = pattern_offsets(kind, p, q, stride)
     period = p * q
     res = np.arange(period, dtype=np.int64)
@@ -214,39 +224,48 @@ def compile_plan(
     # argsort of a permutation row is its inverse; stable sort keeps the
     # result deterministic on conflicting (non-permutation) rows too
     lane_of_bank = np.argsort(bank_table, axis=-1, kind="stable").astype(np.int16)
-    blocks_per_row = cols // q
     rp = np.arange(p, dtype=np.int64)
     rq = np.arange(q, dtype=np.int64)
-    addr_delta = ((rp[:, None, None] + di[None, None, :]) // p) * blocks_per_row + (
-        (rq[None, :, None] + dj[None, None, :]) // q
-    )
-    bank_depth = (rows // p) * blocks_per_row
-    slot_delta = bank_table.astype(np.int64) * bank_depth + addr_delta[
-        res[:, None] % p, res[None, :] % q
-    ]
-    return AccessPlan(
-        rows=rows,
-        cols=cols,
-        p=p,
-        q=q,
-        scheme=scheme,
-        kind=kind,
-        stride=stride,
-        di=di,
-        dj=dj,
-        i_lo=int(-di.min()) if di.size else 0,
-        i_hi=rows - 1 - int(di.max()) if di.size else rows - 1,
-        j_lo=int(-dj.min()) if dj.size else 0,
-        j_hi=cols - 1 - int(dj.max()) if dj.size else cols - 1,
-        period=period,
-        bank_table=_readonly(np.ascontiguousarray(bank_table)),
-        lane_of_bank=_readonly(np.ascontiguousarray(lane_of_bank)),
-        ok=_readonly(ok),
-        addr_delta=_readonly(addr_delta),
-        slot_delta=_readonly(np.ascontiguousarray(slot_delta)),
-        blocks_per_row=blocks_per_row,
-        bank_depth=bank_depth,
-    )
+    delta_a = (rp[:, None, None] + di[None, None, :]) // p
+    delta_b = (rq[None, :, None] + dj[None, None, :]) // q
+    bank64 = bank_table.astype(np.int64)
+    res_p = res[:, None] % p
+    res_q = res[None, :] % q
+    bank_table = _readonly(np.ascontiguousarray(bank_table))
+    lane_of_bank = _readonly(np.ascontiguousarray(lane_of_bank))
+    ok = _readonly(ok)
+    plans = []
+    for rows, cols in geometries:
+        blocks_per_row = cols // q
+        addr_delta = delta_a * blocks_per_row + delta_b
+        bank_depth = (rows // p) * blocks_per_row
+        slot_delta = bank64 * bank_depth + addr_delta[res_p, res_q]
+        plans.append(
+            AccessPlan(
+                rows=rows,
+                cols=cols,
+                p=p,
+                q=q,
+                scheme=scheme,
+                kind=kind,
+                stride=stride,
+                di=di,
+                dj=dj,
+                i_lo=int(-di.min()) if di.size else 0,
+                i_hi=rows - 1 - int(di.max()) if di.size else rows - 1,
+                j_lo=int(-dj.min()) if dj.size else 0,
+                j_hi=cols - 1 - int(dj.max()) if dj.size else cols - 1,
+                period=period,
+                bank_table=bank_table,
+                lane_of_bank=lane_of_bank,
+                ok=ok,
+                addr_delta=_readonly(addr_delta),
+                slot_delta=_readonly(np.ascontiguousarray(slot_delta)),
+                blocks_per_row=blocks_per_row,
+                bank_depth=bank_depth,
+            )
+        )
+    return plans
 
 
 def _normalize_plan_key(key) -> tuple:
@@ -266,12 +285,9 @@ def compile_plan_batch(keys) -> dict[tuple, AccessPlan]:
     grouped by their residue *core* ``(p, q, scheme, kind, stride)``: the
     bank/ok/inverse-permutation tables depend only on the core (every MAF
     is periodic with period ``P = p * q``, independent of the geometry),
-    and the address tables are linear in the geometry —
-    ``addr_delta = A * blocks_per_row + B`` with core-only ``A``/``B`` —
     so one residue build covers every ``(rows, cols)`` member of the core
-    via two integer broadcasts, with arithmetic identical to the scalar
-    body's (bit-identical tables; the core members share the read-only
-    residue arrays instead of owning copies).
+    (:func:`_build_family`, the scalar body's own builder: bit-identical
+    tables, the members sharing the read-only residue arrays).
 
     Each pre-built plan is adopted by the memoized :func:`compile_plan`
     (its body pops :data:`_batch_built` on the miss), so batch-built
@@ -286,62 +302,9 @@ def compile_plan_batch(keys) -> dict[tuple, AccessPlan]:
         rows, cols, p, q, scheme, kind, stride = k
         by_core.setdefault((p, q, scheme, kind, stride), []).append(k)
     for (p, q, scheme, kind, stride), members in by_core.items():
-        di, dj = pattern_offsets(kind, p, q, stride)
-        period = p * q
-        res = np.arange(period, dtype=np.int64)
-        ii = res[:, None, None] + di[None, None, :]
-        jj = res[None, :, None] + dj[None, None, :]
-        bank_table = flat_module_assignment(scheme, ii, jj, p, q)
-        bank_table = np.broadcast_to(
-            bank_table, (period, period, p * q)
-        ).astype(np.int16)
-        sorted_b = np.sort(bank_table, axis=-1)
-        ok = ~(sorted_b[..., 1:] == sorted_b[..., :-1]).any(axis=-1)
-        if p * q == 1:
-            ok = np.ones((period, period), dtype=bool)
-        lane_of_bank = np.argsort(
-            bank_table, axis=-1, kind="stable"
-        ).astype(np.int16)
-        rp = np.arange(p, dtype=np.int64)
-        rq = np.arange(q, dtype=np.int64)
-        delta_a = (rp[:, None, None] + di[None, None, :]) // p
-        delta_b = (rq[None, :, None] + dj[None, None, :]) // q
-        bank64 = bank_table.astype(np.int64)
-        res_p = res[:, None] % p
-        res_q = res[None, :] % q
-        bank_table = _readonly(np.ascontiguousarray(bank_table))
-        lane_of_bank = _readonly(np.ascontiguousarray(lane_of_bank))
-        ok = _readonly(ok)
-        i_lo = int(-di.min()) if di.size else 0
-        j_lo = int(-dj.min()) if dj.size else 0
-        for rows, cols, *_ in members:
-            blocks_per_row = cols // q
-            addr_delta = delta_a * blocks_per_row + delta_b
-            bank_depth = (rows // p) * blocks_per_row
-            slot_delta = bank64 * bank_depth + addr_delta[res_p, res_q]
-            _batch_built[(rows, cols, p, q, scheme, kind, stride)] = AccessPlan(
-                rows=rows,
-                cols=cols,
-                p=p,
-                q=q,
-                scheme=scheme,
-                kind=kind,
-                stride=stride,
-                di=di,
-                dj=dj,
-                i_lo=i_lo,
-                i_hi=rows - 1 - int(di.max()) if di.size else rows - 1,
-                j_lo=j_lo,
-                j_hi=cols - 1 - int(dj.max()) if dj.size else cols - 1,
-                period=period,
-                bank_table=bank_table,
-                lane_of_bank=lane_of_bank,
-                ok=ok,
-                addr_delta=_readonly(addr_delta),
-                slot_delta=_readonly(np.ascontiguousarray(slot_delta)),
-                blocks_per_row=blocks_per_row,
-                bank_depth=bank_depth,
-            )
+        geometries = [(rows, cols) for rows, cols, *_ in members]
+        plans = _build_family(p, q, scheme, kind, stride, geometries)
+        _batch_built.update(zip(members, plans))
     if fresh:
         tel = _telemetry.active()
         if tel is not None:
@@ -368,102 +331,146 @@ def _as_anchor_array(values, name: str) -> np.ndarray:
     return arr
 
 
-class _Stream:
-    """One port's access stream: per-cycle kinds + anchors (+ values)."""
+class AccessBlock:
+    """A block of parallel accesses on one port: the typed form of every
+    access stream.
 
-    __slots__ = ("kinds", "codes", "anchors_i", "anchors_j", "stride", "values")
+    A block holds ``n`` consecutive accesses: the anchor arrays
+    ``anchors_i`` / ``anchors_j``, the pattern family ``(kind, stride)``
+    of each access (one for the whole block, or per-access ``codes``
+    into ``families``) and, for writes, the ``(n, lanes)`` ``values``
+    matrix (each access's ``DataIn``).  Access traces, fused program
+    steps and the MAX-PolyMem command streams all carry this form, so a
+    run of accesses costs a few arrays, not one Python object each.
+
+    >>> block = AccessBlock("row", [0, 1], [0, 0], stride=2)
+    >>> len(block), block.request(1)
+    (2, AccessRequest(kind=<PatternKind.ROW: 'row'>, i=1, j=0, stride=2))
+    """
+
+    __slots__ = ("families", "codes", "anchors_i", "anchors_j", "values")
 
     def __init__(self, kind, anchors_i, anchors_j, stride=1, values=None):
-        self.anchors_i = _as_anchor_array(anchors_i, "i")
-        self.anchors_j = _as_anchor_array(anchors_j, "j")
-        if self.anchors_i.shape != self.anchors_j.shape:
+        ai = _as_anchor_array(anchors_i, "i")
+        aj = _as_anchor_array(anchors_j, "j")
+        if ai.shape != aj.shape:
             raise PatternError("anchor arrays must be equal-length 1-D")
-        n = self.anchors_i.size
+        n = ai.size
         if isinstance(kind, (PatternKind, str)):
-            self.kinds = (PatternKind(kind),)
-            self.codes = None
+            kinds, codes = (PatternKind(kind),), None
         else:
             seq = [PatternKind(k) for k in kind]
             if len(seq) != n:
                 raise PatternError(
                     f"per-cycle kinds: got {len(seq)} kinds for {n} anchors"
                 )
-            distinct = list(dict.fromkeys(seq))
-            self.kinds = tuple(distinct)
-            index = {k: c for c, k in enumerate(distinct)}
-            self.codes = np.fromiter(
-                (index[k] for k in seq), dtype=np.int64, count=n
-            )
+            kinds = tuple(dict.fromkeys(seq))
+            index = {k: c for c, k in enumerate(kinds)}
+            codes = np.fromiter((index[k] for k in seq), dtype=np.int64, count=n)
         if stride < 1:
             raise PatternError(f"stride must be >= 1, got {stride}")
-        self.stride = stride
+        if values is not None:
+            values = np.asarray(values)
+            if values.ndim != 2 or values.shape[0] != n:
+                raise PatternError(
+                    f"write values must be (n, lanes) = ({n}, ...), "
+                    f"got shape {values.shape}"
+                )
+        self._set(tuple((k, stride) for k in kinds), codes, ai, aj, values)
+
+    def _set(self, families, codes, anchors_i, anchors_j, values) -> None:
+        self.families, self.codes = families, codes
+        self.anchors_i, self.anchors_j = anchors_i, anchors_j
         self.values = values
 
-    @property
-    def n(self) -> int:
+    @classmethod
+    def concat(cls, blocks) -> "AccessBlock":
+        """*blocks* back to back as one block, which keeps ``values``
+        only when every part carries them (no parts: the empty block)."""
+        blocks = [b for b in blocks if len(b)]
+        if not blocks:
+            return cls((), (), ())
+        if len(blocks) == 1:
+            return blocks[0]
+        families = tuple(dict.fromkeys(f for b in blocks for f in b.families))
+        codes = None
+        if len(families) > 1:
+            index = {f: c for c, f in enumerate(families)}
+            parts = []
+            for b in blocks:
+                remap = np.array([index[f] for f in b.families], dtype=np.int64)
+                parts.append(
+                    np.full(len(b), remap[0]) if b.codes is None else remap[b.codes]
+                )
+            codes = np.concatenate(parts)
+        values = None
+        if all(b.values is not None for b in blocks):
+            values = np.concatenate([b.values for b in blocks])
+        block = cls.__new__(cls)
+        block._set(
+            families,
+            codes,
+            np.concatenate([b.anchors_i for b in blocks]),
+            np.concatenate([b.anchors_j for b in blocks]),
+            values,
+        )
+        return block
+
+    def __len__(self) -> int:
         return self.anchors_i.size
 
-    def kind_at(self, t: int) -> PatternKind:
-        if self.codes is None:
-            return self.kinds[0]
-        return self.kinds[int(self.codes[t])]
+    def request(self, t: int) -> AccessRequest:
+        """Access *t* as the scalar ``step()`` request."""
+        kind, stride = self.families[0 if self.codes is None else int(self.codes[t])]
+        return AccessRequest(
+            kind, int(self.anchors_i[t]), int(self.anchors_j[t]), stride
+        )
 
     def tables(self, plan_of) -> tuple[np.ndarray, np.ndarray]:
-        """Expand this stream into ``(slots, valid)`` index tables.
+        """Expand this block into ``(slots, valid)`` index tables.
 
         ``plan_of(kind, stride)`` supplies the compiled
         :class:`AccessPlan` for each pattern family (typically
         ``PolyMem.plan``).  ``slots`` holds flat ``bank * depth +
-        address`` ids, ``(n, lanes)``; ``valid[t]`` is True when cycle
-        *t*'s access is in bounds and conflict-free.  Slot rows are
-        computed unconditionally (the residue tables accept any anchor,
+        address`` ids, ``(n, lanes)``; ``valid[t]`` is True when access
+        *t* is in bounds and conflict-free.  Slot rows are computed
+        unconditionally (the residue tables accept any anchor,
         producing garbage ids on invalid rows), so callers must gate
         memory traffic on ``valid``.
         """
         ai, aj = self.anchors_i, self.anchors_j
         if self.codes is None:
-            plan = plan_of(self.kinds[0], self.stride)
+            plan = plan_of(*self.families[0])
             valid = plan.fits_mask(ai, aj) & plan.ok_mask(ai, aj)
             return plan.slots_many(ai, aj), valid
-        n = self.n
+        n = len(self)
         slots = None
         valid = np.empty(n, dtype=bool)
-        for code, kind in enumerate(self.kinds):
+        for code, family in enumerate(self.families):
             m = self.codes == code
+            if not m.any():
+                continue
             mi, mj = ai[m], aj[m]
-            plan = plan_of(kind, self.stride)
+            plan = plan_of(*family)
             if slots is None:
                 slots = np.empty((n, plan.lanes), dtype=np.int64)
             valid[m] = plan.fits_mask(mi, mj) & plan.ok_mask(mi, mj)
             slots[m] = plan.slots_many(mi, mj)
-        if slots is None:  # zero-length heterogeneous stream
+        if slots is None:  # zero-length heterogeneous block
             slots = np.empty((0, 0), dtype=np.int64)
         return slots, valid
 
-    def sliced(self, stop: int) -> "_Stream":
-        kind = (
-            self.kinds[0]
-            if self.codes is None
-            else [self.kinds[int(c)] for c in self.codes[:stop]]
+    def sliced(self, start: int, stop: int) -> "AccessBlock":
+        """Accesses ``start..stop`` as a block (array views)."""
+        block = AccessBlock.__new__(AccessBlock)
+        block._set(
+            self.families,
+            None if self.codes is None else self.codes[start:stop],
+            self.anchors_i[start:stop],
+            self.anchors_j[start:stop],
+            None if self.values is None else self.values[start:stop],
         )
-        values = None if self.values is None else self.values[:stop]
-        return _Stream(
-            kind, self.anchors_i[:stop], self.anchors_j[:stop], self.stride, values
-        )
-
-
-def stream_tables(
-    kind, anchors_i, anchors_j, plan_of, stride: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expand one access stream into ``(slots, valid)`` index tables.
-
-    The public face of the index-table expansion the replay path and the
-    fusion backend share: *kind* is one :class:`PatternKind` (or a
-    per-cycle sequence of kinds), ``plan_of(kind, stride)`` resolves each
-    family to its compiled :class:`AccessPlan`.  Returns the flat slot-id
-    table ``(n, lanes)`` plus the per-cycle validity mask ``(n,)``.
-    """
-    return _Stream(kind, anchors_i, anchors_j, stride).tables(plan_of)
+        return block
 
 
 def forward_indices(read_tabs, w_slots, pm):
@@ -473,7 +480,7 @@ def forward_indices(read_tabs, w_slots, pm):
 
     *read_tabs* maps read ports to their ``(n, lanes)`` slot tables and
     *w_slots* is the write stream's ``(n, lanes)`` table, every cycle
-    valid (see :meth:`_Stream.tables`); *pm* is the
+    valid (see :meth:`AccessBlock.tables`); *pm* is the
     :class:`~repro.core.polymem.PolyMem` they run on.  Returns, per read
     port that observes any write, the ``(flat_result_index,
     flat_value_index, same_cycle)`` forwards, or ``None`` when a
@@ -554,15 +561,15 @@ class AccessTrace:
     """
 
     def __init__(self):
-        self._reads: dict[int, _Stream] = {}
-        self._write: _Stream | None = None
+        self._reads: dict[int, AccessBlock] = {}
+        self._write: AccessBlock | None = None
 
     # -- construction ------------------------------------------------------
-    def _check_length(self, stream: _Stream) -> None:
-        if (self._reads or self._write is not None) and stream.n != self.n:
+    def _check_length(self, stream: AccessBlock) -> None:
+        if (self._reads or self._write is not None) and len(stream) != self.n:
             raise PatternError(
                 f"trace streams must share one length: trace has {self.n} "
-                f"cycles, new stream has {stream.n}"
+                f"cycles, new stream has {len(stream)}"
             )
 
     def read(self, kind, anchors_i, anchors_j, port: int = 0, stride: int = 1):
@@ -570,7 +577,7 @@ class AccessTrace:
         sequence of shapes.  Returns the trace (chainable)."""
         if port in self._reads:
             raise PortError(f"trace already has a read stream on port {port}")
-        stream = _Stream(kind, anchors_i, anchors_j, stride)
+        stream = AccessBlock(kind, anchors_i, anchors_j, stride)
         self._check_length(stream)
         self._reads[port] = stream
         return self
@@ -579,13 +586,7 @@ class AccessTrace:
         """Add the write stream; *values* is the ``(n, lanes)`` data."""
         if self._write is not None:
             raise PortError("trace already has a write stream")
-        values = np.asarray(values)
-        stream = _Stream(kind, anchors_i, anchors_j, stride, values)
-        if values.ndim != 2 or values.shape[0] != stream.n:
-            raise PatternError(
-                f"write values must be (n, lanes) = ({stream.n}, ...), "
-                f"got shape {values.shape}"
-            )
+        stream = AccessBlock(kind, anchors_i, anchors_j, stride, np.asarray(values))
         self._check_length(stream)
         self._write = stream
         return self
@@ -595,8 +596,8 @@ class AccessTrace:
     def n(self) -> int:
         """Trace length in cycles."""
         for stream in self._reads.values():
-            return stream.n
-        return self._write.n if self._write is not None else 0
+            return len(stream)
+        return len(self._write) if self._write is not None else 0
 
     @property
     def read_ports(self) -> tuple[int, ...]:
@@ -611,31 +612,15 @@ class AccessTrace:
         """The first *stop* cycles as a new trace."""
         out = AccessTrace()
         for port, stream in self._reads.items():
-            out._reads[port] = stream.sliced(stop)
+            out._reads[port] = stream.sliced(0, stop)
         if self._write is not None:
-            out._write = self._write.sliced(stop)
+            out._write = self._write.sliced(0, stop)
         return out
 
     def cycle_args(self, t: int):
         """Cycle *t* as ``step()`` arguments: ``(reads, write)``."""
-        from .agu import AccessRequest
-
-        reads = [
-            (
-                port,
-                AccessRequest(
-                    s.kind_at(t), int(s.anchors_i[t]), int(s.anchors_j[t]), s.stride
-                ),
-            )
-            for port, s in self._reads.items()
-        ]
+        reads = [(port, s.request(t)) for port, s in self._reads.items()]
         write = None
         if self._write is not None:
-            s = self._write
-            write = (
-                AccessRequest(
-                    s.kind_at(t), int(s.anchors_i[t]), int(s.anchors_j[t]), s.stride
-                ),
-                s.values[t],
-            )
+            write = (self._write.request(t), self._write.values[t])
         return reads, write

@@ -456,22 +456,6 @@ class PolyMem:
             )
 
     # -- whole-trace replay ----------------------------------------------------
-    def _expand_stream(self, stream):
-        """Expand one trace stream into ``(slots, valid)`` arrays.
-
-        ``slots`` holds flat ``bank * depth + address`` ids, ``(n, lanes)``;
-        ``valid[t]`` is True when cycle *t*'s access is in bounds and
-        conflict-free.  Slot rows are computed unconditionally (the residue
-        tables accept any anchor, producing garbage ids on invalid rows),
-        but are only *used* to touch memory when the whole trace is valid.
-
-        The expansion itself lives on the stream
-        (:meth:`repro.core.plan._Stream.tables` /
-        :func:`repro.core.plan.stream_tables`) so the fusion backend can
-        precompute the same tables without a PolyMem in hand.
-        """
-        return stream.tables(self.plan)
-
     def replay(self, trace: AccessTrace) -> dict[int, np.ndarray]:
         """Execute a whole :class:`AccessTrace` as vectorized operations.
 
@@ -507,9 +491,11 @@ class PolyMem:
                 for port in trace.read_ports
             }
         depth = self.banks.bank_depth
+        # each stream expands itself (`AccessBlock.tables`), as in fused
+        # program steps and MAX-PolyMem chunks; slot ids of invalid cycles
+        # are garbage, used only once the whole trace is valid
         reads = {
-            port: self._expand_stream(stream)
-            for port, stream in trace._reads.items()
+            port: stream.tables(self.plan) for port, stream in trace._reads.items()
         }
         bad = np.zeros(n, dtype=bool)
         for _, (_, valid) in reads.items():
@@ -517,7 +503,7 @@ class PolyMem:
         w_slots = w_values = None
         if trace.has_write:
             w_stream = trace._write
-            w_expanded, w_valid = self._expand_stream(w_stream)
+            w_expanded, w_valid = w_stream.tables(self.plan)
             bad |= ~w_valid
             w_values = np.asarray(w_stream.values)
             if w_values.shape[1] != self.lanes:

@@ -49,10 +49,11 @@ class PushClaim:
     ``value`` is the uniform element value when it is statically known at
     plan time (e.g. a controller pushing the same mux select every cycle) —
     downstream kernels use it to plan data-dependent routing.  ``anchors``
-    lazily materializes the access anchors behind a command stream
-    (``anchors(n) -> (kind, i[n], j[n])``) so the PolyMem kernel can
-    build the chunk's slot tables and prove that no read observes an
-    in-chunk write before committing to it.
+    lazily materializes the next ``n`` commands pushed to a command
+    stream as an :class:`~repro.core.plan.AccessBlock` (anchors and
+    families; no values), so the PolyMem kernel can build the chunk's
+    slot tables and prove that no read observes an in-chunk write before
+    committing to it.
     """
 
     value: Any = UNSET

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from ..core.exceptions import SimulationError
+from ..core.plan import AccessBlock
 from ..telemetry import context as _telemetry
 from .dfe import DFE
 
@@ -104,18 +105,25 @@ class Host:
 
     # -- blocking calls -----------------------------------------------------
     @staticmethod
-    def _payload_bytes(values: list[Any]) -> int:
-        """Wire size of a transfer: array elements carry their real byte
-        count (wide lane vectors), anything else is one 64-bit word."""
+    def _payload_bytes(values) -> int:
+        """Wire size of a transfer: a command block carries one 64-bit
+        word per command plus its lane data, array elements their real
+        byte count (wide lane vectors), anything else one 64-bit word."""
+        if isinstance(values, AccessBlock):
+            data = 0 if values.values is None else values.values.nbytes
+            return 8 * len(values) + int(data)
         return int(sum(getattr(value, "nbytes", 8) for value in values))
 
-    def write_stream(self, name: str, values: Iterable[Any]) -> int:
-        """Blocking host->DFE transfer into input stream *name*.
+    def write_stream(self, name: str, values: Iterable[Any] | AccessBlock) -> int:
+        """Blocking host->DFE transfer into input stream *name*: a
+        command port takes one :class:`~repro.core.plan.AccessBlock`,
+        any other port an iterable of elements.
 
         Returns the element count.
         """
         with self._host_call("write_stream", stream=name):
-            values = list(values)
+            if not isinstance(values, AccessBlock):
+                values = list(values)
             self.dfe.manager.host_input(name).push_many(values)
             self._charge_pcie(payload_bytes=self._payload_bytes(values))
         return len(values)

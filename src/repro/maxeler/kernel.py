@@ -45,6 +45,10 @@ __all__ = [
 class Kernel:
     """Base class for dataflow kernels."""
 
+    #: prefixes of the input ports that take PolyMem commands: the manager
+    #: feeds them a :class:`~repro.maxeler.stream.CommandStream`
+    COMMAND_PORTS: tuple[str, ...] = ()
+
     def __init__(self, name: str):
         self.name = name
         self.inputs: dict[str, Stream] = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..core.exceptions import SimulationError
 from .kernel import Kernel
-from .stream import Stream
+from .stream import CommandStream, Stream
 
 __all__ = ["Manager", "DesignResources"]
 
@@ -35,6 +35,10 @@ class DesignResources:
     @property
     def total_luts(self) -> int:
         return self.kernel_luts + self.interconnect_luts
+
+
+def _stream_type(dst: Kernel, dst_port: str) -> type[Stream]:
+    return CommandStream if dst_port.startswith(dst.COMMAND_PORTS) else Stream
 
 
 class Manager:
@@ -84,7 +88,7 @@ class Manager:
         self._check_registered(src)
         self._check_registered(dst)
         name = f"{src.name}.{src_port}->{dst.name}.{dst_port}"
-        stream = Stream(name, capacity)
+        stream = _stream_type(dst, dst_port)(name, capacity)
         src.bind_output(src_port, stream)
         dst.bind_input(dst_port, stream)
         self.streams[name] = stream
@@ -94,7 +98,7 @@ class Manager:
         """An unbounded stream the host writes and *dst* reads (PCIe in)."""
         self._check_mutable()
         self._check_registered(dst)
-        stream = Stream(f"host->{name}", capacity=None)
+        stream = _stream_type(dst, dst_port)(f"host->{name}", capacity=None)
         dst.bind_input(dst_port, stream)
         self.streams[stream.name] = stream
         self._host_inputs[name] = stream

@@ -9,7 +9,10 @@ and stall otherwise, exactly like a MaxJ stream with a full FIFO.
 The storage is a NumPy ring buffer of object references, so the tick
 engine's batched chunks (:mod:`repro.maxeler.simulator`) can move whole
 runs of elements per Python call through :meth:`push_many` /
-:meth:`pop_many`, while the one-element API serves scalar ticks.
+:meth:`pop_many`, while the one-element API serves scalar ticks.  A
+:class:`CommandStream` (a PolyMem command port) queues
+:class:`~repro.core.plan.AccessBlock` s instead, so a block of commands
+is one queue entry, not one Python object per command.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..core.exceptions import SimulationError
+from ..core.plan import AccessBlock
 
-__all__ = ["Stream"]
+__all__ = ["CommandStream", "Stream"]
 
 #: initial ring size for unbounded (host-side) streams
 _INITIAL_RING = 16
@@ -163,3 +167,71 @@ class Stream:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cap = "inf" if self.capacity is None else self.capacity
         return f"Stream({self.name!r}, {self._size}/{cap})"
+
+
+class CommandStream(Stream):
+    """A FIFO of PolyMem commands, queued as one
+    :class:`~repro.core.plan.AccessBlock` rather than a ring of objects.
+
+    Every element is one command, the paper's ``(i, j, AccType[,
+    DataIn])`` bundle: :meth:`push` / :meth:`push_many` take a block of
+    any length, :meth:`pop` / :meth:`peek` hand a scalar tick one command
+    as ``(AccessRequest, values_row | None)``, and :meth:`anchors` /
+    :meth:`pop_many` return the first commands as one block, so the
+    batched path builds no per-command object.
+    """
+
+    def __init__(self, name: str, capacity: int | None = 16):
+        super().__init__(name, capacity)
+        self._queue = AccessBlock((), (), ())  # commands from self._head on
+
+    def push_many(self, block: AccessBlock) -> None:
+        """Enqueue every command of *block*, in order."""
+        if not isinstance(block, AccessBlock):
+            raise SimulationError(
+                f"stream {self.name!r} carries AccessBlocks, got "
+                f"{type(block).__name__}"
+            )
+        if self.capacity is not None and self._size + len(block) > self.capacity:
+            raise SimulationError(
+                f"stream {self.name!r} overflow: {len(block)} pushes into "
+                f"{self.capacity - self._size} free slots"
+            )
+        self._queue = AccessBlock.concat([self.anchors(self._size), block])
+        self._head = 0
+        self._size += len(block)
+        self.total_pushed += len(block)
+
+    push = push_many
+
+    def anchors(self, count: int) -> AccessBlock:
+        """The first *count* queued commands as one block, not consumed:
+        a queued backlog's claim, in the form a producer's
+        :attr:`~repro.maxeler.batch.PushClaim.anchors` returns."""
+        if count > self._size:
+            raise SimulationError(
+                f"stream {self.name!r} underflow: {count} pops from "
+                f"{self._size} queued"
+            )
+        return self._queue.sliced(self._head, self._head + count)
+
+    def pop_many(self, count: int) -> AccessBlock:
+        """Dequeue the first *count* commands as one block."""
+        block = self.anchors(count)
+        self._head += count
+        self._size -= count
+        self.total_popped += count
+        return block
+
+    def peek(self):
+        """The front command as ``(AccessRequest, values_row | None)``."""
+        if self._size == 0:
+            raise SimulationError(f"stream {self.name!r} peek on empty")
+        values = self._queue.values
+        head = self._head
+        return self._queue.request(head), None if values is None else values[head]
+
+    def pop(self):
+        command = self.peek()
+        self.pop_many(1)
+        return command

@@ -17,7 +17,7 @@ __all__ = export_lazily(__name__, {
     "cache": ("CacheTimings", "SoftwareCache", "Tile"),
     "double_buffer": ("PingPongCache", "PingPongReport"),
     "design": ("PolyMemDesign", "build_design", "clock_for"),
-    "kernel": ("DEFAULT_READ_LATENCY", "FusedPolyMemKernel", "WriteCommand"),
+    "kernel": ("DEFAULT_READ_LATENCY", "FusedPolyMemKernel"),
     "modular": ("Bundle", "ModularDesign", "build_modular_design"),
     "validation": (
         "ValidationReport", "validate_config", "validate_design",

@@ -9,30 +9,35 @@ cycles for the synthesized STREAM design).
 
 Stream protocol
 ---------------
-* ``wr_cmd``  — elements are :class:`WriteCommand` (request + lane data).
-* ``rd_cmd{r}`` — per read port, elements are
-  :class:`~repro.core.agu.AccessRequest`.
+* ``wr_cmd`` — a :class:`~repro.maxeler.stream.CommandStream` of write
+  commands, the ``(i, j, AccType, DataIn)`` bundles, pushed as
+  :class:`~repro.core.plan.AccessBlock` s with ``(n, lanes)`` values.
+* ``rd_cmd{r}`` — per read port, a command stream of read blocks, the
+  ``(i, j, AccType)`` bundles.
 * ``rd_out{r}`` — per read port, lane-ordered result vectors, emerging
   ``read_latency`` cycles after the command entered.
+
+A scalar tick takes one command per port from the head block.  A batched
+chunk takes a port's ``n`` commands from its queued backlog first and
+then from the in-chunk producer's claim, as one block.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.agu import AccessRequest
 from ..core.config import PolyMemConfig
 from ..core.exceptions import PatternError
-from ..core.plan import forward_indices, stream_tables
+from ..core.plan import AccessBlock, forward_indices
 from ..core.polymem import PolyMem
 from ..maxeler.batch import IDLE_PLAN, BatchOp, BatchPlan
 from ..maxeler.kernel import Kernel
 from ..telemetry import context as _telemetry
 
-__all__ = ["WriteCommand", "FusedPolyMemKernel", "DEFAULT_READ_LATENCY"]
+__all__ = ["FusedPolyMemKernel", "DEFAULT_READ_LATENCY"]
 
 #: pipeline depth of the synthesized design, estimated by Maxeler's tools
 #: for the paper's STREAM experiment (§V)
@@ -43,14 +48,6 @@ def _bound(current: int | None, new: int) -> int:
     return new if current is None else min(current, new)
 
 
-@dataclass(frozen=True)
-class WriteCommand:
-    """One parallel write: the (i, j, AccType, DataIn) signal bundle."""
-
-    request: AccessRequest
-    values: np.ndarray
-
-
 class FusedPolyMemKernel(Kernel):
     """Single-kernel MAX-PolyMem with pipelined reads.
 
@@ -58,6 +55,8 @@ class FusedPolyMemKernel(Kernel):
     read port — the paper's "one write access and one read access for each
     read port ... independently at the same time".
     """
+
+    COMMAND_PORTS = ("wr_cmd", "rd_cmd")
 
     def __init__(
         self,
@@ -76,10 +75,13 @@ class FusedPolyMemKernel(Kernel):
             deque() for _ in range(config.read_ports)
         ]
         # batched-chunk scratch: per-port results accepted this chunk,
-        # per-chunk claims, and the slot tables the chunk proof built
+        # the producer claims of the ports a chunk accepts on (None: a
+        # queued backlog alone), whether it writes, and the slot tables
+        # the chunk proof built
         self._accepted: dict[int, list[np.ndarray]] = {}
         self._rd_claims: dict[int, object] = {}
         self._wr_claim = None
+        self._writes = False
         self._rd_slots: dict[int, np.ndarray] = {}
         self._wr_slots: np.ndarray | None = None
 
@@ -108,16 +110,13 @@ class FusedPolyMemKernel(Kernel):
                 and cmd.can_pop()
                 and len(self._pipes[port]) < self.read_latency
             ):
-                reads.append((port, cmd.peek()))
+                reads.append((port, cmd.peek()[0]))
         write = None
         wr = self.inputs.get("wr_cmd")
         if wr is not None and wr.can_pop():
             write = wr.peek()
         if reads or write is not None:
-            results = self.memory.step(
-                reads=reads,
-                write=(write.request, write.values) if write else None,
-            )
+            results = self.memory.step(reads=reads, write=write)
             for port, _ in reads:
                 self.inputs[f"rd_cmd{port}"].pop()
                 self._pipes[port].append((self._now, results[port]))
@@ -140,7 +139,8 @@ class FusedPolyMemKernel(Kernel):
     # The chunked sub-activities below reproduce `_tick`'s per-cycle
     # behaviour exactly, under the uniformity conditions `batch_plan`
     # checks: every accepted command stream delivers one command per cycle
-    # (claimed by the upstream plan), every streaming pipe is full with
+    # (its queued backlog, then its producer's claim), every streaming
+    # pipe is full with
     # consecutive stamps and an exactly-ripe head, and no read of the
     # chunk observes one of its writes (`_validate_chunk`), so gathering
     # every read from the pre-chunk memory and then scattering the writes
@@ -197,8 +197,7 @@ class FusedPolyMemKernel(Kernel):
         return run
 
     def _accept_write(self, n: int) -> None:
-        cmds = self.inputs["wr_cmd"].pop_many(n)
-        values = np.stack([c.values for c in cmds])
+        values = self.inputs["wr_cmd"].pop_many(n).values
         if values.shape[1:] != (self.memory.lanes,):
             raise PatternError(
                 f"write expects {self.memory.lanes} lane values, got shape "
@@ -211,10 +210,9 @@ class FusedPolyMemKernel(Kernel):
         the memory one cycle per chunk cycle that issued an access, as
         the scalar path's one `step` per cycle does."""
         self._now += n
-        has_write = self._wr_claim is not None
-        if self._rd_claims or has_write:
+        if self._rd_claims or self._writes:
             self.memory.account_fused(
-                n, self._rd_claims, has_write, _telemetry.active()
+                n, self._rd_claims, self._writes, _telemetry.active()
             )
 
     def _ripe_prefix(self, port: int) -> int:
@@ -234,11 +232,11 @@ class FusedPolyMemKernel(Kernel):
     def batch_plan(self, ctx: dict) -> BatchPlan | None:
         latency = self.read_latency
         ops: list[BatchOp] = []
-        write_ops: list[BatchOp] = []
         sensitive: list[str] = []
         cycles: int | None = None
         self._rd_claims = {}
         self._wr_claim = None
+        self._writes = False
         engaged = any(self._pipes)
 
         for port in range(self.config.read_ports):
@@ -247,10 +245,12 @@ class FusedPolyMemKernel(Kernel):
             out_s = self.outputs.get(f"rd_out{port}")
             pipe = self._pipes[port]
             claim = ctx.get(cmd_s) if cmd_s is not None else None
-            if claim is not None:
-                if out_s is None or len(cmd_s) > 0:
-                    return None  # command backlog: irregular, keep scalar
-                if getattr(claim, "anchors", None) is None:
+            if claim is None and cmd_s is not None:
+                sensitive.append(cmd_name)  # no producer may join mid-chunk
+            if claim is not None or (cmd_s is not None and len(cmd_s) > 0):
+                if out_s is None:
+                    return None
+                if claim is not None and claim.anchors is None:
                     return None  # untyped producer: cannot prove the chunk
                 self._rd_claims[port] = claim
                 if not pipe:
@@ -279,47 +279,40 @@ class FusedPolyMemKernel(Kernel):
                     )
                 else:
                     return None  # partially-filled or stalled pipe
-            else:
-                if cmd_s is not None:
-                    if len(cmd_s) > 0:
-                        return None  # queued commands: scalar accepts them
-                    sensitive.append(cmd_name)
-                if pipe:
-                    if out_s is None:
-                        return None
-                    prefix = self._ripe_prefix(port)
-                    if prefix:
-                        ops.append(
-                            BatchOp(
-                                f"retire{port}",
-                                self._retire_drain(port),
-                                pushes=(f"rd_out{port}",),
-                            )
+            elif pipe:
+                if out_s is None:
+                    return None
+                prefix = self._ripe_prefix(port)
+                if prefix:
+                    ops.append(
+                        BatchOp(
+                            f"retire{port}",
+                            self._retire_drain(port),
+                            pushes=(f"rd_out{port}",),
                         )
-                        cycles = _bound(cycles, prefix)
-                    else:
-                        wait = pipe[0][0] + latency - self._now - 1
-                        if wait < 1:
-                            return None  # overdue head (stalled): scalar
-                        cycles = _bound(cycles, wait)
+                    )
+                    cycles = _bound(cycles, prefix)
+                else:
+                    wait = pipe[0][0] + latency - self._now - 1
+                    if wait < 1:
+                        return None  # overdue head (stalled): scalar
+                    cycles = _bound(cycles, wait)
 
         wr_s = self.inputs.get("wr_cmd")
-        wr_claim = ctx.get(wr_s) if wr_s is not None else None
-        if wr_claim is not None:
-            if len(wr_s) > 0:
-                return None
-            if getattr(wr_claim, "anchors", None) is None:
-                return None
-            self._wr_claim = wr_claim
-            write_ops.append(
-                BatchOp("accept_wr", self._accept_write, pops=("wr_cmd",))
-            )
-        elif wr_s is not None:
-            if len(wr_s) > 0:
-                return None
-            sensitive.append("wr_cmd")
+        if wr_s is not None:
+            wr_claim = ctx.get(wr_s)
+            if wr_claim is None:
+                sensitive.append("wr_cmd")
+            if wr_claim is not None or len(wr_s) > 0:
+                if wr_claim is not None and wr_claim.anchors is None:
+                    return None
+                self._wr_claim = wr_claim
+                self._writes = True
+                ops.append(
+                    BatchOp("accept_wr", self._accept_write, pops=("wr_cmd",))
+                )
 
-        if not ops and not write_ops and cycles is None:
+        if not ops and cycles is None:
             if engaged:
                 return None
             if not sensitive:
@@ -328,7 +321,6 @@ class FusedPolyMemKernel(Kernel):
         # reads run before the write (the intra-kernel chain), pinning the
         # read-before-write order the chunk proof assumes; `advance` runs
         # last to move local time and charge the memory once per chunk
-        ops.extend(write_ops)
         ops.append(BatchOp("advance", self._advance))
         return BatchPlan(
             cycles=cycles,
@@ -338,12 +330,27 @@ class FusedPolyMemKernel(Kernel):
             validate=self._validate_chunk,
         )
 
+    def _chunk_block(self, port: str, claim, n: int) -> AccessBlock | None:
+        """The *n* commands a chunk accepts on command *port*: its queued
+        backlog first, then the in-chunk producer's claim.  ``None`` when
+        a queued write lacks lane-wide data (scalar `step` raises)."""
+        queue = self.inputs[port]
+        block = queue.anchors(min(len(queue), n))
+        if port == "wr_cmd" and len(block) and (
+            block.values is None or block.values.shape[1] != self.memory.lanes
+        ):
+            return None
+        if len(block) < n:
+            block = AccessBlock.concat([block, claim.anchors(n - len(block))])
+        return block
+
     def _validate_chunk(self, n: int) -> bool:
         """The chunk proof, compiled like a fused program step: expand
-        each claimed stream once into slot tables (kept for the chunk's
-        sub-activities) and admit the chunk only when every cycle is
-        valid and :func:`~repro.core.plan.forward_indices` finds no read
-        observing an in-chunk write and no ``forbid`` collision.  Then
+        each port's chunk block (:meth:`_chunk_block`) once into slot
+        tables (kept for the chunk's sub-activities) and admit the chunk
+        only when every cycle is valid (queued write data lane-wide
+        included) and :func:`~repro.core.plan.forward_indices` finds no
+        read observing an in-chunk write and no ``forbid`` collision.  Then
         gathering the reads from the pre-chunk memory and scattering the
         writes afterwards equals per-cycle :meth:`PolyMem.step`; a
         rejected chunk ticks scalar, where `step` raises its own error
@@ -352,13 +359,17 @@ class FusedPolyMemKernel(Kernel):
         plan = self.memory.plan
         self._rd_slots = {}
         for port, claim in self._rd_claims.items():
-            slots, valid = stream_tables(*claim.anchors(n), plan)
+            block = self._chunk_block(f"rd_cmd{port}", claim, n)
+            slots, valid = block.tables(plan)
             if not valid.all():
                 return False
             self._rd_slots[port] = slots
-        if self._wr_claim is None:
+        if not self._writes:
             return True
-        w_slots, valid = stream_tables(*self._wr_claim.anchors(n), plan)
+        block = self._chunk_block("wr_cmd", self._wr_claim, n)
+        if block is None:
+            return False
+        w_slots, valid = block.tables(plan)
         if not valid.all():
             return False
         forwards = forward_indices(self._rd_slots, w_slots, self.memory)

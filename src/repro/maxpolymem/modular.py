@@ -29,7 +29,6 @@ from ..core.schemes import flat_module_assignment
 from ..core.shuffle import InverseShuffle, Shuffle
 from ..maxeler.kernel import Kernel
 from ..maxeler.manager import Manager
-from .kernel import WriteCommand
 
 __all__ = ["Bundle", "build_modular_design", "ModularDesign"]
 
@@ -176,27 +175,30 @@ class ReadShuffleKernel(_StageKernel):
         return self._shuffle(b.values, b.banks)
 
 
-class _WriteCmdAdapter(_StageKernel):
-    """Adapts host :class:`WriteCommand` elements into pipeline bundles."""
+class _CmdAdapter(_StageKernel):
+    """Turns the command at the head of its command stream (one
+    ``(request, values)`` read from the queued block) into a pipeline
+    bundle."""
 
-    def transform(self, cmd: WriteCommand) -> Bundle:
-        return Bundle(request=cmd.request, values=np.asarray(cmd.values))
+    COMMAND_PORTS = ("in",)
 
-
-class _ReadCmdAdapter(_StageKernel):
-    """Adapts host :class:`AccessRequest` elements into pipeline bundles."""
-
-    def transform(self, req: AccessRequest) -> Bundle:
-        return Bundle(request=req)
+    def transform(self, cmd) -> Bundle:
+        request, values = cmd
+        return Bundle(
+            request=request, values=None if values is None else np.asarray(values)
+        )
 
 
 @dataclass
 class ModularEndpoints:
     """Connection points of a modular PolyMem embedded in a larger design.
 
-    ``wr_cmd`` is the (kernel, port) accepting :class:`WriteCommand`
-    elements; ``rd_cmd[r]`` accept :class:`AccessRequest` elements;
-    ``rd_out[r]`` produce lane-ordered result vectors.
+    ``wr_cmd`` and ``rd_cmd[r]`` are the (kernel, port) command inputs:
+    each takes :class:`~repro.core.plan.AccessBlock` s (write blocks with
+    ``(n, lanes)`` values) through a
+    :class:`~repro.maxeler.stream.CommandStream`, and its adapter reads
+    one command per cycle from the head block.  ``rd_out[r]`` produce
+    lane-ordered result vectors.
     """
 
     banks: BanksKernel
@@ -233,7 +235,7 @@ def add_modular_polymem(
     mgr.add_kernel(banks)
 
     # write path
-    wr_in = mgr.add_kernel(_WriteCmdAdapter(f"{prefix}wr_adapter"))
+    wr_in = mgr.add_kernel(_CmdAdapter(f"{prefix}wr_adapter"))
     wr_agu = mgr.add_kernel(AGUKernel(f"{prefix}wr_agu", config))
     wr_m = mgr.add_kernel(MKernel(f"{prefix}wr_m", config))
     wr_a = mgr.add_kernel(AKernel(f"{prefix}wr_a", config))
@@ -247,7 +249,7 @@ def add_modular_polymem(
     rd_cmd: list[tuple[Kernel, str]] = []
     rd_out: list[tuple[Kernel, str]] = []
     for port in range(config.read_ports):
-        rd_in = mgr.add_kernel(_ReadCmdAdapter(f"{prefix}rd_adapter{port}"))
+        rd_in = mgr.add_kernel(_CmdAdapter(f"{prefix}rd_adapter{port}"))
         rd_agu = mgr.add_kernel(AGUKernel(f"{prefix}rd_agu{port}", config))
         rd_m = mgr.add_kernel(MKernel(f"{prefix}rd_m{port}", config))
         rd_a = mgr.add_kernel(AKernel(f"{prefix}rd_a{port}", config))

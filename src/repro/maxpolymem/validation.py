@@ -19,15 +19,15 @@ configurations in one vectorized pass, which is how the DSE sweep
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.agu import AccessRequest
 from ..core.config import PolyMemConfig
-from ..core.exceptions import ConfigurationError, ConflictError
-from ..core.patterns import AccessPattern, PatternKind
-from ..core.plan import compile_plan, compile_plan_batch
+from ..core.exceptions import ConfigurationError
+from ..core.patterns import AccessPattern, PatternKind, pattern_offsets
+from ..core.plan import AccessBlock, compile_plan, compile_plan_batch
 from ..core.schemes import SCHEME_SPECS
 
 if TYPE_CHECKING:
@@ -35,7 +35,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ValidationReport",
-    "conflict_free_chunk",
     "validate_design",
     "validate_config",
     "validate_points_batch",
@@ -77,6 +76,19 @@ def _reference_matrix(rows: int, cols: int) -> np.ndarray:
     return (np.arange(rows * cols, dtype=np.uint64) + 1).reshape(rows, cols)
 
 
+def _fill_block(ref: np.ndarray, p: int, q: int) -> AccessBlock:
+    """The fill phase over the region *ref* covers: one aligned ``p x q``
+    ``RECTANGLE`` write per lane block, in row-major block order
+    (conflict-free under every scheme), each carrying its block of *ref*
+    in lane order."""
+    rows, cols = ref.shape
+    bi, bj = np.divmod(np.arange((rows // p) * (cols // q)), cols // q)
+    bi, bj = bi * p, bj * q
+    di, dj = pattern_offsets(PatternKind.RECTANGLE, p, q)
+    values = ref[bi[:, None] + di, bj[:, None] + dj]
+    return AccessBlock(PatternKind.RECTANGLE, bi, bj, values=values)
+
+
 def _read_anchors(pattern: AccessPattern, rows: int, cols: int, entry, p, q):
     """A probe set of anchors per pattern: corners and a misaligned interior
     point where the scheme allows it."""
@@ -101,6 +113,23 @@ def _read_anchors(pattern: AccessPattern, rows: int, cols: int, entry, p, q):
     return out
 
 
+def _readback_blocks(cfg: PolyMemConfig, rows: int):
+    """The readback probes of one port: per supported pattern whose
+    condition holds, one read block of its probe anchors
+    (:func:`_read_anchors` over the first *rows* rows) with the
+    ``(n, lanes)`` coordinates it reads."""
+    p, q = cfg.p, cfg.q
+    for entry in SCHEME_SPECS[cfg.scheme].supported:
+        if not entry.condition_holds(p, q):
+            continue
+        pattern = AccessPattern(entry.kind, p, q)
+        anchors = _read_anchors(pattern, rows, cfg.cols, entry, p, q)
+        if anchors:
+            ai, aj = np.array(anchors, dtype=np.int64).T
+            di, dj = pattern.offsets
+            yield AccessBlock(entry.kind, ai, aj), (ai[:, None] + di, aj[:, None] + dj)
+
+
 def validated_rows(config: PolyMemConfig, max_rows: int | None) -> int:
     """Rows of the §IV-A validated region: the memory's rows, capped at
     *max_rows* (``None``: all of them).  The region must be a positive
@@ -123,57 +152,38 @@ def validate_design(design: PolyMemDesign, max_rows: int | None = 64) -> Validat
     validates everything; see :func:`validated_rows`.
     """
     from ..maxeler.conditions import StreamFill
-    from .kernel import WriteCommand
 
     cfg = design.config
     rows = validated_rows(cfg, max_rows)
-    cols = cfg.cols
-    p, q = cfg.p, cfg.q
     host = design.host()
     report = ValidationReport(config_label=cfg.label())
-    ref = _reference_matrix(rows, cols)
+    ref = _reference_matrix(rows, cfg.cols)
 
     # -- fill with unique values: aligned p x q rectangles ----------------
     host.begin_stage("fill")
-    commands = []
-    for bi in range(0, rows, p):
-        for bj in range(0, cols, q):
-            vals = ref[bi : bi + p, bj : bj + q].ravel()
-            commands.append(
-                WriteCommand(AccessRequest(PatternKind.RECTANGLE, bi, bj), vals)
-            )
-    host.write_stream("wr_cmd", commands)
-    report.writes = len(commands)
-    host.run_kernel(max_cycles=20 * len(commands) + 1000)
+    fill = _fill_block(ref, cfg.p, cfg.q)
+    host.write_stream("wr_cmd", fill)
+    report.writes = len(fill)
+    host.run_kernel(max_cycles=20 * len(fill) + 1000)
 
     # -- read back through every supported pattern on every port -----------
-    spec = SCHEME_SPECS[cfg.scheme]
     host.begin_stage("readback")
     for port in range(cfg.read_ports):
         out_stream = design.dfe.manager.host_output(f"rd_out{port}")
-        for entry in spec.supported:
-            if not entry.condition_holds(p, q):
-                continue
-            pattern = AccessPattern(entry.kind, p, q)
-            anchors = _read_anchors(pattern, rows, cols, entry, p, q)
-            if not anchors:
-                continue
-            reqs = [AccessRequest(entry.kind, i, j) for i, j in anchors]
-            host.write_stream(f"rd_cmd{port}", reqs)
-            expected_n = len(reqs)
+        for block, cells in _readback_blocks(cfg, rows):
+            n = host.write_stream(f"rd_cmd{port}", block)
             host.run_kernel(
-                until=StreamFill(out_stream, expected_n),
-                max_cycles=50 * expected_n + 10 * design.read_latency + 1000,
+                until=StreamFill(out_stream, n),
+                max_cycles=50 * n + 10 * design.read_latency + 1000,
             )
-            results = host.read_stream(f"rd_out{port}")
-            for (i, j), got in zip(anchors, results):
-                ii, jj = pattern.coordinates(i, j)
-                want = ref[ii, jj]
+            wants = ref[cells]
+            for t, got in enumerate(host.read_stream(f"rd_out{port}")):
                 report.reads += 1
-                if not np.array_equal(np.asarray(got), want):
+                if not np.array_equal(np.asarray(got), wants[t]):
+                    req = block.request(t)
                     report.mismatches.append(
-                        f"port {port} {entry.kind.value}@({i},{j}): "
-                        f"got {got}, want {want}"
+                        f"port {port} {req.kind.value}@({req.i},{req.j}): "
+                        f"got {got}, want {wants[t]}"
                     )
     return report
 
@@ -198,71 +208,8 @@ def validate_config(
     }
 
 
-def conflict_free_chunk(
-    configs,
-    kind,
-    anchors_i,
-    anchors_j,
-    stride: int = 1,
-    *,
-    policy: str = "allow",
-) -> np.ndarray:
-    """Conflict-freedom of one shared access chunk across N configs.
-
-    Returns an ``(N, B)`` boolean mask: entry ``[n, b]`` is True when the
-    *kind* access anchored at ``(anchors_i[b], anchors_j[b])`` is in
-    bounds *and* bank-conflict-free for ``configs[n]`` — the verdict of
-    ``plan.fits(i, j) and plan.conflict_free(i, j)`` per anchor, which the
-    hypothesis parity suite pins this against.  Every plan family
-    compiles through one :func:`~repro.core.plan.compile_plan_batch`
-    build and, per lane grid, the residue ``ok`` tables of the distinct
-    families stack so the whole chunk resolves in one fancy-indexed
-    gather.
-
-    ``policy="forbid"`` raises :class:`~repro.core.exceptions.ConflictError`
-    for the first failing ``(config, anchor)`` in config-major order.
-    """
-    configs = list(configs)
-    kind = PatternKind(kind)
-    ai = np.asarray(anchors_i, dtype=np.int64)
-    aj = np.asarray(anchors_j, dtype=np.int64)
-    if ai.shape != aj.shape or ai.ndim != 1:
-        raise ValueError("anchors must be equal-length 1-D arrays")
-    out = np.empty((len(configs), ai.size), dtype=bool)
-    keys = [
-        (cfg.rows, cfg.cols, cfg.p, cfg.q, cfg.scheme, kind, stride)
-        for cfg in configs
-    ]
-    plans = compile_plan_batch(keys)
-    by_grid: dict[tuple[int, int], list[int]] = {}
-    for n, key in enumerate(keys):
-        by_grid.setdefault((key[2], key[3]), []).append(n)
-    for (p, q), ns in by_grid.items():
-        period = p * q
-        ri = ai % period
-        rj = aj % period
-        distinct = list(dict.fromkeys(keys[n] for n in ns))
-        # (D, B): every distinct family's residue verdicts in one pass
-        ok_rows = np.stack([plans[k].ok for k in distinct])[:, ri, rj]
-        row_of = {k: d for d, k in enumerate(distinct)}
-        for n in ns:
-            out[n] = plans[keys[n]].fits_mask(ai, aj) & ok_rows[row_of[keys[n]]]
-    if policy == "forbid":
-        bad = np.argwhere(~out)
-        if bad.size:
-            n, b = (int(x) for x in bad[0])
-            raise ConflictError(
-                f"{configs[n].label()}: {kind.value} access at "
-                f"({int(ai[b])}, {int(aj[b])}) is out of bounds or "
-                f"bank-conflicting"
-            )
-    elif policy != "allow":
-        raise ValueError(f"unknown conflict policy {policy!r}")
-    return out
-
-
 def _validate_family_tables(
-    cfg: PolyMemConfig, rows_v: int, ref: np.ndarray, bi: np.ndarray, bj: np.ndarray
+    cfg: PolyMemConfig, rows_v: int, ref: np.ndarray, fill: AccessBlock
 ) -> tuple[int, int] | None:
     """Run one family's §IV-A cycle on the compiled slot tables alone.
 
@@ -271,37 +218,26 @@ def _validate_family_tables(
     write and read paths resolve to), in the scalar cycle's write order.
     Returns ``(reads_per_port, writes)`` when every probe matches the
     reference — the clean case, where the full-simulator cycle passes too
-    — or ``None`` for *any* irregularity (a probe out of bounds or
-    conflicting, a value mismatch), telling the caller to fall back to
+    — or ``None`` for *any* irregularity (a fill access or probe out of
+    bounds or conflicting, a value mismatch), telling the caller to fall back to
     the scalar :func:`validate_config` so payloads stay byte-identical by
     construction.
     """
-    rows, cols, p, q = cfg.rows, cfg.cols, cfg.p, cfg.q
-    plan_rect = compile_plan(rows, cols, p, q, cfg.scheme, PatternKind.RECTANGLE, 1)
-    vals = ref[bi[:, None] + plan_rect.di[None, :], bj[:, None] + plan_rect.dj[None, :]]
+    plan_of = partial(compile_plan, cfg.rows, cfg.cols, cfg.p, cfg.q, cfg.scheme)
+    slots, valid = fill.tables(plan_of)
+    if not valid.all():
+        return None
     image = np.zeros(cfg.total_words, dtype=np.uint64)
     # duplicate slot ids resolve last-write-wins, matching the sequential
     # command order of the stream-driven fill
-    image[plan_rect.slots_many(bi, bj).reshape(-1)] = vals.reshape(-1)
+    image[slots.reshape(-1)] = fill.values.reshape(-1)
     reads = 0
-    for entry in SCHEME_SPECS[cfg.scheme].supported:
-        if not entry.condition_holds(p, q):
-            continue
-        pattern = AccessPattern(entry.kind, p, q)
-        anchors = _read_anchors(pattern, rows_v, cols, entry, p, q)
-        if not anchors:
-            continue
-        ai = np.array([a[0] for a in anchors], dtype=np.int64)
-        aj = np.array([a[1] for a in anchors], dtype=np.int64)
-        plan = compile_plan(rows, cols, p, q, cfg.scheme, entry.kind, 1)
-        if not (plan.fits_mask(ai, aj) & plan.ok_mask(ai, aj)).all():
+    for block, cells in _readback_blocks(cfg, rows_v):
+        slots, valid = block.tables(plan_of)
+        if not valid.all() or not (image[slots] == ref[cells]).all():
             return None
-        got = image[plan.slots_many(ai, aj)]
-        want = ref[ai[:, None] + plan.di[None, :], aj[:, None] + plan.dj[None, :]]
-        if not (got == want).all():
-            return None
-        reads += len(anchors)
-    return reads, int(bi.size)
+        reads += len(block)
+    return reads, len(fill)
 
 
 def validate_points_batch(
@@ -313,12 +249,12 @@ def validate_points_batch(
 
     Configs are grouped by geometry family ``(rows, cols, p, q)``; each
     family shares one batched plan-table build
-    (:func:`~repro.core.plan.compile_plan_batch`), one fill anchor chunk
-    checked across all schemes by :func:`conflict_free_chunk`, and one
-    slot-image fill/readback pass per scheme (read ports only replicate
+    (:func:`~repro.core.plan.compile_plan_batch`) and one fill block
+    (:func:`_fill_block`, the one the simulated cycle pushes), and runs
+    one slot-image fill/readback pass per scheme (read ports only replicate
     the readback, so sibling port counts reuse the same pass).  Any
     config the fast path cannot prove clean — a misaligned validated
-    region, a conflicting or mismatching probe — falls back to the scalar
+    region, a conflicting fill or probe, a mismatch — falls back to the scalar
     simulator cycle, so every payload (and the :class:`ConfigurationError`
     a misaligned region raises) equals the scalar one byte for byte
     (pinned by ``tests/dse/test_batch_equivalence.py``).
@@ -336,27 +272,14 @@ def validate_points_batch(
         scheme_of: dict = {}
         for n in members:
             scheme_of.setdefault(configs[n].scheme, []).append(n)
-        if rows_v <= 0 or rows_v % p or cols % q:
-            fill_ok = np.zeros((len(scheme_of), 1), dtype=bool)
-            bi = bj = None
-        else:
-            bi = np.repeat(
-                np.arange(0, rows_v, p, dtype=np.int64), len(range(0, cols, q))
-            )
-            bj = np.tile(
-                np.arange(0, cols, q, dtype=np.int64), len(range(0, rows_v, p))
-            )
-            fill_ok = conflict_free_chunk(
-                [configs[ns[0]] for ns in scheme_of.values()],
-                PatternKind.RECTANGLE,
-                bi,
-                bj,
-            )
-        ref = _reference_matrix(rows_v, cols) if rows_v > 0 else None
-        for (scheme, ns), ok_row in zip(scheme_of.items(), fill_ok):
+        fill = None
+        if rows_v > 0 and not rows_v % p and not cols % q:
+            ref = _reference_matrix(rows_v, cols)
+            fill = _fill_block(ref, p, q)
+        for ns in scheme_of.values():
             family = None
-            if bi is not None and ok_row.all():
-                family = _validate_family_tables(configs[ns[0]], rows_v, ref, bi, bj)
+            if fill is not None:
+                family = _validate_family_tables(configs[ns[0]], rows_v, ref, fill)
             if family is None:
                 for n in ns:
                     payloads[n] = validate_config(configs[n], max_rows, style)

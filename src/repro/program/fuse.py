@@ -53,7 +53,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..core.exceptions import PolyMemError
-from ..core.plan import AccessTrace, _Stream, forward_indices
+from ..core.plan import AccessBlock, AccessTrace, forward_indices
 from ..telemetry import context as _telemetry
 
 __all__ = [
@@ -261,7 +261,7 @@ def _classify_step(step, pm):
         bad = np.zeros(n, dtype=bool)
         read_tabs = {}
         for port, (kind, ai, aj, stride) in step.reads.items():
-            slots, valid = _Stream(kind, ai, aj, stride).tables(pm.plan)
+            slots, valid = AccessBlock(kind, ai, aj, stride).tables(pm.plan)
             bad |= ~valid
             read_tabs[port] = slots
         if step.write is None:
@@ -271,7 +271,7 @@ def _classify_step(step, pm):
         kind, ai, aj, stride, pieces = step.write
         if any(src is None for _, _, src in pieces):
             return ("replay", "describe_only_write")
-        w_slots, w_valid = _Stream(kind, ai, aj, stride).tables(pm.plan)
+        w_slots, w_valid = AccessBlock(kind, ai, aj, stride).tables(pm.plan)
         bad |= ~w_valid
     except PolyMemError:
         return ("replay", "plan_error")

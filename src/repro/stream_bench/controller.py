@@ -25,20 +25,21 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ..core.agu import AccessRequest
 from ..core.config import PolyMemConfig
 from ..core.exceptions import SimulationError
 from ..core.patterns import PatternKind
+from ..core.plan import AccessBlock
 from ..hw.calibration import STREAM_COPY
 from ..maxeler.batch import BatchOp, BatchPlan, PushClaim
 from ..maxeler.conditions import RunCondition
 from ..maxeler.dfe import DFE, VectisBoard
 from ..maxeler.kernel import DemuxKernel, Kernel, MuxKernel
 from ..maxeler.manager import Manager
-from ..maxpolymem.kernel import FusedPolyMemKernel, WriteCommand
+from ..maxpolymem.kernel import FusedPolyMemKernel
 from ..program import AccessProgram
 from .apps import Mode
 
@@ -119,16 +120,14 @@ class StreamController(Kernel):
         self._writes_done = 0
         self._scalar_bits = 0.0
         self.completed_jobs = 0
-        #: per-array cache of the band's full lowered anchor stream — every
-        #: issued command is a slice of these arrays
-        self._band_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- address generation -------------------------------------------------
     #
     # All STREAM access generation flows through one lowering: each array
     # band is a ROW anchor stream (lane-vector k at row k // per_row,
-    # column (k % per_row) * lanes), cached by `_band_anchors`; the scalar
-    # tick, the batched claims and `_job_program` all take slices of it.
+    # column (k % per_row) * lanes); the scalar tick, the batched claims
+    # and `_job_program` all take slices of it, and every command the
+    # controller issues is one `AccessBlock` of such a slice.
 
     def _unchecked_anchors(
         self, array: int, start: int, n: int
@@ -139,31 +138,17 @@ class StreamController(Kernel):
         rows, slots = np.divmod(ks, per_row)
         return array * self.band_rows + rows, slots * self.lanes
 
-    def _band_anchors(self, array: int) -> tuple[np.ndarray, np.ndarray]:
-        """The full band's anchor stream (cached)."""
-        cached = self._band_cache.get(array)
-        if cached is None:
-            cached = self._unchecked_anchors(
-                array, 0, self.band_capacity_vectors()
-            )
-            self._band_cache[array] = cached
-        return cached
-
-    def _band_slice(self, array: int, start: int, n: int):
-        """``(kind, ai, aj)`` of lane-vectors ``start..start+n``; raises
-        once the slice leaves the band, like per-vector issue did."""
+    def _band_slice(self, array: int, start: int, n: int, values=None):
+        """Commands for lane-vectors ``start..start+n`` of band *array*
+        (writes: with their ``(n, lanes)`` *values*); raises once the
+        slice leaves the band, like per-vector issue did."""
         if n and start + n > self.band_capacity_vectors():
             raise SimulationError(
                 f"vector {start + n - 1} exceeds array band of "
                 f"{self.band_rows} rows"
             )
-        ai, aj = self._band_anchors(array)
-        return self.ACCESS, ai[start : start + n], aj[start : start + n]
-
-    def _vec_anchor(self, array: int, k: int) -> tuple[int, int]:
-        """Anchor of lane-vector *k* of array band *array*."""
-        _, ai, aj = self._band_slice(array, k, 1)
-        return int(ai[0]), int(aj[0])
+        ai, aj = self._unchecked_anchors(array, start, n)
+        return AccessBlock(self.ACCESS, ai, aj, values=values)
 
     def band_capacity_vectors(self) -> int:
         """Lane-vectors one array band can hold."""
@@ -247,12 +232,17 @@ class StreamController(Kernel):
             self._reads_issued += 1
             progressed = True
         if wr_data.can_pop() and wr_cmd.can_push():
-            vec = wr_data.pop()
-            i, j = self._vec_anchor(job.array, self._writes_done)
-            wr_cmd.push(WriteCommand(AccessRequest(self.ACCESS, i, j), vec))
-            self._writes_done += 1
+            self._push_write(job.array, wr_data.pop())
             progressed = True
         return progressed
+
+    def _push_write(self, array: int, vec) -> None:
+        """Scalar tick: one write command of *vec* at the write cursor."""
+        values = np.asarray(vec)[None]
+        self.outputs["wr_cmd"].push(
+            self._band_slice(array, self._writes_done, 1, values)
+        )
+        self._writes_done += 1
 
     def _mode_spec(self, job: Job):
         """``(src_arrays, dst_array, combine)`` of a compute-stage job.
@@ -294,11 +284,10 @@ class StreamController(Kernel):
                 stream = self.outputs[f"rd_cmd{port}"]
                 if not stream.can_push():
                     break
-                i, j = self._vec_anchor(array, self._reads_issued)
-                cmds.append((stream, AccessRequest(self.ACCESS, i, j)))
+                cmds.append((stream, self._band_slice(array, self._reads_issued, 1)))
             if len(cmds) == len(src_arrays):
-                for stream, req in cmds:
-                    stream.push(req)
+                for stream, block in cmds:
+                    stream.push(block)
                 self._reads_issued += 1
                 progressed = True
         # consume arriving data: combine and route the result through the
@@ -318,12 +307,8 @@ class StreamController(Kernel):
             progressed = True
         # drain the MUX into write commands at the destination cursor
         wr_data = self.inputs["wr_data"]
-        wr_cmd = self.outputs["wr_cmd"]
-        if wr_data.can_pop() and wr_cmd.can_push():
-            vec = wr_data.pop()
-            i, j = self._vec_anchor(dst_array, self._writes_done)
-            wr_cmd.push(WriteCommand(AccessRequest(self.ACCESS, i, j), vec))
-            self._writes_done += 1
+        if wr_data.can_pop() and self.outputs["wr_cmd"].can_push():
+            self._push_write(dst_array, wr_data.pop())
             progressed = True
         return progressed
 
@@ -333,8 +318,7 @@ class StreamController(Kernel):
         progressed = False
         rd_cmd = self.outputs["rd_cmd0"]
         if self._reads_issued < job.vectors and rd_cmd.can_push():
-            i, j = self._vec_anchor(job.array, self._reads_issued)
-            rd_cmd.push(AccessRequest(self.ACCESS, i, j))
+            rd_cmd.push(self._band_slice(job.array, self._reads_issued, 1))
             self._reads_issued += 1
             progressed = True
         rd_data = self.inputs["rd_data0"]
@@ -357,12 +341,6 @@ class StreamController(Kernel):
     # kernel can compile and check the chunk's slot tables before
     # committing to it).
 
-    def _anchors_fn(self, array: int, start: int):
-        def anchors(n: int):
-            return self._band_slice(array, start, n)
-
-        return anchors
-
     def _finish_writes(self, job: Job, done: int) -> None:
         self._writes_done = done
         if done >= job.vectors:
@@ -384,12 +362,8 @@ class StreamController(Kernel):
 
         def run(n: int) -> None:
             for port, array in enumerate(src_arrays):
-                kind, ai, aj = self._band_slice(array, start, n)
                 self.outputs[f"rd_cmd{port}"].push_many(
-                    [
-                        AccessRequest(kind, i, j)
-                        for i, j in zip(ai.tolist(), aj.tolist())
-                    ]
+                    self._band_slice(array, start, n)
                 )
             self._reads_issued = start + n
 
@@ -409,16 +383,11 @@ class StreamController(Kernel):
 
     def _drain_op(self, job: Job, dst_array: int) -> BatchOp:
         start = self._writes_done
-        anchors = self._anchors_fn(dst_array, start)
 
         def run(n: int) -> None:
-            vecs = self.inputs["wr_data"].pop_many(n)
-            kind, ai, aj = anchors(n)
+            values = np.stack(self.inputs["wr_data"].pop_many(n))
             self.outputs["wr_cmd"].push_many(
-                [
-                    WriteCommand(AccessRequest(kind, i, j), vec)
-                    for i, j, vec in zip(ai.tolist(), aj.tolist(), vecs)
-                ]
+                self._band_slice(dst_array, start, n, values)
             )
             self._finish_writes(job, start + n)
 
@@ -427,7 +396,9 @@ class StreamController(Kernel):
             run,
             pops=("wr_data",),
             pushes=("wr_cmd",),
-            claims={"wr_cmd": PushClaim(anchors=anchors)},
+            claims={
+                "wr_cmd": PushClaim(anchors=partial(self._band_slice, dst_array, start))
+            },
         )
 
     def _offload_emit_run(self, job: Job):
@@ -478,8 +449,8 @@ class StreamController(Kernel):
                         pushes=("rd_cmd0",),
                         claims={
                             "rd_cmd0": PushClaim(
-                                anchors=self._anchors_fn(
-                                    job.array, self._reads_issued
+                                anchors=partial(
+                                    self._band_slice, job.array, self._reads_issued
                                 )
                             )
                         },
@@ -505,7 +476,7 @@ class StreamController(Kernel):
             if reads_left > 0:
                 claims = {
                     f"rd_cmd{p}": PushClaim(
-                        anchors=self._anchors_fn(array, self._reads_issued)
+                        anchors=partial(self._band_slice, array, self._reads_issued)
                     )
                     for p, array in enumerate(src_arrays)
                 }

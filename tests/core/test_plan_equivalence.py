@@ -108,9 +108,10 @@ def trace_cases(draw):
             for port in trace.read_ports:
                 if port != 0:
                     s = trace._reads[port]
+                    first = s.request(0)
                     forced.read(
-                        s.kinds[0], s.anchors_i, s.anchors_j,
-                        port=port, stride=s.stride,
+                        first.kind, s.anchors_i, s.anchors_j,
+                        port=port, stride=first.stride,
                     )
             forced.write(kind, wi, wj, values, stride=stride)
             trace = forced

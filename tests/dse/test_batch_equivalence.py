@@ -1,7 +1,7 @@
 """Equivalence suite for the vectorized config-space evaluation.
 
 The batch layer's one contract: every vectorized path — plan-table
-builds, conflict chunks, slot-image validation, synthesis estimates, the
+builds, slot-image validation, synthesis estimates, the
 whole ``explore`` sweep — produces *byte-identical* results to the scalar
 path it replaces.  These tests pin that contract, including the fallback
 and error branches, with Hypothesis driving the config/anchor sampling.
@@ -9,15 +9,12 @@ and error branches, with Hypothesis driving the config/anchor sampling.
 
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import KB, PolyMemConfig
-from repro.core.exceptions import ConfigurationError, ConflictError
-from repro.core.patterns import PatternKind
-from repro.core.plan import compile_plan
+from repro.core.exceptions import ConfigurationError
 from repro.core.schemes import Scheme
 from repro.dse.explore import (
     DsePoint,
@@ -30,15 +27,9 @@ from repro.dse.explore import (
 from repro.dse.pareto import pareto_frontier
 from repro.dse.space import PAPER_SPACE, DesignSpace
 from repro.hw.synthesis import default_model
-from repro.maxpolymem.validation import (
-    conflict_free_chunk,
-    validate_config,
-    validate_points_batch,
-)
+from repro.maxpolymem.validation import validate_config, validate_points_batch
 
 ALL_CONFIGS = list(PAPER_SPACE.points())
-
-CHUNK_KINDS = [PatternKind.RECTANGLE, PatternKind.ROW, PatternKind.COLUMN]
 
 
 def _payload_json(payload) -> str:
@@ -65,22 +56,6 @@ def _frontier_key(result):
     ]
 
 
-def _scalar_chunk(configs, kind, ai, aj, *, policy="allow"):
-    """The per-anchor reference ``conflict_free_chunk`` is pinned to."""
-    out = np.empty((len(configs), ai.size), dtype=bool)
-    for n, cfg in enumerate(configs):
-        plan = compile_plan(cfg.rows, cfg.cols, cfg.p, cfg.q, cfg.scheme, kind)
-        for b in range(ai.size):
-            i, j = int(ai[b]), int(aj[b])
-            out[n, b] = plan.fits(i, j) and plan.conflict_free(i, j)
-            if policy == "forbid" and not out[n, b]:
-                raise ConflictError(
-                    f"{cfg.label()}: {kind.value} access at ({i}, {j}) is "
-                    f"out of bounds or bank-conflicting"
-                )
-    return out
-
-
 def _scalar_values(space=PAPER_SPACE, *, prune=False, **params):
     """The per-point reference payloads of ``explore()``'s grid:
     ``evaluate_point`` on every config, with the same params."""
@@ -97,71 +72,6 @@ def _scalar_explore(space=PAPER_SPACE, **kwargs):
     cfgs, values = _scalar_values(space, **kwargs)
     points = [DsePoint(config=cfg, **v) for cfg, v in zip(cfgs, values)]
     return DseResult(space=space, points=points)
-
-
-class TestConflictFreeChunk:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        start=st.integers(min_value=0, max_value=len(ALL_CONFIGS) - 1),
-        step=st.integers(min_value=1, max_value=17),
-        kind=st.sampled_from(CHUNK_KINDS),
-        anchors=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=300),
-                st.integers(min_value=0, max_value=300),
-            ),
-            min_size=1,
-            max_size=24,
-        ),
-    )
-    def test_vectorized_matches_scalar(self, start, step, kind, anchors):
-        configs = ALL_CONFIGS[start::step]
-        ai = np.array([a for a, _ in anchors], dtype=np.int64)
-        aj = np.array([b for _, b in anchors], dtype=np.int64)
-        fast = conflict_free_chunk(configs, kind, ai, aj)
-        slow = _scalar_chunk(configs, kind, ai, aj)
-        assert fast.dtype == slow.dtype == np.dtype(bool)
-        assert (fast == slow).all()
-
-    @pytest.mark.parametrize("kind", CHUNK_KINDS)
-    def test_forbid_policy_error_parity(self, kind):
-        """The fast path raises the reference's ConflictError for the
-        same first failure (config-major order)."""
-        rng = np.random.default_rng(7)
-        configs = ALL_CONFIGS[::9]
-        ai = rng.integers(0, 64, size=32)
-        aj = rng.integers(0, 64, size=32)
-        messages = []
-        for chunk in (conflict_free_chunk, _scalar_chunk):
-            try:
-                chunk(configs, kind, ai, aj, policy="forbid")
-                messages.append(None)
-            except ConflictError as err:
-                messages.append(str(err))
-        assert messages[0] == messages[1]
-        # the sampled chunk must actually exercise the raising branch for
-        # at least one kind (column accesses conflict under most schemes)
-        if kind is PatternKind.COLUMN:
-            assert messages[0] is not None
-
-    def test_forbid_all_clean_returns_mask(self):
-        cfg = PolyMemConfig(64 * KB, p=2, q=4, scheme=Scheme.ReRo)
-        out = conflict_free_chunk(
-            [cfg],
-            PatternKind.RECTANGLE,
-            np.array([0, 2]),
-            np.array([0, 4]),
-            policy="forbid",
-        )
-        assert out.all()
-
-    def test_unknown_policy_rejected(self):
-        cfg = PolyMemConfig(64 * KB, p=2, q=4, scheme=Scheme.ReRo)
-        with pytest.raises(ValueError, match="policy"):
-            conflict_free_chunk(
-                [cfg], PatternKind.ROW, np.array([0]), np.array([0]),
-                policy="maybe",
-            )
 
 
 class TestValidatePointsBatch:

@@ -9,12 +9,12 @@ identical across all of them and match the NumPy reference.
 import numpy as np
 import pytest
 
-from repro.core.agu import AccessRequest
 from repro.core.config import KB, PolyMemConfig
 from repro.core.patterns import AccessPattern, PatternKind
+from repro.core.plan import AccessBlock
 from repro.core.polymem import PolyMem
 from repro.core.schemes import SCHEME_SPECS, Scheme
-from repro.maxpolymem import WriteCommand, build_design
+from repro.maxpolymem import build_design
 
 
 def generate_ops(scheme, p, q, rows, cols, n_ops, seed):
@@ -72,12 +72,11 @@ def run_design_path(cfg, ops, style):
     out = design.dfe.manager.host_output("rd_out0")
     reads = []
     for kind, i, j, vals in ops:
-        req = AccessRequest(kind, i, j)
         if vals is not None:
-            host.write_stream("wr_cmd", [WriteCommand(req, vals)])
+            host.write_stream("wr_cmd", AccessBlock(kind, [i], [j], values=[vals]))
             host.run_kernel(max_cycles=1000)
         else:
-            host.write_stream("rd_cmd0", [req])
+            host.write_stream("rd_cmd0", AccessBlock(kind, [i], [j]))
             host.run_kernel(until=lambda: len(out) == 1, max_cycles=1000)
             reads.append(np.asarray(host.read_stream("rd_out0")[0]))
     memory = design.kernel.memory if style == "fused" else None

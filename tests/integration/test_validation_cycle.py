@@ -68,3 +68,32 @@ def test_validation_cycle_full_512kb_design():
     assert design.dfe.clock_mhz == 194
     report = validate_design(design, max_rows=8)
     assert report.passed
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_fill_stage_claims_its_backlog(scheme, monkeypatch):
+    """The fill is one host-queued ``wr_cmd`` backlog: the fused kernel
+    claims it as its chunk, so no fill cycle of the scorecard's §IV-A
+    configs falls back to scalar for want of a PolyMem plan."""
+    from repro.maxeler.host import Host
+    from repro.maxpolymem.validation import validate_config
+    from repro.telemetry import Telemetry, session
+
+    counters = {}
+    begin_stage = Host.begin_stage
+
+    def snapshot(host, name):
+        counters[name] = tel.metrics.to_dict()["counters"]
+        return begin_stage(host, name)
+
+    monkeypatch.setattr(Host, "begin_stage", snapshot)
+    cfg = PolyMemConfig(16 * KB, p=2, q=4, scheme=scheme, read_ports=2)
+    with session(Telemetry()) as tel:
+        payload = validate_config(cfg, max_rows=8)
+    assert payload["passed"]
+
+    def fill(name):
+        return counters["readback"].get(name, 0) - counters["fill"].get(name, 0)
+
+    assert fill("sim.plan_rejects.no_plan.polymem") == 0
+    assert fill("sim.cycles.batched") >= payload["writes"]

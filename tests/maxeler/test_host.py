@@ -46,6 +46,26 @@ class TestHost:
         assert stage.payload_bytes == 80
         assert stage.pcie_ns == pytest.approx(300 + 80 / 2)
 
+    def test_command_block_payload(self):
+        """A command block carries one 64-bit word per command (the
+        anchor and access type) plus its lane data."""
+        import numpy as np
+
+        from repro.core.config import KB, PolyMemConfig
+        from repro.core.plan import AccessBlock
+        from repro.maxpolymem import build_design
+
+        cfg = PolyMemConfig(4 * KB, p=2, q=4)
+        host = build_design(cfg, clock_source="model").host()
+        host.begin_stage("fill")
+        values = np.zeros((5, 8), dtype=np.uint64)
+        writes = AccessBlock("rectangle", np.arange(5) * 2, np.zeros(5, int), values=values)
+        assert host.write_stream("wr_cmd", writes) == 5
+        assert host.stage("fill").payload_bytes == 5 * 8 + 5 * 8 * 8
+        host.begin_stage("read")
+        host.write_stream("rd_cmd0", AccessBlock("row", [0, 1, 2], [0, 0, 0]))
+        assert host.stage("read").payload_bytes == 3 * 8
+
     def test_run_kernel_charges_cycles(self, passthrough):
         host, dfe = passthrough
         host.write_stream("in", range(10))

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.agu import AccessRequest
 from repro.core.config import KB, PolyMemConfig
 from repro.core.patterns import PatternKind
+from repro.core.plan import AccessBlock
 from repro.core.schemes import Scheme
-from repro.maxeler.batch import PushClaim
-from repro.maxpolymem import WriteCommand, build_design, clock_for
+from repro.maxeler.stream import CommandStream, Stream
+from repro.maxpolymem import build_design, clock_for
 from repro.maxpolymem.kernel import FusedPolyMemKernel
 
 
@@ -20,8 +20,14 @@ def design():
 
 def write_rect(host, i, j, values):
     host.write_stream(
-        "wr_cmd", [WriteCommand(AccessRequest(PatternKind.RECTANGLE, i, j), values)]
+        "wr_cmd", AccessBlock(PatternKind.RECTANGLE, [i], [j], values=[values])
     )
+
+
+def reads(kind, anchors):
+    """A read block of *kind* accesses at *anchors* ``[(i, j), ...]``."""
+    ai, aj = zip(*anchors)
+    return AccessBlock(kind, ai, aj)
 
 
 class TestFusedKernel:
@@ -29,7 +35,7 @@ class TestFusedKernel:
         host = design.host()
         write_rect(host, 0, 0, np.arange(8))
         host.run_kernel(max_cycles=50)
-        host.write_stream("rd_cmd0", [AccessRequest(PatternKind.ROW, 0, 0)])
+        host.write_stream("rd_cmd0", reads(PatternKind.ROW, [(0, 0)]))
         out = design.dfe.manager.host_output("rd_out0")
         host.run_kernel(until=lambda: len(out) == 1, max_cycles=200)
         (result,) = host.read_stream("rd_out0")
@@ -40,7 +46,7 @@ class TestFusedKernel:
         write_rect(host, 0, 0, np.arange(8))
         host.run_kernel(max_cycles=50)
         start = design.dfe.simulator.cycles
-        host.write_stream("rd_cmd0", [AccessRequest(PatternKind.ROW, 0, 0)])
+        host.write_stream("rd_cmd0", reads(PatternKind.ROW, [(0, 0)]))
         out = design.dfe.manager.host_output("rd_out0")
         host.run_kernel(until=lambda: len(out) == 1, max_cycles=200)
         elapsed = design.dfe.simulator.cycles - start
@@ -50,8 +56,9 @@ class TestFusedKernel:
         """N pipelined reads complete in ~N + latency cycles, not N*latency."""
         host = design.host()
         n = 64
-        reqs = [AccessRequest(PatternKind.ROW, i % 16, 0) for i in range(n)]
-        host.write_stream("rd_cmd0", reqs)
+        host.write_stream(
+            "rd_cmd0", reads(PatternKind.ROW, [(i % 16, 0) for i in range(n)])
+        )
         out = design.dfe.manager.host_output("rd_out0")
         start = design.dfe.simulator.cycles
         host.run_kernel(until=lambda: len(out) == n, max_cycles=5000)
@@ -61,12 +68,8 @@ class TestFusedKernel:
     def test_two_ports_stream_concurrently(self, design):
         host = design.host()
         n = 32
-        host.write_stream(
-            "rd_cmd0", [AccessRequest(PatternKind.ROW, 0, 0)] * n
-        )
-        host.write_stream(
-            "rd_cmd1", [AccessRequest(PatternKind.ROW, 1, 0)] * n
-        )
+        host.write_stream("rd_cmd0", reads(PatternKind.ROW, [(0, 0)] * n))
+        host.write_stream("rd_cmd1", reads(PatternKind.ROW, [(1, 0)] * n))
         out0 = design.dfe.manager.host_output("rd_out0")
         out1 = design.dfe.manager.host_output("rd_out1")
         start = design.dfe.simulator.cycles
@@ -83,32 +86,35 @@ class TestFusedKernel:
         host = design.host()
         write_rect(host, 0, 0, np.full(8, 5))
         host.run_kernel(max_cycles=50)
-        host.write_stream("rd_cmd0", [AccessRequest(PatternKind.RECTANGLE, 0, 0)])
+        host.write_stream("rd_cmd0", reads(PatternKind.RECTANGLE, [(0, 0)]))
         write_rect(host, 0, 0, np.full(8, 9))
         out = design.dfe.manager.host_output("rd_out0")
         host.run_kernel(until=lambda: len(out) == 1, max_cycles=200)
         (result,) = host.read_stream("rd_out0")
         assert (np.asarray(result) == 5).all()
-        host.write_stream("rd_cmd0", [AccessRequest(PatternKind.RECTANGLE, 0, 0)])
+        host.write_stream("rd_cmd0", reads(PatternKind.RECTANGLE, [(0, 0)]))
         host.run_kernel(until=lambda: len(out) == 1, max_cycles=200)
         (result,) = host.read_stream("rd_out0")
         assert (np.asarray(result) == 9).all()
 
 
-def _claim(*anchors):
-    ai = np.array([i for i, _ in anchors])
-    aj = np.array([j for _, j in anchors])
-    return PushClaim(anchors=lambda n: (PatternKind.RECTANGLE, ai[:n], aj[:n]))
-
-
-def _chunk_admitted(reads, writes, policy="read_first"):
+def _chunk_admitted(read_anchors, write_anchors, policy="read_first"):
     """Whether the fused kernel's chunk proof admits one read stream on
-    port 0 and one write stream, each a list of rectangle anchors."""
+    port 0 and one write stream, each a queued backlog of rectangle
+    anchors."""
     cfg = PolyMemConfig(4 * KB, p=2, q=4, scheme=Scheme.ReRo, read_ports=2)
     kernel = FusedPolyMemKernel("polymem", cfg, collision_policy=policy)
-    kernel._rd_claims = {0: _claim(*reads)}
-    kernel._wr_claim = _claim(*writes)
-    return kernel._validate_chunk(len(reads))
+    for port in ("rd_cmd0", "wr_cmd"):
+        kernel.bind_input(port, CommandStream(port, capacity=None))
+    kernel.bind_output("rd_out0", Stream("rd_out0", capacity=None))
+    kernel.inputs["rd_cmd0"].push_many(reads(PatternKind.RECTANGLE, read_anchors))
+    wi, wj = zip(*write_anchors)
+    values = np.zeros((len(wi), 8), dtype=np.uint64)
+    kernel.inputs["wr_cmd"].push_many(
+        AccessBlock(PatternKind.RECTANGLE, wi, wj, values=values)
+    )
+    plan = kernel.batch_plan({})
+    return plan.validate(len(read_anchors))
 
 
 class TestChunkProof:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.agu import AccessRequest
 from repro.core.config import KB, PolyMemConfig
 from repro.core.patterns import PatternKind
+from repro.core.plan import AccessBlock
 from repro.core.schemes import Scheme
-from repro.maxpolymem import WriteCommand, build_design, validate_design
+from repro.maxpolymem import build_design, validate_design
 from repro.maxpolymem.modular import build_modular_design
 
 
@@ -55,22 +55,19 @@ class TestFusedModularEquivalence:
         resources, not correctness."""
         cfg = PolyMemConfig(4 * KB, p=2, q=4, scheme=scheme)
         rng = np.random.default_rng(7)
-        writes = []
-        for bi in range(0, 8, 2):
-            for bj in range(0, 8, 4):
-                writes.append(
-                    WriteCommand(
-                        AccessRequest(PatternKind.RECTANGLE, bi, bj),
-                        rng.integers(0, 1000, 8),
-                    )
-                )
+        bi, bj = np.divmod(np.arange(8), 2)
+        writes = AccessBlock(
+            PatternKind.RECTANGLE, 2 * bi, 4 * bj,
+            values=[rng.integers(0, 1000, 8) for _ in range(8)],
+        )
         if scheme is Scheme.ReTr:
-            reads = [AccessRequest(PatternKind.TRANSPOSED_RECTANGLE, 1, 1)]
+            first = (PatternKind.TRANSPOSED_RECTANGLE, 1, 1)
         elif scheme is Scheme.RoCo:
-            reads = [AccessRequest(PatternKind.COLUMN, 0, 3)]
+            first = (PatternKind.COLUMN, 0, 3)
         else:
-            reads = [AccessRequest(PatternKind.ROW, 2, 1)]
-        reads.append(AccessRequest(PatternKind.RECTANGLE, 0, 0))
+            first = (PatternKind.ROW, 2, 1)
+        kinds, ai, aj = zip(first, (PatternKind.RECTANGLE, 0, 0))
+        reads = AccessBlock(kinds, ai, aj)
 
         results = {}
         for style in ("fused", "modular"):
@@ -94,7 +91,7 @@ class TestFusedModularEquivalence:
         host = design.host()
         n = 64
         host.write_stream(
-            "rd_cmd0", [AccessRequest(PatternKind.ROW, i % 16, 0) for i in range(n)]
+            "rd_cmd0", AccessBlock(PatternKind.ROW, np.arange(n) % 16, np.zeros(n, int))
         )
         out = design.dfe.manager.host_output("rd_out0")
         start = design.dfe.simulator.cycles

@@ -38,22 +38,25 @@ class TestValidateDesign:
         """Sanity: a sabotaged memory is reported, not silently passed."""
         cfg = PolyMemConfig(4 * KB, p=2, q=4, scheme=Scheme.ReO)
         design = build_design(cfg, clock_source="model")
-        # corrupt one bank cell behind the design's back after the fill by
-        # monkeypatching the kernel's memory load path
-        original_step = design.kernel.memory.step
-
+        # corrupt the first word read back behind the design's back by
+        # monkeypatching both bank load paths: a scalar tick's `step`
+        # reads through `read`, a batched chunk gathers through
+        # `read_slots`
+        banks = design.kernel.memory.banks
         state = {"poisoned": False}
 
-        def poisoned_step(reads=None, write=None):
-            out = original_step(reads=reads, write=write)
-            if reads and not state["poisoned"]:
-                state["poisoned"] = True
-                for port in list(out):
-                    out[port] = np.asarray(out[port]).copy()
-                    out[port][0] ^= 0xFF
-            return out
+        def poisoned(load):
+            def wrapper(*args):
+                out = np.array(load(*args))
+                if not state["poisoned"]:
+                    state["poisoned"] = True
+                    out.flat[0] ^= 0xFF
+                return out
 
-        design.kernel.memory.step = poisoned_step
+            return wrapper
+
+        banks.read = poisoned(banks.read)
+        banks.read_slots = poisoned(banks.read_slots)
         report = validate_design(design)
         assert not report.passed
         assert report.mismatches

@@ -74,17 +74,23 @@ class TestLoadOffloadRoundtrip:
         d = small_design()
         ctrl = d.controller
         with pytest.raises(SimulationError, match="exceeds"):
-            ctrl._vec_anchor(0, ctrl.band_capacity_vectors())
+            ctrl._band_slice(0, ctrl.band_capacity_vectors(), 1)
 
     def test_vec_anchor_layout(self):
         d = small_design()
         ctrl = d.controller
+
+        def anchor(array, k):
+            request = ctrl._band_slice(array, k, 1).request(0)
+            assert request.kind is ctrl.ACCESS
+            return request.i, request.j
+
         # 32 cols / 8 lanes = 4 vectors per row; band 1 starts at row 4
-        assert ctrl._vec_anchor(0, 0) == (0, 0)
-        assert ctrl._vec_anchor(0, 3) == (0, 24)
-        assert ctrl._vec_anchor(0, 4) == (1, 0)
-        assert ctrl._vec_anchor(1, 0) == (4, 0)
-        assert ctrl._vec_anchor(2, 5) == (9, 8)
+        assert anchor(0, 0) == (0, 0)
+        assert anchor(0, 3) == (0, 24)
+        assert anchor(0, 4) == (1, 0)
+        assert anchor(1, 0) == (4, 0)
+        assert anchor(2, 5) == (9, 8)
 
 
 class TestComputeStages:
