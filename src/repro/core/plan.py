@@ -337,11 +337,13 @@ class AccessBlock:
 
     A block holds ``n`` consecutive accesses: the anchor arrays
     ``anchors_i`` / ``anchors_j``, the pattern family ``(kind, stride)``
-    of each access (one for the whole block, or per-access ``codes``
-    into ``families``) and, for writes, the ``(n, lanes)`` ``values``
-    matrix (each access's ``DataIn``).  Access traces, fused program
-    steps and the MAX-PolyMem command streams all carry this form, so a
-    run of accesses costs a few arrays, not one Python object each.
+    of each access and, for writes, the ``(n, lanes)`` ``values``
+    matrix (each access's ``DataIn``).  ``families`` lists the distinct
+    families in first-use order; ``codes`` is ``None`` when there is one
+    family, else the int64 per-access index into ``families``.  Program
+    ops, their compiled trace steps, fused-kernel keys, access traces
+    and the MAX-PolyMem command streams all carry this form, so a run of
+    accesses costs a few arrays, not one Python object each.
 
     >>> block = AccessBlock("row", [0, 1], [0, 0], stride=2)
     >>> len(block), block.request(1)
@@ -365,23 +367,38 @@ class AccessBlock:
                     f"per-cycle kinds: got {len(seq)} kinds for {n} anchors"
                 )
             kinds = tuple(dict.fromkeys(seq))
-            index = {k: c for c, k in enumerate(kinds)}
-            codes = np.fromiter((index[k] for k in seq), dtype=np.int64, count=n)
+            codes = None
+            if len(kinds) != 1:
+                index = {k: c for c, k in enumerate(kinds)}
+                codes = np.fromiter(
+                    (index[k] for k in seq), dtype=np.int64, count=n
+                )
         if stride < 1:
             raise PatternError(f"stride must be >= 1, got {stride}")
+        self._set(tuple((k, int(stride)) for k in kinds), codes, ai, aj, None)
         if values is not None:
-            values = np.asarray(values)
-            if values.ndim != 2 or values.shape[0] != n:
-                raise PatternError(
-                    f"write values must be (n, lanes) = ({n}, ...), "
-                    f"got shape {values.shape}"
-                )
-        self._set(tuple((k, stride) for k in kinds), codes, ai, aj, values)
+            self.values = self._checked_values(values)
 
     def _set(self, families, codes, anchors_i, anchors_j, values) -> None:
         self.families, self.codes = families, codes
         self.anchors_i, self.anchors_j = anchors_i, anchors_j
         self.values = values
+
+    def _checked_values(self, values) -> np.ndarray:
+        values = np.asarray(values)
+        if values.ndim != 2 or values.shape[0] != len(self):
+            raise PatternError(
+                f"write values must be (n, lanes) = ({len(self)}, ...), "
+                f"got shape {values.shape}"
+            )
+        return values
+
+    def with_values(self, values) -> "AccessBlock":
+        """These accesses carrying the ``(n, lanes)`` write *values*."""
+        block = AccessBlock.__new__(AccessBlock)
+        block._set(self.families, self.codes, self.anchors_i, self.anchors_j,
+                   self._checked_values(values))
+        return block
 
     @classmethod
     def concat(cls, blocks) -> "AccessBlock":
@@ -575,20 +592,27 @@ class AccessTrace:
     def read(self, kind, anchors_i, anchors_j, port: int = 0, stride: int = 1):
         """Add a read stream on *port*; *kind* is one shape or a per-cycle
         sequence of shapes.  Returns the trace (chainable)."""
-        if port in self._reads:
-            raise PortError(f"trace already has a read stream on port {port}")
-        stream = AccessBlock(kind, anchors_i, anchors_j, stride)
-        self._check_length(stream)
-        self._reads[port] = stream
-        return self
+        return self.add(AccessBlock(kind, anchors_i, anchors_j, stride), port)
 
     def write(self, kind, anchors_i, anchors_j, values, stride: int = 1):
         """Add the write stream; *values* is the ``(n, lanes)`` data."""
-        if self._write is not None:
+        return self.add(
+            AccessBlock(kind, anchors_i, anchors_j, stride, np.asarray(values))
+        )
+
+    def add(self, block: AccessBlock, port: int | None = None):
+        """Add *block* as the read stream on *port*, or as the write stream
+        (a block carrying ``values``) when *port* is ``None``.  Returns the
+        trace (chainable)."""
+        if port is None and self._write is not None:
             raise PortError("trace already has a write stream")
-        stream = AccessBlock(kind, anchors_i, anchors_j, stride, np.asarray(values))
-        self._check_length(stream)
-        self._write = stream
+        if port in self._reads:
+            raise PortError(f"trace already has a read stream on port {port}")
+        self._check_length(block)
+        if port is None:
+            self._write = block
+        else:
+            self._reads[port] = block
         return self
 
     # -- introspection -----------------------------------------------------

@@ -68,7 +68,6 @@ def _stencil_program(
     pm.load(image.astype(np.uint64))
     pm.reset_stats()
 
-    acc = np.zeros((rows, cols), dtype=np.int64)
     bi = np.arange(0, rows, p)
     bj = np.arange(0, cols, q)
     gi, gj = np.meshgrid(bi, bj, indexing="ij")
@@ -79,41 +78,40 @@ def _stencil_program(
         for dj in range(-r, r + 1)
         if int(weights[di + r, dj + r]) != 0
     ]
-    nt = base_i.size
     prog = AccessProgram("stencil", metadata={"result_elements": rows * cols})
     if not taps:
-        return prog.compute(lambda env: {"out": acc}, label="accumulate"), pm
+        out = np.zeros((rows, cols), dtype=np.int64)
+        return prog.compute(lambda env: {"out": out}, label="accumulate"), pm
     # the desired windows may poke outside the image; fetch the nearest
     # in-bounds rectangles — all taps in one replayed trace — and extract
     # the overlaps (outside cells contribute zero)
-    ai_all = np.concatenate(
-        [np.clip(base_i + di, 0, rows - p) for di, _, _ in taps]
-    )
-    aj_all = np.concatenate(
-        [np.clip(base_j + dj, 0, cols - q) for _, dj, _ in taps]
-    )
+    tap_di, tap_dj, tap_w = (np.array(col)[:, None] for col in zip(*taps))
+    want_i = base_i + tap_di  # (taps, tiles) window anchors
+    want_j = base_j + tap_dj
+    ai = np.clip(want_i, 0, rows - p)
+    aj = np.clip(want_j, 0, cols - q)
+    # per tap and tile: the wanted cells' rows (taps, tiles, p) and
+    # columns (taps, tiles, q), and where they sit in the fetched tile
+    cell_i = want_i[:, :, None] + np.arange(p)
+    cell_j = want_j[:, :, None] + np.arange(q)
+    lane_i = np.clip(cell_i - ai[:, :, None], 0, p - 1)
+    lane_j = np.clip(cell_j - aj[:, :, None], 0, q - 1)
+    # the lane-gather table into the flat (taps * tiles, p * q) read
+    # stream and each gathered element's weight (0 outside the image)
+    tile0 = np.arange(ai.size).reshape(ai.shape)[:, :, None, None] * (p * q)
+    gather = tile0 + lane_i[:, :, :, None] * q + lane_j[:, :, None, :]
+    inside = ((cell_i >= 0) & (cell_i < rows))[:, :, :, None] & (
+        (cell_j >= 0) & (cell_j < cols)
+    )[:, :, None, :]
+    weight = np.where(inside, tap_w[:, :, None, None], 0)
 
     def _accumulate(env):
-        tiles = env["tiles"].reshape(len(taps), nt, p, q).astype(np.int64)
-        acc4 = acc.reshape(rows // p, p, cols // q, q)
-        a_off = np.arange(p)
-        b_off = np.arange(q)
-        t_idx = np.arange(nt)[:, None, None]
-        for tap, (di, dj, w) in enumerate(taps):
-            ai = np.clip(base_i + di, 0, rows - p)
-            aj = np.clip(base_j + dj, 0, cols - q)
-            gi_abs = base_i[:, None] + di + a_off[None, :]
-            gj_abs = base_j[:, None] + dj + b_off[None, :]
-            in_i = (gi_abs >= 0) & (gi_abs < rows)
-            in_j = (gj_abs >= 0) & (gj_abs < cols)
-            idx_i = np.clip(gi_abs - ai[:, None], 0, p - 1)
-            idx_j = np.clip(gj_abs - aj[:, None], 0, q - 1)
-            window = tiles[tap][t_idx, idx_i[:, :, None], idx_j[:, None, :]]
-            window = np.where(in_i[:, :, None] & in_j[:, None, :], window, 0)
-            acc4 += w * window.reshape(rows // p, cols // q, p, q).swapaxes(1, 2)
-        return {"out": acc}
+        tiles = env["tiles"].reshape(-1).astype(np.int64)
+        acc = (tiles[gather] * weight).sum(axis=0)  # (tiles, p, q)
+        out = acc.reshape(rows // p, cols // q, p, q).swapaxes(1, 2)
+        return {"out": out.reshape(rows, cols)}
 
-    prog.read(PatternKind.RECTANGLE, ai_all, aj_all, tag="tiles")
+    prog.read(PatternKind.RECTANGLE, ai.ravel(), aj.ravel(), tag="tiles")
     prog.compute(_accumulate, label="accumulate")
     return prog, pm
 

@@ -167,24 +167,27 @@ def validate_design(design: PolyMemDesign, max_rows: int | None = 64) -> Validat
     host.run_kernel(max_cycles=20 * len(fill) + 1000)
 
     # -- read back through every supported pattern on every port -----------
+    # one command block per port, every pattern's probes back to back: the
+    # read pipe streams from one pattern into the next without draining
     host.begin_stage("readback")
-    for port in range(cfg.read_ports):
+    probes = list(_readback_blocks(cfg, rows))
+    block = AccessBlock.concat([b for b, _ in probes])
+    wants = [want for _, cells in probes for want in ref[cells]]
+    for port in range(cfg.read_ports if probes else 0):
         out_stream = design.dfe.manager.host_output(f"rd_out{port}")
-        for block, cells in _readback_blocks(cfg, rows):
-            n = host.write_stream(f"rd_cmd{port}", block)
-            host.run_kernel(
-                until=StreamFill(out_stream, n),
-                max_cycles=50 * n + 10 * design.read_latency + 1000,
-            )
-            wants = ref[cells]
-            for t, got in enumerate(host.read_stream(f"rd_out{port}")):
-                report.reads += 1
-                if not np.array_equal(np.asarray(got), wants[t]):
-                    req = block.request(t)
-                    report.mismatches.append(
-                        f"port {port} {req.kind.value}@({req.i},{req.j}): "
-                        f"got {got}, want {wants[t]}"
-                    )
+        n = host.write_stream(f"rd_cmd{port}", block)
+        host.run_kernel(
+            until=StreamFill(out_stream, n),
+            max_cycles=50 * n + 10 * design.read_latency + 1000,
+        )
+        for t, got in enumerate(host.read_stream(f"rd_out{port}")):
+            report.reads += 1
+            if not np.array_equal(np.asarray(got), wants[t]):
+                req = block.request(t)
+                report.mismatches.append(
+                    f"port {port} {req.kind.value}@({req.i},{req.j}): "
+                    f"got {got}, want {wants[t]}"
+                )
     return report
 
 

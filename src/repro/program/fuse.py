@@ -34,8 +34,10 @@ memories into a *group kernel*:
 Group kernels are cached content-addressed in the module-level
 :data:`kernel_cache`, keyed the way :mod:`repro.exec.cache` keys sweep
 results: a SHA-256 over a canonical header (memory geometry, collision
-policy, per-step access structure, write-value shapes) plus the raw
-anchor bytes.  Two executions of structurally identical programs — same
+policy, per-step access structure with each stream's pattern families,
+write-value shapes) plus the raw anchor bytes and per-access family
+codes of every stream's :class:`~repro.core.plan.AccessBlock`.  Two
+executions of structurally identical programs — same
 anchors, same geometry, any data — share one kernel.
 
 Specialization is per ``(scheme, lane grid, collision policy)`` by
@@ -53,7 +55,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..core.exceptions import PolyMemError
-from ..core.plan import AccessBlock, AccessTrace, forward_indices
+from ..core.plan import AccessTrace, forward_indices
 from ..telemetry import context as _telemetry
 
 __all__ = [
@@ -66,7 +68,7 @@ __all__ = [
 
 #: version tag of the kernel-key format; bump on any change to the key
 #: header or the cached kernel structure
-KEY_FORMAT = "repro.program.fuse/2"
+KEY_FORMAT = "repro.program.fuse/3"
 
 _MISS = object()
 
@@ -155,10 +157,14 @@ kernel_cache = KernelCache()
 # content-addressed group keys
 
 
-def _kind_token(kind):
-    if isinstance(kind, list):
-        return [k.value for k in kind]
-    return kind.value
+def _block_token(block, blobs: list) -> list:
+    """*block*'s header entry, its families; the anchor and per-access
+    code bytes join *blobs*."""
+    blobs.append(block.anchors_i)
+    blobs.append(block.anchors_j)
+    if block.codes is not None:
+        blobs.append(block.codes)
+    return [[kind.value, stride] for kind, stride in block.families]
 
 
 def _span_token(start: int, stop: int, src) -> list:
@@ -175,16 +181,13 @@ def group_key(segments, mems: Mapping[str, Any]) -> str:
     """The content address of one barrier-free segment group.
 
     SHA-256 over a canonical JSON header — memory geometry + collision
-    policy per memory, access structure per step — followed by the raw
-    anchor bytes of every stream, mirroring how ``repro.exec.cache``
-    derives sweep keys.
+    policy per memory, access structure per step (each stream's pattern
+    families) — followed by the raw anchor bytes and per-access family
+    codes of every stream, mirroring how ``repro.exec.cache`` derives
+    sweep keys.
     """
     header: dict = {"format": KEY_FORMAT, "mems": {}, "segments": []}
     blobs: list[np.ndarray] = []
-
-    def add_anchors(ai, aj) -> None:
-        blobs.append(np.ascontiguousarray(ai, dtype=np.int64))
-        blobs.append(np.ascontiguousarray(aj, dtype=np.int64))
 
     for name in sorted({s.mem for seg in segments for s in seg.steps}):
         pm = mems[name]
@@ -196,18 +199,17 @@ def group_key(segments, mems: Mapping[str, Any]) -> str:
     for seg in segments:
         seg_desc = []
         for step in seg.steps:
-            reads_desc = []
-            for port, (kind, ai, aj, stride) in step.reads.items():
-                reads_desc.append([port, _kind_token(kind), stride])
-                add_anchors(ai, aj)
+            reads_desc = [
+                [port, _block_token(block, blobs)]
+                for port, block in step.reads.items()
+            ]
             write_desc = None
             if step.write is not None:
-                kind, ai, aj, stride, pieces = step.write
+                block, spans = step.write
                 write_desc = [
-                    _kind_token(kind), stride,
-                    [_span_token(*piece) for piece in pieces],
+                    _block_token(block, blobs),
+                    [_span_token(*span) for span in spans],
                 ]
-                add_anchors(ai, aj)
             seg_desc.append([step.mem, step.n, reads_desc, write_desc])
         header["segments"].append(seg_desc)
     h = hashlib.sha256()
@@ -260,18 +262,18 @@ def _classify_step(step, pm):
     try:
         bad = np.zeros(n, dtype=bool)
         read_tabs = {}
-        for port, (kind, ai, aj, stride) in step.reads.items():
-            slots, valid = AccessBlock(kind, ai, aj, stride).tables(pm.plan)
+        for port, block in step.reads.items():
+            slots, valid = block.tables(pm.plan)
             bad |= ~valid
             read_tabs[port] = slots
         if step.write is None:
             if bad.any():
                 return ("replay", "invalid_cycle")
             return ("reads", read_tabs)
-        kind, ai, aj, stride, pieces = step.write
-        if any(src is None for _, _, src in pieces):
+        block, spans = step.write
+        if any(src is None for _, _, src in spans):
             return ("replay", "describe_only_write")
-        w_slots, w_valid = AccessBlock(kind, ai, aj, stride).tables(pm.plan)
+        w_slots, w_valid = block.tables(pm.plan)
         bad |= ~w_valid
     except PolyMemError:
         return ("replay", "plan_error")
@@ -484,11 +486,9 @@ class FusionPlan:
         error path, with the already-resolved values (callables are only
         invoked once, as on the replay path)."""
         trace = AccessTrace()
-        for port, (kind, ai, aj, stride) in step.reads.items():
-            trace.read(kind, ai, aj, port=port, stride=stride)
-        kind, ai, aj, stride, _ = step.write
-        trace.write(kind, ai, aj, values, stride=stride)
-        mem.replay(trace)
+        for port, block in step.reads.items():
+            trace.add(block, port)
+        mem.replay(trace.add(step.write[0].with_values(values)))
 
 
 def fusion_plan(compiled, mems: Mapping[str, Any]) -> FusionPlan:

@@ -32,8 +32,8 @@ from typing import Any, Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from ..core.exceptions import ProgramError
-from ..core.patterns import PatternKind
+from ..core.exceptions import PatternError, ProgramError
+from ..core.plan import AccessBlock
 
 __all__ = [
     "AccessOp",
@@ -60,38 +60,30 @@ def _as_anchors(values, name: str) -> np.ndarray:
     return arr
 
 
-def _as_kinds(kind, n: int):
-    """Normalize *kind* to one PatternKind or an n-length tuple of them."""
-    if isinstance(kind, (PatternKind, str)):
-        return PatternKind(kind)
-    kinds = tuple(PatternKind(k) for k in kind)
-    if len(kinds) != n:
-        raise ProgramError(f"per-cycle kinds: got {len(kinds)} kinds for {n} anchors")
-    return kinds
-
-
 class AccessOp:
     """Common shape of the two access ops: a typed anchor stream.
 
-    ``kind`` is one :class:`~repro.core.patterns.PatternKind` (uniform
-    stream) or an ``n``-length per-cycle sequence (heterogeneous stream,
-    e.g. a §III-A schedule mixing access shapes).
+    ``block`` is the op's :class:`~repro.core.plan.AccessBlock`, built
+    once at construction: the anchors plus one pattern family for the
+    whole stream, or per-cycle int ``codes`` into its ``families``
+    (heterogeneous stream, e.g. a §III-A schedule mixing access shapes;
+    *kind* is then an ``n``-length sequence of kinds).
     """
 
-    __slots__ = ("kind", "anchors_i", "anchors_j", "stride", "tag", "mem", "fuse")
+    __slots__ = ("block", "stride", "tag", "mem", "fuse")
 
     def __init__(self, kind, anchors_i, anchors_j, stride=1, tag=None, mem="default",
                  fuse=False):
-        self.anchors_i = _as_anchors(anchors_i, "i")
-        self.anchors_j = _as_anchors(anchors_j, "j")
-        if self.anchors_i.shape != self.anchors_j.shape:
+        ai = _as_anchors(anchors_i, "i")
+        aj = _as_anchors(anchors_j, "j")
+        if ai.shape != aj.shape:
             raise ProgramError(
-                f"anchor arrays must be equal length: "
-                f"{self.anchors_i.size} vs {self.anchors_j.size}"
+                f"anchor arrays must be equal length: {ai.size} vs {aj.size}"
             )
-        self.kind = _as_kinds(kind, self.anchors_i.size)
-        if stride < 1:
-            raise ProgramError(f"stride must be >= 1, got {stride}")
+        try:
+            self.block = AccessBlock(kind, ai, aj, stride)
+        except PatternError as e:  # per-cycle kind count, stride
+            raise ProgramError(str(e)) from None
         self.stride = int(stride)
         self.tag = tag
         self.mem = mem
@@ -103,40 +95,22 @@ class AccessOp:
     @property
     def n(self) -> int:
         """Stream length in cycles (one parallel access per cycle)."""
-        return self.anchors_i.size
-
-    @property
-    def uniform(self) -> bool:
-        return isinstance(self.kind, PatternKind)
-
-    def kind_seq(self) -> list[PatternKind]:
-        """The per-cycle kind sequence, expanded."""
-        if self.uniform:
-            return [self.kind] * self.n
-        return list(self.kind)
+        return len(self.block)
 
     def kind_label(self) -> str:
-        if self.uniform:
-            return self.kind.value
-        distinct = list(dict.fromkeys(self.kind))
-        return "|".join(k.value for k in distinct)
+        return "|".join(kind.value for kind, _ in self.block.families)
 
     def cells(self, p: int, q: int) -> set[tuple[int, int]]:
         """Every (i, j) cell this op touches on a ``p x q`` lane grid."""
         from ..core.patterns import pattern_offsets
 
         out: set[tuple[int, int]] = set()
-        ai, aj = self.anchors_i, self.anchors_j
-        if self.uniform:
-            groups = [(self.kind, ai, aj)]
-        else:
-            codes = np.asarray([k.value for k in self.kind])
-            groups = [
-                (k, ai[codes == k.value], aj[codes == k.value])
-                for k in dict.fromkeys(self.kind)
-            ]
-        for kind, gi, gj in groups:
-            di, dj = pattern_offsets(kind, p, q, self.stride)
+        block = self.block
+        for code, (kind, stride) in enumerate(block.families):
+            gi, gj = block.anchors_i, block.anchors_j
+            if block.codes is not None:
+                gi, gj = gi[block.codes == code], gj[block.codes == code]
+            di, dj = pattern_offsets(kind, p, q, stride)
             ii = gi[:, None] + di[None, :]
             jj = gj[:, None] + dj[None, :]
             out.update(zip(ii.ravel().tolist(), jj.ravel().tolist()))

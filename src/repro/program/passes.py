@@ -40,8 +40,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..core.exceptions import PolyMemError, ProgramError
-from ..core.patterns import PatternKind
-from ..core.plan import AccessTrace, compile_plan
+from ..core.plan import AccessBlock, AccessTrace, compile_plan
 from .ir import AccessOp, AccessProgram, Barrier, Compute, ParallelRead, ParallelWrite
 
 __all__ = [
@@ -76,26 +75,14 @@ def validate_program(program: AccessProgram) -> None:
         group_open = True
 
 
-def _merge_kinds(pieces: list[AccessOp]):
-    """One kind (uniform across all pieces) or the expanded per-cycle list."""
-    distinct = set()
-    for op in pieces:
-        distinct.update([op.kind] if op.uniform else op.kind)
-    if len(distinct) == 1:
-        return next(iter(distinct))
-    out: list[PatternKind] = []
-    for op in pieces:
-        out.extend(op.kind_seq())
-    return out
-
-
 class TraceStep:
     """One replayable trace: coalesced parallel streams on one memory.
 
     ``reads`` maps each port (insertion order = issue order, which the
-    replay's collision handling observes) to ``(kind, ai, aj, stride)``;
-    ``write`` is ``None`` or ``(kind, ai, aj, stride, pieces)`` where
-    ``pieces`` is a list of ``(start, stop, ValueSource)`` value spans.
+    replay's collision handling observes) to its
+    :class:`~repro.core.plan.AccessBlock`; ``write`` is ``None`` or
+    ``(block, spans)`` where ``spans`` is a list of ``(start, stop,
+    ValueSource)`` value spans.
     ``bindings`` lists ``(tag, port, start, stop)`` spans of the replay
     outputs to publish into the execution environment.
     """
@@ -117,14 +104,13 @@ class TraceStep:
         if self.write is None:
             return True
         return all(
-            isinstance(v, np.ndarray) for _, _, v in self.write[4]
+            isinstance(v, np.ndarray) for _, _, v in self.write[1]
         )
 
     def write_values(self, env: Mapping[str, Any]) -> np.ndarray:
         """Assemble the ``(n, lanes)`` write data, resolving callables."""
-        _, _, _, _, pieces = self.write
         parts = []
-        for start, stop, src in pieces:
+        for start, stop, src in self.write[1]:
             if src is None:
                 raise ProgramError(
                     "write op has no values: describe-only programs "
@@ -144,11 +130,10 @@ class TraceStep:
         if self._trace is not None:
             return self._trace
         trace = AccessTrace()
-        for port, (kind, ai, aj, stride) in self.reads.items():
-            trace.read(kind, ai, aj, port=port, stride=stride)
+        for port, block in self.reads.items():
+            trace.add(block, port)
         if self.write is not None:
-            kind, ai, aj, stride, _ = self.write
-            trace.write(kind, ai, aj, self.write_values(env or {}), stride=stride)
+            trace.add(self.write[0].with_values(self.write_values(env or {})))
         if self.concrete:
             self._trace = trace
         return trace
@@ -252,10 +237,7 @@ class _Group:
         reads = {}
         bindings = []
         for port, pieces in self.read_pieces.items():
-            kind = _merge_kinds(pieces)
-            ai = np.concatenate([op.anchors_i for op in pieces])
-            aj = np.concatenate([op.anchors_j for op in pieces])
-            reads[port] = (kind, ai, aj, pieces[0].stride)
+            reads[port] = AccessBlock.concat([op.block for op in pieces])
             start = 0
             for op in pieces:
                 if op.tag is not None:
@@ -264,15 +246,12 @@ class _Group:
         write = None
         if self.write_pieces:
             pieces = self.write_pieces
-            kind = _merge_kinds(pieces)
-            ai = np.concatenate([op.anchors_i for op in pieces])
-            aj = np.concatenate([op.anchors_j for op in pieces])
             spans = []
             start = 0
             for op in pieces:
                 spans.append((start, start + op.n, op.values))
                 start += op.n
-            write = (kind, ai, aj, pieces[0].stride, spans)
+            write = (AccessBlock.concat([op.block for op in pieces]), spans)
         return TraceStep(self.mem, self.n, reads, write, bindings)
 
 
@@ -302,10 +281,7 @@ def compile_program(program: AccessProgram) -> CompiledProgram:
             continue
         if op.mem not in mems:
             mems.append(op.mem)
-        for kind in (
-            [op.kind] if op.uniform else dict.fromkeys(op.kind)
-        ):
-            families.add((op.mem, kind, op.stride))
+        families.update((op.mem, kind, stride) for kind, stride in op.block.families)
         if op.fuse:
             # validate_program guarantees an open group here
             group.fuse(op)

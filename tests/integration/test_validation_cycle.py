@@ -70,30 +70,50 @@ def test_validation_cycle_full_512kb_design():
     assert report.passed
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
-def test_fill_stage_claims_its_backlog(scheme, monkeypatch):
-    """The fill is one host-queued ``wr_cmd`` backlog: the fused kernel
-    claims it as its chunk, so no fill cycle of the scorecard's §IV-A
-    configs falls back to scalar for want of a PolyMem plan."""
+def _stage_counters(scheme, monkeypatch):
+    """Validate the scorecard's §IV-A config of *scheme*; returns its
+    payload and the telemetry counters each stage adds (``fill``,
+    ``readback``)."""
     from repro.maxeler.host import Host
     from repro.maxpolymem.validation import validate_config
     from repro.telemetry import Telemetry, session
 
-    counters = {}
+    marks = []
     begin_stage = Host.begin_stage
 
     def snapshot(host, name):
-        counters[name] = tel.metrics.to_dict()["counters"]
+        marks.append((name, tel.metrics.to_dict()["counters"]))
         return begin_stage(host, name)
 
     monkeypatch.setattr(Host, "begin_stage", snapshot)
     cfg = PolyMemConfig(16 * KB, p=2, q=4, scheme=scheme, read_ports=2)
     with session(Telemetry()) as tel:
         payload = validate_config(cfg, max_rows=8)
+        marks.append((None, tel.metrics.to_dict()["counters"]))
     assert payload["passed"]
+    return payload, {
+        name: {k: v - before.get(k, 0) for k, v in after.items()}
+        for (name, before), (_, after) in zip(marks, marks[1:])
+    }
 
-    def fill(name):
-        return counters["readback"].get(name, 0) - counters["fill"].get(name, 0)
 
-    assert fill("sim.plan_rejects.no_plan.polymem") == 0
-    assert fill("sim.cycles.batched") >= payload["writes"]
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_fill_stage_claims_its_backlog(scheme, monkeypatch):
+    """The fill is one host-queued ``wr_cmd`` backlog: the fused kernel
+    claims it as its chunk, so no fill cycle of the scorecard's §IV-A
+    configs falls back to scalar for want of a PolyMem plan."""
+    payload, stages = _stage_counters(scheme, monkeypatch)
+    fill = stages["fill"]
+    assert fill.get("sim.plan_rejects.no_plan.polymem", 0) == 0
+    assert fill.get("sim.cycles.batched", 0) >= payload["writes"]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_readback_stage_streams_without_horizon_ticks(scheme, monkeypatch):
+    """Each port's readback is one command block of every pattern's probes:
+    one ``run_kernel`` call per port, so no readback cycle of the
+    scorecard's §IV-A configs ticks scalar at a call's horizon."""
+    payload, stages = _stage_counters(scheme, monkeypatch)
+    readback = stages["readback"]
+    assert readback.get("sim.plan_rejects.horizon", 0) == 0
+    assert readback.get("sim.cycles.batched", 0) >= payload["reads"] // 2

@@ -182,7 +182,10 @@ def program_cases(draw):
         anchors = st.lists(
             st.integers(-1, rows - 1), min_size=n, max_size=n
         )
-        kind = draw(st.sampled_from(list(PatternKind)))
+        kinds = st.sampled_from(list(PatternKind))
+        # sometimes a per-cycle kind tuple: a heterogeneous stream whose
+        # block carries int codes into its families
+        kind = draw(st.one_of(kinds, kinds, st.tuples(*[kinds] * n)))
         stride = draw(st.sampled_from([1, 1, 1, 2]))
         ai = np.asarray(draw(anchors), dtype=np.int64)
         aj = np.asarray(draw(anchors), dtype=np.int64)
@@ -587,3 +590,53 @@ class TestKernelCache:
         assert c["program.fusion.kernel_cache.hits"] == 1
         assert c["program.fusion.groups"] == 2
         assert c["program.fusion.steps"] >= 1
+
+
+class TestTypedProgramBlocks:
+    """Per-cycle kinds travel as a block's ``families`` plus int
+    ``codes``, from the op through the trace step into the kernel key."""
+
+    R, C = PatternKind.ROW, PatternKind.COLUMN
+
+    @staticmethod
+    def _memory():
+        return {"default": _memory(2, 4, Scheme.RoCo, 32, 32, "read_first", 1, 5)}
+
+    def _program(self, kinds):
+        ai = np.array([0, 8, 16, 0], dtype=np.int64)
+        aj = np.array([0, 0, 8, 8], dtype=np.int64)
+        return AccessProgram("kinds").read(kinds, ai, aj, tag="x")
+
+    def test_kind_order_changes_the_key(self, monkeypatch):
+        """Programs differing only in the order of their per-cycle kinds
+        (family order, or which cycle gets which family) get distinct
+        kernels, and each matches serial ``step()``."""
+        cache = KernelCache(maxsize=8)
+        monkeypatch.setattr(fuse, "kernel_cache", cache)
+        R, C = self.R, self.C
+        orders = [(R, C, R, C), (C, R, C, R), (R, C, C, R)]
+        keys = {
+            fuse.group_key(compile_program(self._program(k)).segments,
+                           self._memory())
+            for k in orders
+        }
+        assert len(keys) == len(orders)
+        for kinds in orders:
+            _assert_matches_serial(
+                self._program(kinds), self._memory(),
+                self._program(kinds), self._memory(),
+            )
+        assert (cache.hits, cache.misses) == (0, len(orders))
+
+    def test_matmul_port0_step_is_one_coded_block(self):
+        """Matmul's ROW (A) and COLUMN (B) reads coalesce into one port-0
+        block: two families and int64 codes, not a per-access kind list."""
+        prog, _ = lower_demo("matmul")
+        (step,) = compile_program(prog).segments[0].steps
+        (block,) = step.reads.values()
+        assert list(step.reads) == [0]
+        assert block.families == ((self.R, 1), (self.C, 1))
+        assert block.codes.dtype == np.int64
+        assert len(block.codes) == step.n
+        n_rows = prog.ops[0].n
+        assert not block.codes[:n_rows].any() and block.codes[n_rows:].all()

@@ -37,7 +37,7 @@ class TestIrConstruction:
     def test_scalar_anchors_broadcast(self):
         op = ParallelRead(R, 3, 5)
         assert op.n == 1
-        assert op.uniform
+        assert op.block.families == ((R, 1),) and op.block.codes is None
 
     def test_anchor_length_mismatch(self):
         with pytest.raises(ProgramError):
@@ -45,8 +45,11 @@ class TestIrConstruction:
 
     def test_per_cycle_kinds(self):
         op = ParallelRead([R, C, R, C], A4, Z4)
-        assert not op.uniform
-        assert op.kind_seq() == [R, C, R, C]
+        assert op.block.families == ((R, 1), (C, 1))
+        assert op.block.codes.dtype == np.int64
+        assert op.block.codes.tolist() == [0, 1, 0, 1]
+        assert [op.block.request(t).kind for t in range(op.n)] == [R, C, R, C]
+        assert op.kind_label() == "row|column"
 
     def test_per_cycle_kind_count_mismatch(self):
         with pytest.raises(ProgramError):
