@@ -18,5 +18,6 @@ examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null || exit 1; done
 
 clean:
-	rm -rf build dist *.egg-info src/*.egg-info benchmarks/out .pytest_cache
+	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache
+	rm -f benchmarks/out/ledger.jsonl benchmarks/out/*_smoke.*
 	find . -name __pycache__ -type d -exec rm -rf {} +

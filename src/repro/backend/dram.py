@@ -114,8 +114,8 @@ class DramChannelModel:
         )
 
 
-#: the Vectis board's LMem, seen as a channel system: 4 DDR3 channels
-#: summing to the 38.4 GB/s the LMem model streams at.
+#: the Vectis board's 24 GB of on-board DDR3 (Maxeler's LMem), seen as a
+#: channel system: 4 DDR3 channels summing to 38.4 GB/s.
 DDR3_LMEM = DramChannelModel(
     name="ddr3-lmem",
     channels=4,

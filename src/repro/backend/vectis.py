@@ -76,12 +76,6 @@ class BoardConstants:
     pcie_call_overhead_ns: float
     #: sustained PCIe payload bandwidth in GB/s (gen2 x8 effective)
     pcie_bandwidth_gbps: float
-    #: on-board DRAM (LMem) capacity in bytes
-    lmem_capacity_bytes: int
-    #: fixed latency per LMem burst (row activation + controller), ns
-    lmem_burst_latency_ns: float
-    #: sustained LMem streaming bandwidth, GB/s
-    lmem_bandwidth_gbps: float
 
 
 #: the paper's board: Maxeler MAX3424A "Vectis"
@@ -89,7 +83,4 @@ VECTIS = BoardConstants(
     name="vectis",
     pcie_call_overhead_ns=300.0,
     pcie_bandwidth_gbps=2.0,
-    lmem_capacity_bytes=24 * 1024**3,
-    lmem_burst_latency_ns=200.0,
-    lmem_bandwidth_gbps=38.4,
 )

@@ -14,7 +14,6 @@ __all__ = export_lazily(__name__, {
     "conditions": ("Predicate", "RunCondition", "StreamFill"),
     "dfe": ("DFE", "VectisBoard"),
     "host": ("Host", "StageTiming"),
-    "lmem": ("LMem",),
     "kernel": (
         "BinOpKernel", "DelayKernel", "DemuxKernel", "Kernel", "MapKernel",
         "MuxKernel", "SinkKernel", "SourceKernel",

@@ -24,7 +24,6 @@ class VectisBoard:
 
     name: str = "Vectis"
     fpga_name: str = "xc6vsx475t"
-    lmem_bytes: int = 24 * 1024**3  # on-board DRAM (LMem)
     pcie: PcieLink = field(default_factory=lambda: VECTIS_PCIE)
 
 

@@ -14,8 +14,6 @@ validation cycle.
 from .._lazy import export_lazily
 
 __all__ = export_lazily(__name__, {
-    "cache": ("CacheTimings", "SoftwareCache", "Tile"),
-    "double_buffer": ("PingPongCache", "PingPongReport"),
     "design": ("PolyMemDesign", "build_design", "clock_for"),
     "kernel": ("DEFAULT_READ_LATENCY", "FusedPolyMemKernel"),
     "modular": ("Bundle", "ModularDesign", "build_modular_design"),

@@ -6,7 +6,6 @@ geometries, and feed the shared LRU so later scalar callers get the
 *same* objects without recompiling.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import plan as plan_mod

@@ -1,5 +1,5 @@
-"""Hypothesis property tests, round two: regions, reconfiguration, LMem,
-schedule covers, and the alignment-constrained schemes."""
+"""Hypothesis property tests, round two: regions, reconfiguration, schedule
+covers, and the alignment-constrained schemes."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,7 +11,6 @@ from repro.core.patterns import AccessPattern, PatternKind
 from repro.core.polymem import PolyMem
 from repro.core.regions import RegionMap
 from repro.core.schemes import Scheme
-from repro.maxeler.lmem import LMem
 from repro.schedule import build_cover_problem, greedy_cover, random_trace, solve_cover
 
 
@@ -130,32 +129,6 @@ def test_cover_candidates_are_conflict_free(seed):
     prob = build_cover_problem(trace, Scheme.RoCo, 2, 4)
     for cand in prob.candidates:
         assert is_conflict_free(Scheme.RoCo, cand.kind, cand.i, cand.j, 2, 4)
-
-
-# -- LMem ---------------------------------------------------------------------------
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(0, 2000),
-            st.lists(st.integers(0, 2**50), min_size=1, max_size=40),
-        ),
-        max_size=12,
-    )
-)
-@settings(max_examples=30)
-def test_lmem_matches_reference_array(ops):
-    lmem = LMem(capacity_bytes=4096 * 8)
-    ref = np.zeros(4096, dtype=np.uint64)
-    for addr, values in ops:
-        data = np.array(values, dtype=np.uint64)
-        if addr + data.size > 4096:
-            continue
-        lmem.write(addr, data)
-        ref[addr : addr + data.size] = data
-    got, _ = lmem.read(0, 4096)
-    assert (got == ref).all()
 
 
 # -- patterns: every pattern's cells are distinct --------------------------------------

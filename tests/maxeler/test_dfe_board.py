@@ -5,7 +5,10 @@ import pytest
 from repro.core.exceptions import SimulationError
 from repro.maxeler import (
     DFE,
+    Host,
     Manager,
+    MapKernel,
+    PcieLink,
     SinkKernel,
     SourceKernel,
     VECTIS_PCIE,
@@ -19,7 +22,6 @@ class TestVectisBoard:
         b = VectisBoard()
         assert b.name == "Vectis"
         assert b.fpga_name == "xc6vsx475t"
-        assert b.lmem_bytes == 24 * 1024**3
         assert b.pcie.call_overhead_ns == VECTIS_PCIE.call_overhead_ns
 
 
@@ -42,10 +44,21 @@ class TestDFE:
             dfe.manager.add_kernel(SinkKernel("late"))
 
     def test_custom_board(self):
+        """A Host on a non-default board charges that board's link."""
         mgr = Manager("m")
-        board = VectisBoard(lmem_bytes=1 << 30)
-        dfe = DFE(mgr, 100, board=board)
-        assert dfe.board.lmem_bytes == 1 << 30
+        k = mgr.add_kernel(MapKernel("inc", lambda x: x + 1))
+        mgr.host_to_kernel("in", k, "in")
+        mgr.kernel_to_host("out", k, "out")
+        link = PcieLink(call_overhead_ns=1000.0, bandwidth_gbps=4.0)
+        assert link != VECTIS_PCIE
+        dfe = DFE(mgr, 100, board=VectisBoard(pcie=link))
+        host = Host(dfe)
+        host.begin_stage("load")
+        host.write_stream("in", range(10))
+        stage = host.stage("load")
+        assert stage.calls == 1 and stage.payload_bytes == 80
+        assert stage.pcie_ns == pytest.approx(1000.0 + 80 / 4.0)
+        assert host.clock_ns == pytest.approx(1000.0 + 80 / 4.0)
 
 
 class TestDesignResources:

@@ -67,31 +67,3 @@ def test_random_prf_programs(program, seed):
     )
     # cycle accounting is consistent: every instruction cost >= 1 cycle
     assert machine.stats.cycles >= machine.stats.instructions
-
-
-@given(
-    st.integers(1, 40),
-    st.integers(1, 60),
-    st.integers(0, 2**31),
-)
-@settings(max_examples=30, deadline=None)
-def test_software_cache_roundtrip_any_matrix(rows, cols, seed):
-    """Tiling any matrix shape through the software cache is lossless."""
-    from repro.core.config import PolyMemConfig
-    from repro.core.schemes import Scheme
-    from repro.maxeler.lmem import LMem
-    from repro.maxpolymem.cache import SoftwareCache
-
-    rng = np.random.default_rng(seed)
-    lmem = LMem(capacity_bytes=1 << 22)
-    m = rng.integers(0, 1 << 40, (rows, cols)).astype(np.uint64)
-    lmem.write(0, m.ravel())
-    cfg = PolyMemConfig(
-        8 * 16 * 8, p=2, q=4, scheme=Scheme.ReRo, rows=8, cols=16
-    )
-    cache = SoftwareCache(cfg, lmem, (rows, cols), clock_mhz=120)
-    for tile in cache.tiles():
-        cache.stage_in(tile)
-        cache.stage_out()
-    back, _ = lmem.read(0, m.size)
-    assert (back.reshape(m.shape) == m).all()
