@@ -12,6 +12,15 @@ first-touch order of every word), :meth:`BurstLayout.apply` reorders a
 host array to match, and :meth:`BurstLayout.remap` rewrites the stream
 into the transformed address space.  ``remap(plan(s), s)`` of any
 fixed-stride stream is exactly sequential.
+
+The plan stores only the words the stream touches, so its cost follows
+the stream, not the array it walks: for a stream of ``m`` addresses
+touching ``t`` distinct words of an ``n``-word array, planning takes
+``O(m log m)`` time and ``O(t)`` memory, and
+:meth:`~BurstLayout.remap` takes ``O(m log t)`` time and ``O(m)``
+memory.  Only :meth:`~BurstLayout.apply`, :meth:`~BurstLayout.restore`
+and :attr:`~BurstLayout.new_of_old` cost ``O(n)``, as reordering a
+whole ``n``-word array must.
 """
 
 from __future__ import annotations
@@ -29,16 +38,44 @@ __all__ = ["BurstLayout", "plan_layout"]
 
 @dataclass(frozen=True)
 class BurstLayout:
-    """A word permutation: ``new_of_old[a]`` is the transformed address of
-    original word ``a``.  Words the planning stream never touches keep
-    their relative order after all touched words."""
+    """A word permutation of an ``n_words``-word array, kept sparse.
 
-    new_of_old: np.ndarray
-    touched_words: int
+    ``touched`` holds the distinct words the planning stream touches, in
+    address order, and ``rank[i]`` is the first-touch rank of
+    ``touched[i]``: that word moves to address ``rank[i]``.  Words the
+    stream never touches keep their relative order after all touched
+    words, so untouched word ``a`` moves to
+    ``touched_words + a - (touched words below a)``.  Nothing of size
+    ``n_words`` is stored; :attr:`new_of_old` builds the dense table on
+    demand.
+    """
+
+    touched: np.ndarray
+    rank: np.ndarray
+    n_words: int
 
     @property
-    def n_words(self) -> int:
-        return int(self.new_of_old.size)
+    def touched_words(self) -> int:
+        return int(self.touched.size)
+
+    @property
+    def new_of_old(self) -> np.ndarray:
+        """The dense permutation: ``new_of_old[a]`` is the transformed
+        address of original word ``a`` (``O(n_words)``, built per call)."""
+        return self._moved(np.arange(self.n_words, dtype=np.int64))
+
+    def _moved(self, addrs: np.ndarray) -> np.ndarray:
+        """Transformed addresses of in-range original *addrs*."""
+        t = self.touched.size
+        if t == self.n_words:
+            # every word is touched, so ``touched`` is ``arange(n_words)``
+            return self.rank[addrs]
+        below = np.searchsorted(self.touched, addrs)
+        moved = t + addrs - below
+        if t:
+            at = np.minimum(below, t - 1)
+            moved = np.where(self.touched[at] == addrs, self.rank[at], moved)
+        return moved
 
     def remap(self, stream: AddressStream) -> AddressStream:
         """The stream as the device sees it after the transformation."""
@@ -47,15 +84,18 @@ class BurstLayout:
             raise AddressError(
                 f"stream addresses exceed the {self.n_words}-word layout"
             )
-        return AddressStream(self.new_of_old[addrs], stream.word_bytes)
+        return AddressStream(self._moved(addrs), stream.word_bytes)
 
-    def apply(self, host_array: np.ndarray) -> np.ndarray:
-        """Reorder a flat host array into the burst-friendly layout."""
-        flat = np.ascontiguousarray(host_array).ravel()
+    def _check_size(self, flat: np.ndarray) -> None:
         if flat.size != self.n_words:
             raise AddressError(
                 f"array holds {flat.size} words, layout covers {self.n_words}"
             )
+
+    def apply(self, host_array: np.ndarray) -> np.ndarray:
+        """Reorder a flat host array into the burst-friendly layout."""
+        flat = np.ascontiguousarray(host_array).ravel()
+        self._check_size(flat)
         out = np.empty_like(flat)
         out[self.new_of_old] = flat
         return out
@@ -63,10 +103,7 @@ class BurstLayout:
     def restore(self, transformed: np.ndarray) -> np.ndarray:
         """Invert :meth:`apply` (after offloading results back)."""
         flat = np.ascontiguousarray(transformed).ravel()
-        if flat.size != self.n_words:
-            raise AddressError(
-                f"array holds {flat.size} words, layout covers {self.n_words}"
-            )
+        self._check_size(flat)
         return flat[self.new_of_old]
 
 
@@ -87,18 +124,15 @@ def plan_layout(stream: AddressStream, n_words: int | None = None) -> BurstLayou
         raise AddressError(
             f"stream touches word {span - 1}, beyond the {n_words}-word array"
         )
-    unique, first_pos = np.unique(addrs, return_index=True)
-    order = unique[np.argsort(first_pos, kind="stable")]
-    new_of_old = np.full(n_words, -1, dtype=np.int64)
-    new_of_old[order] = np.arange(order.size, dtype=np.int64)
-    untouched = np.flatnonzero(new_of_old < 0)
-    new_of_old[untouched] = np.arange(
-        order.size, order.size + untouched.size, dtype=np.int64
+    touched, first_pos = np.unique(addrs, return_index=True)
+    rank = np.empty(touched.size, dtype=np.int64)
+    rank[np.argsort(first_pos, kind="stable")] = np.arange(
+        touched.size, dtype=np.int64
     )
     tel = _telemetry.active()
     if tel is not None:
         metrics = tel.metrics
         metrics.counter("backend.layout.plans").inc()
         metrics.counter("backend.layout.words").inc(int(n_words))
-        metrics.counter("backend.layout.touched_words").inc(int(order.size))
-    return BurstLayout(new_of_old=new_of_old, touched_words=int(order.size))
+        metrics.counter("backend.layout.touched_words").inc(int(touched.size))
+    return BurstLayout(touched=touched, rank=rank, n_words=int(n_words))

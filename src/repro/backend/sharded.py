@@ -131,13 +131,18 @@ class ShardedPolyMemBackend(DeviceBackend):
         self, config: PolyMemConfig, stream: AddressStream
     ) -> AchievedBandwidth:
         """Shards serve disjoint contiguous address halves concurrently;
-        wall time is the busiest shard's."""
+        wall time is the busiest shard's, and traffic counts (bytes moved,
+        bursts, row hits and misses) are the shards' sums.
+
+        Addresses past the last shard are served by no board: like
+        ``useful_bytes``, ``transferred_bytes`` counts them as they are,
+        at no time cost."""
         part = self.shard_config(config)
         shard_words = max(1, part.total_words)
         owner = stream.addresses // shard_words
         peak = self.peak_read_gbps(config)
         busiest_ns = 0.0
-        bursts = hits = 0
+        served = transferred = bursts = hits = misses = 0
         for idx, shard in enumerate(self.shards):
             mask = owner == idx
             if not mask.any():
@@ -147,17 +152,20 @@ class ShardedPolyMemBackend(DeviceBackend):
             )
             stats = shard.achieved_bandwidth(part, sub)
             busiest_ns = max(busiest_ns, stats.time_ns)
+            served += stats.useful_bytes
+            transferred += stats.transferred_bytes
             bursts += stats.bursts
             hits += stats.row_hits
+            misses += stats.row_misses
         useful = stream.payload_bytes
         achieved = useful / busiest_ns if busiest_ns else 0.0
         return AchievedBandwidth(
             peak_gbps=peak,
             achieved_gbps=min(achieved, peak),
             useful_bytes=useful,
-            transferred_bytes=useful,
+            transferred_bytes=transferred + useful - served,
             time_ns=busiest_ns,
             bursts=bursts,
             row_hits=hits,
-            row_misses=0,
+            row_misses=misses,
         )

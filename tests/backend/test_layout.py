@@ -1,7 +1,11 @@
 """The burst-friendly layout pass and its effect on DRAM bandwidth."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend import AddressStream, get_backend, plan_layout
 from repro.core.config import KB, PolyMemConfig
@@ -65,6 +69,72 @@ class TestPermutation:
         layout = plan_layout(AddressStream.sequential(8))
         with pytest.raises(AddressError):
             layout.apply(np.zeros(9))
+
+
+def dense_new_of_old(addrs: np.ndarray, n_words: int) -> np.ndarray:
+    """Reference plan: a table over the whole array, filled in first-touch
+    order, then with the untouched words in address order."""
+    unique, first_pos = np.unique(addrs, return_index=True)
+    order = unique[np.argsort(first_pos, kind="stable")]
+    new_of_old = np.full(n_words, -1, dtype=np.int64)
+    new_of_old[order] = np.arange(order.size, dtype=np.int64)
+    untouched = np.flatnonzero(new_of_old < 0)
+    new_of_old[untouched] = np.arange(
+        order.size, order.size + untouched.size, dtype=np.int64
+    )
+    return new_of_old
+
+
+@st.composite
+def planned_streams(draw):
+    """(planning addresses, the ``n_words`` argument (None: the span),
+    the array's word count, addresses of a second stream)."""
+    addrs = np.array(
+        draw(st.lists(st.integers(0, 63), max_size=48)), dtype=np.int64
+    )
+    span = int(addrs.max()) + 1 if addrs.size else 0
+    extra = draw(st.none() | st.integers(0, 16))
+    n = span + (extra or 0)
+    other = draw(
+        st.lists(st.integers(0, n - 1), max_size=48) if n else st.just([])
+    )
+    n_words = None if extra is None else n
+    return addrs, n_words, n, np.array(other, dtype=np.int64)
+
+
+class TestAgainstDenseTable:
+    @settings(max_examples=200, deadline=None)
+    @given(planned_streams())
+    def test_matches_dense_table(self, case):
+        addrs, n_words, n, other = case
+        layout = plan_layout(AddressStream(addrs), n_words=n_words)
+        oracle = dense_new_of_old(addrs, n)
+        assert layout.n_words == n
+        assert layout.touched_words == len(set(addrs.tolist()))
+        np.testing.assert_array_equal(layout.new_of_old, oracle)
+        np.testing.assert_array_equal(
+            layout.remap(AddressStream(addrs)).addresses, oracle[addrs]
+        )
+        np.testing.assert_array_equal(
+            layout.remap(AddressStream(other)).addresses, oracle[other]
+        )
+        data = np.arange(100, 100 + n, dtype=np.int64)
+        expected = np.empty_like(data)
+        expected[oracle] = data
+        np.testing.assert_array_equal(layout.apply(data), expected)
+        np.testing.assert_array_equal(layout.restore(data), data[oracle])
+
+    def test_memory_follows_touched_words(self):
+        """A stride-1024 walk of 2**14 words spans 2**24 words; a plan
+        sized by the span would hold a 128 MB table."""
+        stream = AddressStream.strided(1 << 14, stride=1024)
+        tracemalloc.start()
+        try:
+            plan_layout(stream).remap(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestDramGain:

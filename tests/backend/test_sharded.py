@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend import AddressStream, get_backend
+from repro.backend.dram import DDR3_LMEM, DramChannelBackend
 from repro.backend.sharded import ShardedPolyMemBackend
 from repro.core.config import KB, PolyMemConfig
 from repro.core.exceptions import CapacityError, ConfigurationError
@@ -85,3 +88,35 @@ class TestShardedStreams:
         single = be.shards[0].link
         assert be.link.transfer_ns(1 << 20) < single.transfer_ns(1 << 20)
         assert be.link.signal_ns() == single.signal_ns()
+
+
+class _RecordingDram(DramChannelBackend):
+    """A DDR shard that keeps every stats record it returns."""
+
+    def __init__(self):
+        super().__init__(DDR3_LMEM)
+        self.seen = []
+
+    def achieved_bandwidth(self, config, stream):
+        stats = super().achieved_bandwidth(config, stream)
+        self.seen.append(stats)
+        return stats
+
+
+class TestShardStatsAddUp:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, cfg().total_words - 1), max_size=96))
+    def test_stats_are_the_sum_of_the_shards(self, addrs):
+        shards = [_RecordingDram(), _RecordingDram()]
+        be = ShardedPolyMemBackend(shards=shards, name="dual-ddr")
+        stream = AddressStream(np.array(addrs, dtype=np.int64))
+        total = be.achieved_bandwidth(cfg(), stream)
+        seen = [stats for shard in shards for stats in shard.seen]
+        assert total.useful_bytes == sum(s.useful_bytes for s in seen)
+        assert total.transferred_bytes == sum(
+            s.transferred_bytes for s in seen
+        )
+        assert total.bursts == sum(s.bursts for s in seen)
+        assert total.row_hits == sum(s.row_hits for s in seen)
+        assert total.row_misses == sum(s.row_misses for s in seen)
+        assert total.time_ns == max((s.time_ns for s in seen), default=0.0)

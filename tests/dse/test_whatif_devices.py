@@ -67,6 +67,13 @@ class TestWhatifDevices:
             assert row.layout_gbps <= row.peak_read_gbps + 1e-9
             assert row.sequential_gbps >= row.strided_gbps
 
+    def test_wide_stride_on_a_large_stream_runs(self):
+        """Stride 1024 over 2**17 words spans 2**27 words; the layout pass
+        plans it from the 2**17 words it touches."""
+        rows = whatif_devices(stride_words=1024, n_words=1 << 17)
+        dram = next(r for r in rows if r.backend == "dram")
+        assert dram.layout_gbps == pytest.approx(dram.sequential_gbps)
+
     def test_accepts_instances_and_subsets(self):
         rows = whatif_devices(backends=[get_backend("hbm2")])
         assert [r.backend for r in rows] == ["hbm2"]
