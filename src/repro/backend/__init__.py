@@ -25,7 +25,8 @@ from . import base as _base
 __all__ = export_lazily(__name__, {
     "base": (
         "AchievedBandwidth", "AddressStream", "DeviceBackend", "Feasibility",
-        "LinkModel", "backend_names", "default_backend_name", "get_backend",
+        "LinkModel", "backend_device", "backend_names", "default_backend_name",
+        "get_backend",
         "register_backend",
     ),
     "vectis": ("VECTIS", "BoardConstants"),

@@ -42,6 +42,7 @@ __all__ = [
     "DeviceBackend",
     "Feasibility",
     "LinkModel",
+    "backend_device",
     "backend_names",
     "default_backend_name",
     "get_backend",
@@ -232,6 +233,25 @@ class DeviceBackend(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def backend_device(backend: DeviceBackend):
+    """The FPGA part a backend synthesizes on, or None for pure-link models.
+
+    BRAM backends carry it directly; channel-system backends expose the
+    fabric they sit behind; sharded backends report their first shard's
+    part (shards are homogeneous by construction).
+    """
+    device = getattr(backend, "device", None)
+    if device is not None:
+        return device
+    fabric = getattr(backend, "fabric", None)
+    if fabric is not None:
+        return backend_device(fabric)
+    shards = getattr(backend, "shards", None)
+    if shards:
+        return backend_device(shards[0])
+    return None
 
 
 # -- registry -------------------------------------------------------------

@@ -18,6 +18,7 @@ from .base import (
     DeviceBackend,
     Feasibility,
     LinkModel,
+    backend_device,
 )
 from .fpga import FpgaBramBackend, VectisBramBackend
 
@@ -78,7 +79,7 @@ class ShardedPolyMemBackend(DeviceBackend):
             "name": self.name,
             "kind": "sharded",
             "shards": len(self.shards),
-            "shard_device": self.shards[0].device.name,
+            "shard_device": getattr(backend_device(self.shards[0]), "name", None),
         }
 
     # -- capacity / area --------------------------------------------------

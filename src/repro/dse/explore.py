@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..backend import DeviceBackend, get_backend
+from ..backend import DeviceBackend, backend_device, get_backend
 from ..core.config import PolyMemConfig
 from ..core.schemes import Scheme
 from ..exec import ResultCache, run_sweep
@@ -194,25 +194,6 @@ def evaluate_points_batch(
     ]
 
 
-def _backend_device(backend: DeviceBackend):
-    """The FPGA part a backend synthesizes on, or None for pure-link models.
-
-    BRAM backends carry it directly; channel-system backends expose the
-    fabric they sit behind; sharded backends report their first shard's
-    part (shards are homogeneous by construction).
-    """
-    device = getattr(backend, "device", None)
-    if device is not None:
-        return device
-    fabric = getattr(backend, "fabric", None)
-    if fabric is not None:
-        return _backend_device(fabric)
-    shards = getattr(backend, "shards", None)
-    if shards:
-        return _backend_device(shards[0])
-    return None
-
-
 def _prune_dominated(
     cfgs: list[PolyMemConfig], model: SynthesisModel
 ) -> tuple[list[PolyMemConfig], int]:
@@ -299,7 +280,7 @@ def explore(
     if backend is not None:
         be = backend if isinstance(backend, DeviceBackend) else get_backend(backend)
         backend_name = be.name
-        device = _backend_device(be)
+        device = backend_device(be)
         if device is not None and device.name != space.device.name:
             space = replace(space, device=device)
     cfgs = list(space.points(feasible_only=True))

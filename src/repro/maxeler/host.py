@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+import numpy as np
+
 from ..core.exceptions import SimulationError
 from ..core.plan import AccessBlock
 from ..telemetry import context as _telemetry
@@ -107,29 +109,36 @@ class Host:
     @staticmethod
     def _payload_bytes(values) -> int:
         """Wire size of a transfer: a command block carries one 64-bit
-        word per command plus its lane data, array elements their real
-        byte count (wide lane vectors), anything else one 64-bit word."""
+        word per command plus its lane data, a typed block (lane vectors,
+        int tokens) its real byte count, and an element of any other
+        transfer its own byte count if it has one, else one 64-bit word."""
         if isinstance(values, AccessBlock):
             data = 0 if values.values is None else values.values.nbytes
             return 8 * len(values) + int(data)
+        if isinstance(values, np.ndarray) and not values.dtype.hasobject:
+            return int(values.nbytes)
         return int(sum(getattr(value, "nbytes", 8) for value in values))
 
-    def write_stream(self, name: str, values: Iterable[Any] | AccessBlock) -> int:
+    def write_stream(
+        self, name: str, values: Iterable[Any] | np.ndarray | AccessBlock
+    ) -> int:
         """Blocking host->DFE transfer into input stream *name*: a
         command port takes one :class:`~repro.core.plan.AccessBlock`,
-        any other port an iterable of elements.
+        any other port an ``(n, ...)`` array of elements (lane vectors
+        as rows) or an iterable of elements.
 
         Returns the element count.
         """
         with self._host_call("write_stream", stream=name):
-            if not isinstance(values, AccessBlock):
+            if not isinstance(values, (AccessBlock, np.ndarray)):
                 values = list(values)
             self.dfe.manager.host_input(name).push_many(values)
             self._charge_pcie(payload_bytes=self._payload_bytes(values))
         return len(values)
 
-    def read_stream(self, name: str) -> list[Any]:
-        """Blocking DFE->host drain of output stream *name*."""
+    def read_stream(self, name: str) -> np.ndarray:
+        """Blocking DFE->host drain of output stream *name*, as one
+        ``(n, ...)`` array (see :meth:`Stream.drain`)."""
         with self._host_call("read_stream", stream=name):
             values = self.dfe.manager.host_output(name).drain()
             self._charge_pcie(payload_bytes=self._payload_bytes(values))

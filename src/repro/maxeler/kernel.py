@@ -472,11 +472,11 @@ def _uniform_select(sel_s: Stream, ctx: dict) -> tuple[Any, int | None] | None:
     value = claim.value if claim is not None else UNSET
     bound: int | None = None
     if value is UNSET:
-        if not queued:
+        if not len(queued):
             return None
-        value = queued[0]
+        value = queued.item(0)
         # beyond the queued prefix the select values are unknown
         bound = len(queued)
-    if any(q != value for q in queued):
+    if (queued != value).any():
         return None
     return value, bound

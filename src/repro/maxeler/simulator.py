@@ -45,9 +45,9 @@ __all__ = ["Simulator", "SimulationResult", "KernelStats", "scalar_reference"]
 MIN_CHUNK = 4
 #: a transit edge bounds a chunk at ``max(capacity - len, TRANSIT_CHUNK)``
 #: cycles: long enough to amortize planning, short enough to keep the
-#: elements live in one chunk few and a transit edge's ring small (it
-#: grows to hold up to ``capacity + TRANSIT_CHUNK`` elements, rounded up
-#: by the ring's doubling, and keeps that size after the first long chunk)
+#: elements live in one chunk few and a transit edge's buffer small (it
+#: grows to hold up to ``capacity + TRANSIT_CHUNK`` elements, doubled once
+#: the queue needs more than half of it, and keeps that size)
 TRANSIT_CHUNK = 1024
 
 

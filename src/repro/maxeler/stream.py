@@ -6,11 +6,19 @@ per tick: push at most one element, pop at most one element.  A full stream
 exerts *back-pressure* — the producer must check :meth:`Stream.can_push`
 and stall otherwise, exactly like a MaxJ stream with a full FIFO.
 
-The storage is a NumPy ring buffer of object references, so the tick
-engine's batched chunks (:mod:`repro.maxeler.simulator`) can move whole
-runs of elements per Python call through :meth:`push_many` /
-:meth:`pop_many`, while the one-element API serves scalar ticks.  A
-:class:`CommandStream` (a PolyMem command port) queues
+The storage is one typed NumPy array whose first axis is the FIFO: a
+stream of lane vectors (Fig. 9's data ports) holds a ``(slots, lanes)``
+``uint64`` array, a stream of select tokens an ``int64`` one, and any
+other element (a host :class:`~repro.stream_bench.controller.Job`, a
+modular pipeline bundle) one object slot each.  Elements are written at
+a cursor that only moves forward; when it reaches the end, the queued
+elements move to the front of a fresh array.  A slot is therefore never
+written twice, so what :meth:`Stream.pop` and :meth:`Stream.pop_many`
+return are views that no later push can change.  The tick engine's
+batched chunks (:mod:`repro.maxeler.simulator`) move a whole ``(n, ...)``
+block per call through :meth:`Stream.push_many` (one slice copy) and
+:meth:`Stream.pop_many` (no copy), while the one-element API serves
+scalar ticks.  A :class:`CommandStream` (a PolyMem command port) queues
 :class:`~repro.core.plan.AccessBlock` s instead, so a block of commands
 is one queue entry, not one Python object per command.
 """
@@ -26,8 +34,35 @@ from ..core.plan import AccessBlock
 
 __all__ = ["CommandStream", "Stream"]
 
-#: initial ring size for unbounded (host-side) streams
-_INITIAL_RING = 16
+#: initial slot count of unbounded (host-side) streams
+_INITIAL_SLOTS = 16
+
+#: the slot kind ``(dtype, row shape)`` holding any element
+_OBJECTS = (np.dtype(object), ())
+_INT64 = (np.dtype(np.int64), ())
+
+
+def _kind(value) -> tuple[np.dtype, tuple]:
+    """The slot kind that stores *value* unchanged: an array (a lane
+    vector) fills one typed row, an int one ``int64`` slot, and anything
+    else one object slot."""
+    if isinstance(value, np.ndarray) and value.ndim and not value.dtype.hasobject:
+        return value.dtype, value.shape
+    if type(value) is np.int64 or (type(value) is int and -(1 << 63) <= value < 1 << 63):
+        return _INT64
+    return _OBJECTS
+
+
+def _as_objects(block: np.ndarray) -> np.ndarray:
+    """*block*'s elements one per object slot (ints as Python ints,
+    rows as arrays of their own)."""
+    out = np.empty(len(block), dtype=object)
+    if block.ndim == 1:
+        out[:] = block.tolist()
+    else:
+        for k, row in enumerate(block):
+            out[k] = row.copy()
+    return out
 
 
 class Stream:
@@ -39,6 +74,19 @@ class Stream:
         Diagnostic label (shows up in simulator error messages).
     capacity:
         Maximum queued elements; ``None`` = unbounded (host-side buffers).
+
+    A block of lane vectors goes in and comes out as one array:
+
+    >>> import numpy as np
+    >>> s = Stream("data", capacity=4)
+    >>> s.push_many(np.arange(6, dtype=np.uint64).reshape(3, 2))
+    >>> len(s)
+    3
+    >>> s.pop_many(2)
+    array([[0, 1],
+           [2, 3]], dtype=uint64)
+    >>> s.pop()
+    array([4, 5], dtype=uint64)
     """
 
     def __init__(self, name: str, capacity: int | None = 16):
@@ -46,8 +94,10 @@ class Stream:
             raise SimulationError(f"stream {name!r}: capacity must be >= 1")
         self.name = name
         self.capacity = capacity
-        self._ring = np.empty(capacity or _INITIAL_RING, dtype=object)
-        self._head = 0  # index of the oldest element
+        # the slots take their kind from the first element pushed
+        self._slots = np.empty(capacity or _INITIAL_SLOTS, dtype=object)
+        self._kind = _OBJECTS
+        self._head = 0  # slot of the oldest element
         self._size = 0
         #: lifetime counters for utilization accounting
         self.total_pushed = 0
@@ -66,59 +116,81 @@ class Stream:
 
     def can_push(self) -> bool:
         """Producer-side back-pressure check."""
-        return not self.full
+        return self.capacity is None or self._size < self.capacity
 
     def can_pop(self) -> bool:
         """Consumer-side data-availability check."""
         return self._size > 0
 
-    # -- ring bookkeeping --------------------------------------------------
-    def _grow(self, needed: int) -> None:
-        """Resize an unbounded ring to hold at least *needed* elements."""
-        new_cap = max(len(self._ring) * 2, needed, _INITIAL_RING)
-        fresh = np.empty(new_cap, dtype=object)
-        idx = (self._head + np.arange(self._size)) % len(self._ring)
-        fresh[: self._size] = self._ring[idx]
-        self._ring = fresh
-        self._head = 0
-
-    def _slots(self, start: int, count: int) -> np.ndarray:
-        return (self._head + start + np.arange(count)) % len(self._ring)
+    def _reserve(self, count: int, kind: tuple[np.dtype, tuple]) -> None:
+        """Move the queued elements to the front of fresh slots of *kind*
+        with room for *count* more.  The slot count doubles once the
+        queue needs more than half of it.  A kind other than the queued
+        elements' makes every slot an object slot, so no element is ever
+        cast."""
+        size = self._size
+        if kind == _OBJECTS or (size and kind != self._kind):
+            kind = _OBJECTS
+        slots = len(self._slots)
+        if 2 * (size + count) > slots:
+            slots = max(2 * slots, size + count)
+        fresh = np.empty((slots, *kind[1]), dtype=kind[0])
+        if size:
+            live = self._slots[self._head : self._head + size]
+            fresh[:size] = live if kind == self._kind else _as_objects(live)
+        self._slots, self._kind, self._head = fresh, kind, 0
 
     # -- scalar API --------------------------------------------------------
     def push(self, value: Any) -> None:
         """Enqueue one element; raises on overflow (a kernel bug — hardware
         would drop data here)."""
-        if self.full:
+        size = self._size
+        if self.capacity is not None and size >= self.capacity:
             raise SimulationError(
                 f"stream {self.name!r} overflow (capacity {self.capacity})"
             )
-        if self._size >= len(self._ring):
-            self._grow(self._size + 1)
-        self._ring[(self._head + self._size) % len(self._ring)] = value
-        self._size += 1
+        kind = self._kind
+        if (size == 0 or kind is not _OBJECTS) and not (
+            # the hot case: a lane vector into slots of lane vectors
+            type(value) is np.ndarray
+            and value.dtype is kind[0]
+            and value.shape == kind[1]
+        ):
+            fits = _kind(value)
+            if fits != kind:
+                self._reserve(1, fits)
+        if self._head + size >= len(self._slots):
+            self._reserve(1, self._kind)
+        self._slots[self._head + size] = value
+        self._size = size + 1
         self.total_pushed += 1
+
+    def peek(self) -> Any:
+        """Front element without consuming it (a lane vector as a view,
+        an int token as a Python int)."""
+        if self._size == 0:
+            raise SimulationError(f"stream {self.name!r} peek on empty")
+        slots = self._slots
+        return slots[self._head] if slots.ndim > 1 else slots.item(self._head)
 
     def pop(self) -> Any:
         """Dequeue one element; raises on underflow."""
-        if self._size == 0:
+        size = self._size - 1
+        if size < 0:
             raise SimulationError(f"stream {self.name!r} underflow")
-        value = self._ring[self._head]
-        self._ring[self._head] = None  # release the reference
-        self._head = (self._head + 1) % len(self._ring)
-        self._size -= 1
+        slots = self._slots
+        head = self._head
+        value = slots[head] if slots.ndim > 1 else slots.item(head)
+        self._head = head + 1
+        self._size = size
         self.total_popped += 1
         return value
 
-    def peek(self) -> Any:
-        """Front element without consuming it."""
-        if self._size == 0:
-            raise SimulationError(f"stream {self.name!r} peek on empty")
-        return self._ring[self._head]
-
     # -- bulk API (the batched chunks' transport) ---------------------------
-    def push_many(self, values: Sequence[Any]) -> None:
-        """Enqueue a chunk of elements in order (bulk :meth:`push`)."""
+    def push_many(self, values: np.ndarray | Sequence[Any]) -> None:
+        """Enqueue a chunk of elements in order (bulk :meth:`push`): an
+        ``(n, ...)`` array is one block, any other sequence is pushed
+        element by element."""
         count = len(values)
         if count == 0:
             return
@@ -127,40 +199,49 @@ class Stream:
                 f"stream {self.name!r} overflow: {count} pushes into "
                 f"{self.capacity - self._size} free slots"
             )
-        if self._size + count > len(self._ring):
-            self._grow(self._size + count)
-        idx = self._slots(self._size, count)
-        buf = np.empty(count, dtype=object)
-        buf[:] = list(values)
-        self._ring[idx] = buf
+        if not isinstance(values, np.ndarray) or values.dtype.hasobject:
+            for value in values:
+                self.push(value)
+            return
+        kind = (values.dtype, values.shape[1:])
+        retype = kind != self._kind and (self._size == 0 or self._kind is not _OBJECTS)
+        if retype or self._head + self._size + count > len(self._slots):
+            self._reserve(count, kind if retype else self._kind)
+        if kind != self._kind:
+            values = _as_objects(values)
+        end = self._head + self._size
+        self._slots[end : end + count] = values
         self._size += count
         self.total_pushed += count
 
-    def pop_many(self, count: int) -> list[Any]:
-        """Dequeue a chunk of *count* elements (bulk :meth:`pop`)."""
-        if count == 0:
-            return []
+    def peek_many(self, count: int | None = None) -> np.ndarray:
+        """The first *count* queued elements (default: all) as one
+        ``(count, ...)`` array, not consumed."""
+        count = self._size if count is None else min(count, self._size)
+        return self._slots[self._head : self._head + count]
+
+    def pop_many(self, count: int) -> np.ndarray:
+        """Dequeue a chunk of *count* elements as one ``(count, ...)``
+        array (bulk :meth:`pop`)."""
         if count > self._size:
             raise SimulationError(
                 f"stream {self.name!r} underflow: {count} pops from "
                 f"{self._size} queued"
             )
-        idx = self._slots(0, count)
-        out = self._ring[idx].tolist()
-        self._ring[idx] = None
-        self._head = (self._head + count) % len(self._ring)
+        out = self.peek_many(count)
+        self._head += count
         self._size -= count
         self.total_popped += count
+        base = self.capacity or _INITIAL_SLOTS
+        if self._size == 0 and len(self._slots) > base:
+            # an emptied queue lets go of its grown slots (the views
+            # handed out keep what they need alive)
+            dtype, row = self._kind
+            self._slots = np.empty((base, *row), dtype=dtype)
+            self._head = 0
         return out
 
-    def peek_many(self, count: int | None = None) -> list[Any]:
-        """The first *count* queued elements (default: all), not consumed."""
-        count = self._size if count is None else min(count, self._size)
-        if count == 0:
-            return []
-        return self._ring[self._slots(0, count)].tolist()
-
-    def drain(self) -> list[Any]:
+    def drain(self) -> np.ndarray:
         """Pop everything (host-side collection)."""
         return self.pop_many(self._size)
 
@@ -171,7 +252,7 @@ class Stream:
 
 class CommandStream(Stream):
     """A FIFO of PolyMem commands, queued as one
-    :class:`~repro.core.plan.AccessBlock` rather than a ring of objects.
+    :class:`~repro.core.plan.AccessBlock` rather than in element slots.
 
     Every element is one command, the paper's ``(i, j, AccType[,
     DataIn])`` bundle: :meth:`push` / :meth:`push_many` take a block of
@@ -197,7 +278,10 @@ class CommandStream(Stream):
                 f"stream {self.name!r} overflow: {len(block)} pushes into "
                 f"{self.capacity - self._size} free slots"
             )
-        self._queue = AccessBlock.concat([self.anchors(self._size), block])
+        queue = block
+        if self._size:
+            queue = AccessBlock.concat([self.anchors(self._size), block])
+        self._queue = queue
         self._head = 0
         self._size += len(block)
         self.total_pushed += len(block)

@@ -78,7 +78,7 @@ class FusedPolyMemKernel(Kernel):
         # the producer claims of the ports a chunk accepts on (None: a
         # queued backlog alone), whether it writes, and the slot tables
         # the chunk proof built
-        self._accepted: dict[int, list[np.ndarray]] = {}
+        self._accepted: dict[int, np.ndarray] = {}
         self._rd_claims: dict[int, object] = {}
         self._wr_claim = None
         self._writes = False
@@ -148,10 +148,12 @@ class FusedPolyMemKernel(Kernel):
 
     def _pop_cmds_read(self, port: int, n: int) -> None:
         """Accept n read commands on *port*: one gather of the chunk's
-        read slots from the pre-chunk memory state."""
+        read slots from the pre-chunk memory state, kept as one
+        ``(n, lanes)`` block."""
         self.inputs[f"rd_cmd{port}"].pop_many(n)
-        rows = self.memory.banks.read_slots(port, self._rd_slots[port])
-        self._accepted[port] = list(rows)
+        self._accepted[port] = self.memory.banks.read_slots(
+            port, self._rd_slots[port]
+        )
 
     def _accept_fill(self, port: int):
         # pipe empty at chunk start: n <= latency commands enter, nothing
@@ -176,8 +178,9 @@ class FusedPolyMemKernel(Kernel):
         # full pipe + accepted results have consecutive stamps: n cycles
         # retire the first n, keep the last `read_latency`
         def run(n: int) -> None:
-            values = [v for _, v in self._pipes[port]]
-            values.extend(self._accepted.pop(port))
+            values = np.concatenate(
+                ([v for _, v in self._pipes[port]], self._accepted.pop(port))
+            )
             self.outputs[f"rd_out{port}"].push_many(values[:n])
             first = self._now + 1 - self.read_latency
             self._pipes[port] = deque(
@@ -191,7 +194,7 @@ class FusedPolyMemKernel(Kernel):
         def run(n: int) -> None:
             pipe = self._pipes[port]
             self.outputs[f"rd_out{port}"].push_many(
-                [pipe.popleft()[1] for _ in range(n)]
+                np.array([pipe.popleft()[1] for _ in range(n)])
             )
 
         return run

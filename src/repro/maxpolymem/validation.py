@@ -168,26 +168,29 @@ def validate_design(design: PolyMemDesign, max_rows: int | None = 64) -> Validat
 
     # -- read back through every supported pattern on every port -----------
     # one command block per port, every pattern's probes back to back: the
-    # read pipe streams from one pattern into the next without draining
+    # read pipe streams from one pattern into the next without draining;
+    # each port's readback is compared with the reference as one array
     host.begin_stage("readback")
     probes = list(_readback_blocks(cfg, rows))
+    if not probes:
+        return report
     block = AccessBlock.concat([b for b, _ in probes])
-    wants = [want for _, cells in probes for want in ref[cells]]
-    for port in range(cfg.read_ports if probes else 0):
+    wants = np.concatenate([ref[cells] for _, cells in probes])
+    for port in range(cfg.read_ports):
         out_stream = design.dfe.manager.host_output(f"rd_out{port}")
         n = host.write_stream(f"rd_cmd{port}", block)
         host.run_kernel(
             until=StreamFill(out_stream, n),
             max_cycles=50 * n + 10 * design.read_latency + 1000,
         )
-        for t, got in enumerate(host.read_stream(f"rd_out{port}")):
-            report.reads += 1
-            if not np.array_equal(np.asarray(got), wants[t]):
-                req = block.request(t)
-                report.mismatches.append(
-                    f"port {port} {req.kind.value}@({req.i},{req.j}): "
-                    f"got {got}, want {wants[t]}"
-                )
+        got = host.read_stream(f"rd_out{port}")
+        report.reads += len(got)
+        for t in np.flatnonzero((got != wants).any(axis=1)):
+            req = block.request(t)
+            report.mismatches.append(
+                f"port {port} {req.kind.value}@({req.i},{req.j}): "
+                f"got {got[t]}, want {wants[t]}"
+            )
     return report
 
 

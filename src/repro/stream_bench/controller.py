@@ -238,7 +238,7 @@ class StreamController(Kernel):
 
     def _push_write(self, array: int, vec) -> None:
         """Scalar tick: one write command of *vec* at the write cursor."""
-        values = np.asarray(vec)[None]
+        values = vec[None]
         self.outputs["wr_cmd"].push(
             self._band_slice(array, self._writes_done, 1, values)
         )
@@ -248,8 +248,8 @@ class StreamController(Kernel):
         """``(src_arrays, dst_array, combine)`` of a compute-stage job.
 
         The combine functions are written so they apply identically to one
-        ``(lanes,)`` vector (scalar path) and a stacked ``(n, lanes)``
-        window (batched path) — NumPy broadcasting keeps the arithmetic
+        ``(lanes,)`` vector (scalar path) and an ``(n, lanes)`` block
+        (batched path) — NumPy broadcasting keeps the arithmetic
         bit-identical either way.
         """
         q = job.scalar
@@ -301,7 +301,7 @@ class StreamController(Kernel):
             and feedback.can_push()
             and mux_sel.can_push()
         ):
-            vecs = [np.asarray(s.pop()) for s in data_streams]
+            vecs = [s.pop() for s in data_streams]
             feedback.push(combine(*vecs))
             mux_sel.push(MUX_FEEDBACK)
             progressed = True
@@ -352,7 +352,7 @@ class StreamController(Kernel):
         start = self._reads_issued
 
         def run(n: int) -> None:
-            self.outputs["mux_select"].push_many([job.array] * n)
+            self.outputs["mux_select"].push_many(np.full(n, job.array))
             self._reads_issued = start + n
 
         return run
@@ -371,13 +371,9 @@ class StreamController(Kernel):
 
     def _combine_run(self, nports: int, combine):
         def run(n: int) -> None:
-            vecs = [
-                np.stack(self.inputs[f"rd_data{p}"].pop_many(n))
-                for p in range(nports)
-            ]
-            out = np.asarray(combine(*vecs))
-            self.outputs["feedback"].push_many(list(out))
-            self.outputs["mux_select"].push_many([MUX_FEEDBACK] * n)
+            vecs = [self.inputs[f"rd_data{p}"].pop_many(n) for p in range(nports)]
+            self.outputs["feedback"].push_many(combine(*vecs))
+            self.outputs["mux_select"].push_many(np.full(n, MUX_FEEDBACK))
 
         return run
 
@@ -385,7 +381,7 @@ class StreamController(Kernel):
         start = self._writes_done
 
         def run(n: int) -> None:
-            values = np.stack(self.inputs["wr_data"].pop_many(n))
+            values = self.inputs["wr_data"].pop_many(n)
             self.outputs["wr_cmd"].push_many(
                 self._band_slice(dst_array, start, n, values)
             )
@@ -407,7 +403,7 @@ class StreamController(Kernel):
         def run(n: int) -> None:
             data = self.inputs["rd_data0"].pop_many(n)
             self.outputs["demux_data"].push_many(data)
-            self.outputs["demux_select"].push_many([job.array] * n)
+            self.outputs["demux_select"].push_many(np.full(n, job.array))
             self._finish_writes(job, start + n)
 
         return run

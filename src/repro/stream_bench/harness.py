@@ -202,7 +202,7 @@ class StreamHarness:
         with tel.span("stage.load", cat="stream", vectors=vectors) if tel else _NULL:
             for idx, key in enumerate("abc"):
                 bits = arrays[key].view(np.uint64).reshape(vectors, self.lanes)
-                self.host.write_stream(f"{key}_in", list(bits))
+                self.host.write_stream(f"{key}_in", bits)
                 self.host.write_stream("job", [Job(Mode.LOAD, vectors, array=idx)])
                 self.host.run_kernel(
                     until=JobsDone(ctrl, ctrl.completed_jobs + 1),
@@ -263,7 +263,7 @@ class StreamHarness:
                 max_cycles=30 * vectors + 100_000,
             )
             rows = self.host.read_stream(out_name)
-        return np.concatenate([np.asarray(r) for r in rows]).view(np.float64)
+        return rows.reshape(-1).view(np.float64)
 
     # -- end-to-end measurement ---------------------------------------------
     def run(

@@ -120,3 +120,25 @@ class TestShardStatsAddUp:
         assert total.row_hits == sum(s.row_hits for s in seen)
         assert total.row_misses == sum(s.row_misses for s in seen)
         assert total.time_ns == max((s.time_ns for s in seen), default=0.0)
+
+
+class TestDescribe:
+    def test_bram_shards_name_their_part(self):
+        assert get_backend("dual-dfe").describe() == {
+            "name": "dual-dfe",
+            "kind": "sharded",
+            "shards": 2,
+            "shard_device": "xc6vsx475t",
+        }
+
+    def test_dram_shards_go_through_whatif(self):
+        """DDR shards have no ``device`` of their own: the description
+        names the fabric part they sit behind, and a what-if row runs."""
+        from repro.dse.whatif import whatif_devices
+
+        shards = [DramChannelBackend(DDR3_LMEM), DramChannelBackend(DDR3_LMEM)]
+        be = ShardedPolyMemBackend(shards=shards, name="dual-ddr")
+        assert be.describe()["shard_device"] == shards[0].fabric.device.name
+        (row,) = whatif_devices(backends=[be])
+        assert row.backend == "dual-ddr" and row.kind == "sharded"
+        assert row.strided_gbps > 0

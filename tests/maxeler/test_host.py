@@ -82,7 +82,7 @@ class TestHost:
         host.write_stream("in", range(5))
         out = dfe.manager.host_output("out")
         host.run_kernel(until=lambda: len(out) == 5)
-        assert host.read_stream("out") == [1, 2, 3, 4, 5]
+        assert host.read_stream("out").tolist() == [1, 2, 3, 4, 5]
 
     def test_stage_separation(self, passthrough):
         host, dfe = passthrough
