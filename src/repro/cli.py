@@ -37,7 +37,7 @@ They (plus ``stream``, ``stream run`` and ``program dump``) also share the
 ``--metrics``
     Run inside a telemetry session and print the metrics summary —
     counters, gauges, histograms, and paper-relevant derived values
-    (stall %, scalar-fallback %, plan-cache hit rate, achieved vs peak
+    (stall %, scalar-fallback %, access plans compiled, achieved vs peak
     bandwidth).  The same snapshot lands in ``meta["telemetry"]`` of any
     ``--json`` report (``repro telemetry summary FILE`` re-renders it).
 ``--trace-out PATH``

@@ -623,66 +623,6 @@ class PolyMem:
             )
         return results
 
-    # -- partial (masked) accesses ---------------------------------------------
-    def _expand_partial(self, kind: PatternKind, i: int, j: int, count: int):
-        if not 1 <= count <= self.lanes:
-            raise PatternError(
-                f"partial access count must be in [1, {self.lanes}], got {count}"
-            )
-        di, dj = self.agu.pattern(kind).offsets
-        ii = i + di[:count]
-        jj = j + dj[:count]
-        if (
-            ii.min() < 0
-            or jj.min() < 0
-            or ii.max() >= self.rows
-            or jj.max() >= self.cols
-        ):
-            raise AddressError(
-                f"partial {kind} access at ({i},{j}) x{count} exceeds the "
-                f"{self.rows}x{self.cols} space"
-            )
-        banks = flat_module_assignment(self.scheme, ii, jj, self.p, self.q)
-        if len(np.unique(banks)) != banks.size:
-            raise ConflictError(
-                f"partial {kind} access at ({i},{j}) x{count} conflicts "
-                f"under {self.scheme}"
-            )
-        return banks, self.addressing(ii, jj)
-
-    def read_partial(
-        self, kind: PatternKind, i: int, j: int, count: int, port: int = 0
-    ) -> np.ndarray:
-        """Read the first *count* lanes of a pattern — one cycle, with the
-        remaining lanes masked off.
-
-        The PRF supports partially-filled accesses for ragged edges (e.g.
-        the tail of a row whose length is not a lane multiple): only the
-        touched lanes are bounds- and conflict-checked, so a short access
-        may sit where a full one would not fit.
-        """
-        if not 0 <= port < self.read_ports:
-            raise PortError(f"read port {port} out of range [0, {self.read_ports})")
-        banks, addrs = self._expand_partial(PatternKind(kind), i, j, count)
-        out = self.banks.read(port, banks, addrs)
-        self.cycles += 1
-        self.read_stats[port].accesses += 1
-        self.read_stats[port].elements += count
-        return out
-
-    def write_partial(
-        self, kind: PatternKind, i: int, j: int, values
-    ) -> None:
-        """Write the first ``len(values)`` lanes of a pattern (one cycle)."""
-        values = np.asarray(values)
-        if values.ndim != 1:
-            raise PatternError("partial write expects a 1-D value vector")
-        banks, addrs = self._expand_partial(PatternKind(kind), i, j, values.size)
-        self.banks.write(banks, addrs, values)
-        self.cycles += 1
-        self.write_stats.accesses += 1
-        self.write_stats.elements += values.size
-
     # -- bulk host transfers -------------------------------------------------
     def load(self, matrix: np.ndarray) -> None:
         """Host-side bulk load of the whole 2-D logical space (PCIe path;
@@ -705,34 +645,6 @@ class PolyMem:
         banks = flat_module_assignment(self.scheme, ii, jj, self.p, self.q)
         addrs = self.addressing(ii, jj)
         return self.banks.read(port, banks, addrs)
-
-    # -- runtime polymorphism -------------------------------------------------
-    def reconfigure(self, scheme) -> int:
-        """Switch the access scheme at runtime, preserving contents.
-
-        The paper (§II-A) notes the scheme can be changed *"even at runtime
-        using partial reconfiguration"*.  Functionally that means the MAF
-        changes, so every element must migrate to its new bank/address slot.
-        The migration is performed as a full redistribution and costs one
-        write per ``p*q``-element block — the returned cycle count — which
-        is also added to the cycle counter (reads of the old layout come
-        from the pre-reconfiguration state, as a double-buffered partial
-        reconfiguration would provide).
-        """
-        from .schemes import Scheme, validate_lane_grid
-
-        new_scheme = Scheme(scheme)
-        validate_lane_grid(new_scheme, self.p, self.q)
-        if new_scheme is self.scheme:
-            return 0
-        contents = self.dump()
-        self.scheme = new_scheme
-        self.config = self.config.with_(scheme=new_scheme)
-        self._plan_cache.clear()  # plans are scheme-specific
-        self.load(contents)
-        blocks = (self.rows // self.p) * (self.cols // self.q)
-        self.cycles += blocks
-        return blocks
 
     # -- introspection ------------------------------------------------------
     def reset_stats(self) -> None:

@@ -6,7 +6,8 @@ Figure 2 of the paper shows a 2-D logical address space holding ten
 that abstraction:
 
 * :class:`Region` — a named rectangular window of the PolyMem address
-  space with relative-coordinate parallel accesses;
+  space with relative-coordinate parallel reads and writes, plus whole-
+  region :meth:`~Region.store`/:meth:`~Region.load` host transfers;
 * :class:`RegionMap` — an allocator that places regions into a PolyMem
   without overlap (the "software cache" placement the paper's §I
   envisions: *"programmers easily place data structures such as vectors
@@ -14,7 +15,8 @@ that abstraction:
 
 Allocation uses a simple shelf packer aligned to the lane grid, so every
 region's origin is block-aligned — which guarantees that aligned-rectangle
-loads/stores work under every scheme.
+loads/stores work under every scheme.  Regions are never freed: a map
+lives as long as the kernel that placed its operands.
 """
 
 from __future__ import annotations
@@ -62,41 +64,6 @@ class Region:
         self._check(i, j)
         self.memory.write(kind, self.origin_i + i, self.origin_j + j, values)
 
-    def read_batch(self, kind: PatternKind, anchors_i, anchors_j, port: int = 0):
-        """Vectorized reads at region-relative anchors."""
-        anchors_i = np.asarray(anchors_i) + self.origin_i
-        anchors_j = np.asarray(anchors_j) + self.origin_j
-        return self.memory.read_batch(kind, anchors_i, anchors_j, port)
-
-    # -- block tiling -------------------------------------------------------
-    def anchor_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Absolute anchors of the ``p x q`` tiles covering the region,
-        row-major — the anchor arrays an :class:`AccessTrace` streams."""
-        p, q = self.memory.p, self.memory.q
-        bi = np.arange(0, self.rows, p)
-        bj = np.arange(0, self.cols, q)
-        gi, gj = np.meshgrid(bi, bj, indexing="ij")
-        return gi.ravel() + self.origin_i, gj.ravel() + self.origin_j
-
-    def to_blocks(self, matrix: np.ndarray) -> np.ndarray:
-        """Region-shaped matrix -> ``(tiles, p*q)`` lane-ordered blocks
-        matching :meth:`anchor_grid` order."""
-        p, q = self.memory.p, self.memory.q
-        return (
-            matrix.reshape(self.rows // p, p, self.cols // q, q)
-            .swapaxes(1, 2)
-            .reshape(-1, p * q)
-        )
-
-    def from_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_blocks`."""
-        p, q = self.memory.p, self.memory.q
-        return (
-            blocks.reshape(self.rows // p, self.cols // q, p, q)
-            .swapaxes(1, 2)
-            .reshape(self.rows, self.cols)
-        )
-
     # -- bulk host transfers ------------------------------------------------
     def store(self, matrix: np.ndarray) -> None:
         """Fill the whole region from a host matrix (block-aligned writes)."""
@@ -105,23 +72,36 @@ class Region:
             raise PatternError(
                 f"region {self.name!r} expects {self.shape}, got {matrix.shape}"
             )
-        anchors_i, anchors_j = self.anchor_grid()
+        p, q = self.memory.p, self.memory.q
+        blocks = (
+            matrix.reshape(self.rows // p, p, self.cols // q, q)
+            .swapaxes(1, 2)
+            .reshape(-1, p * q)
+        )
         self.memory.write_batch(
-            PatternKind.RECTANGLE,
-            anchors_i,
-            anchors_j,
-            self.to_blocks(matrix),
-            check=False,
+            PatternKind.RECTANGLE, *self._tile_anchors(), blocks, check=False
         )
 
     def load(self) -> np.ndarray:
         """Read the whole region back into a host matrix."""
-        anchors_i, anchors_j = self.anchor_grid()
-        return self.from_blocks(
-            self.memory.read_batch(
-                PatternKind.RECTANGLE, anchors_i, anchors_j, check=False
-            )
+        p, q = self.memory.p, self.memory.q
+        blocks = self.memory.read_batch(
+            PatternKind.RECTANGLE, *self._tile_anchors(), check=False
         )
+        return (
+            blocks.reshape(self.rows // p, self.cols // q, p, q)
+            .swapaxes(1, 2)
+            .reshape(self.rows, self.cols)
+        )
+
+    def _tile_anchors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Absolute anchors of the ``p x q`` tiles covering the region,
+        row-major."""
+        p, q = self.memory.p, self.memory.q
+        gi, gj = np.meshgrid(
+            np.arange(0, self.rows, p), np.arange(0, self.cols, q), indexing="ij"
+        )
+        return gi.ravel() + self.origin_i, gj.ravel() + self.origin_j
 
 
 class RegionMap:
@@ -142,7 +122,6 @@ class RegionMap:
         self._shelf_i = 0      # top of the current shelf
         self._shelf_h = 0      # height of the current shelf
         self._cursor_j = 0     # next free column on the current shelf
-        self._free_list: list[tuple[int, int, int, int]] = []
 
     def _align(self, value: int, step: int) -> int:
         return -(-value // step) * step
@@ -165,18 +144,6 @@ class RegionMap:
                 f"region {name!r} is wider ({cols}) than the memory "
                 f"({self.memory.cols})"
             )
-        recycled = self._try_free_list(rows_a, cols_a)
-        if recycled is not None:
-            region = Region(
-                name=name,
-                origin_i=recycled.origin_i,
-                origin_j=recycled.origin_j,
-                rows=rows_a,
-                cols=cols_a,
-                memory=self.memory,
-            )
-            self.regions[name] = region
-            return region
         if self._cursor_j + cols_a > self.memory.cols:
             # open a new shelf
             self._shelf_i += self._shelf_h
@@ -200,47 +167,11 @@ class RegionMap:
         self.regions[name] = region
         return region
 
-    def free(self, name: str) -> None:
-        """Release a region's name and footprint.
-
-        The shelf cursor cannot be rewound (shelf packing), but freed
-        footprints are kept on a free list and re-used by the next
-        allocation that fits — enough for the Fig. 2 workflow of swapping
-        data structures in and out of the smart buffer.
-        """
-        region = self.regions.pop(name, None)
-        if region is None:
-            raise PatternError(f"region {name!r} is not allocated")
-        self._free_list.append(
-            (region.origin_i, region.origin_j, region.rows, region.cols)
-        )
-
-    def _try_free_list(self, rows_a: int, cols_a: int) -> Region | None:
-        for idx, (fi, fj, fr, fc) in enumerate(self._free_list):
-            if rows_a <= fr and cols_a <= fc:
-                del self._free_list[idx]
-                # return the unused remainder (right strip) to the list
-                if fc - cols_a >= self.memory.q:
-                    self._free_list.append(
-                        (fi, fj + cols_a, fr, fc - cols_a)
-                    )
-                # and the bottom strip under the allocation
-                if fr - rows_a >= self.memory.p:
-                    self._free_list.append(
-                        (fi + rows_a, fj, fr - rows_a, cols_a)
-                    )
-                return Region("", fi, fj, rows_a, cols_a, self.memory)
-        return None
-
     def __getitem__(self, name: str) -> Region:
         return self.regions[name]
 
     def __contains__(self, name: str) -> bool:
         return name in self.regions
-
-    def free_rows(self) -> int:
-        """Rows left below the last shelf (a lower bound on free space)."""
-        return self.memory.rows - (self._shelf_i + self._shelf_h)
 
     def overlaps(self) -> list[tuple[str, str]]:
         """Sanity check: pairs of overlapping regions (always empty)."""

@@ -10,8 +10,8 @@ ops plus metadata), one pass pipeline
 compile to residue tables → segment), and one engine
 (:func:`~repro.program.engine.execute`) that replays each segment whole
 and reports through a single :class:`~repro.program.report.KernelReport`.
-Every PolyMem client — the application kernels, the PRF vector machine,
-the schedule executor, the STREAM controller — *lowers* to this IR
+Every PolyMem client — the application kernels, the schedule executor,
+the STREAM controller — *lowers* to this IR
 instead of hand-assembling :class:`~repro.core.plan.AccessTrace`
 objects.
 

@@ -80,14 +80,6 @@ def _kernel_reduce_columns(*, pm):
     return _reduce_columns_program(pm), {"default": pm}
 
 
-def _prf_operands(*, machine, regs):
-    return machine._lower_operands(*regs), {"default": machine.rf.memory}
-
-
-def _prf_store(*, machine, reg, values):
-    return machine._lower_store(reg, values), {"default": machine.rf.memory}
-
-
 def _schedule_accesses(*, schedule, memory=None):
     from ..schedule.executor import _schedule_program
 
@@ -108,8 +100,6 @@ _SPECS = {
     "kernel.transpose": _kernel_transpose,
     "kernel.reduce_rows": _kernel_reduce_rows,
     "kernel.reduce_columns": _kernel_reduce_columns,
-    "prf.operands": _prf_operands,
-    "prf.store": _prf_store,
     "schedule.accesses": _schedule_accesses,
     "stream.job": _stream_job,
 }

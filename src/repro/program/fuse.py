@@ -5,8 +5,8 @@ Dispatching each :class:`~repro.program.passes.TraceStep` through
 every execution: the slot-index tables of
 each stream, the validity masks, and the read/write collision structure
 (a dense last-writer table or an event sort).  For a program that is
-executed more than once — parameter sweeps, benchmark repetitions, the
-PRF machine re-issuing the same operand shapes — that derivation is pure
+executed more than once — parameter sweeps, benchmark repetitions, a
+kernel re-issuing the same access shapes — that derivation is pure
 overhead: none of it depends on the *data*, only on the anchors and the
 memory geometry.
 

@@ -13,7 +13,7 @@ typed operations:
   (a segment boundary: accesses cannot move across it);
 * :class:`Barrier`        — an explicit segment boundary with no host work.
 
-Programs are *lowered* from application kernels, the PRF vector machine,
+Programs are *lowered* from application kernels,
 schedule executions and the STREAM controller — all through the one
 builder surface in :mod:`repro.program.builder` (see also the demo
 registry in :mod:`repro.program.lower`) — then compiled by
@@ -88,8 +88,8 @@ class AccessOp:
         self.tag = tag
         self.mem = mem
         #: issue in the same cycles as the previous access op (one trace,
-        #: distinct ports) instead of after it — the PRF's concurrent
-        #: multi-port streaming and read+write-per-cycle workloads
+        #: distinct ports) instead of after it — concurrent multi-port
+        #: streaming and read+write-per-cycle workloads such as STREAM
         self.fuse = bool(fuse)
 
     @property

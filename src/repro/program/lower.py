@@ -1,11 +1,10 @@
 """Demo lowerings: one representative access program per subsystem.
 
 Every subsystem that lowers onto the access-program pipeline — the five
-kernels, the PRF machine, the schedule executor and the STREAM
-controller — registers its lowering as a :mod:`repro.program.builder`
-spec.  This module collects one small, deterministic instance of each
-under a stable name, for the CLI's ``program dump`` subcommand and for
-cross-subsystem tests.
+kernels, the schedule executor and the STREAM controller — registers
+its lowering as a :mod:`repro.program.builder` spec.  This module
+collects one small, deterministic instance of each under a stable name,
+for the CLI's ``program dump`` subcommand and for cross-subsystem tests.
 
 Kept out of :mod:`repro.program`'s public namespace on purpose: the
 demos import the kernels (which import the package), so they load
@@ -65,21 +64,6 @@ def _reduce(direction: str):
     return built.program, built.mems
 
 
-def _prf_vadd():
-    from ..prf.machine import PrfMachine
-    from ..prf.registers import RegisterFile
-    from .builder import build
-
-    rf = RegisterFile(capacity_kb=4)
-    machine = PrfMachine(rf)
-    ra = rf.define("R0", 4, 8)
-    rb = rf.define("R1", 4, 8)
-    ra.store(np.arange(32, dtype=np.float64).reshape(4, 8))
-    rb.store(np.ones((4, 8)))
-    built = build("prf.operands", machine=machine, regs=(ra, rb))
-    return built.program, built.mems
-
-
 def _schedule():
     from ..schedule import customize, transpose_trace
     from ..schedule.executor import memory_for_trace
@@ -117,7 +101,6 @@ _DEMOS = {
     "transpose": _transpose,
     "reduce_rows": lambda: _reduce("rows"),
     "reduce_columns": lambda: _reduce("columns"),
-    "prf_vadd": _prf_vadd,
     "schedule": _schedule,
     "stream_copy": _stream_copy,
 }
@@ -137,10 +120,4 @@ def lower_demo(name: str) -> tuple[AccessProgram, dict]:
         raise ProgramError(
             f"unknown demo {name!r} (use one of {', '.join(DEMO_NAMES)})"
         )
-    built = _DEMOS[name]()
-    program, mem = built if isinstance(built, tuple) else (built, None)
-    if mem is None:
-        return program, {}
-    if not isinstance(mem, dict):
-        return program, {"default": mem}
-    return program, mem
+    return _DEMOS[name]()

@@ -4,8 +4,5 @@ from .._lazy import export_lazily
 
 __all__ = export_lazily(__name__, {
     "output": ("write_text",),
-    "persist": (
-        "dse_result_to_json", "load_dse_result", "load_schedule",
-        "save_dse_result", "save_schedule", "schedule_to_json",
-    ),
+    "persist": ("dse_result_to_json", "load_dse_result", "save_dse_result"),
 })

@@ -1,9 +1,8 @@
-"""JSON persistence for DSE sweeps and access schedules.
+"""JSON persistence for DSE sweeps (``repro dse --save/--load``).
 
-DSE sweeps take seconds and schedules can take longer (exact ILP); both
-are natural artifacts to cache between sessions or ship next to a paper.
-The format is plain JSON with a ``format`` version tag; loaders
-reconstruct full objects (configs included) and verify the tag.
+A sweep is a natural artifact to cache between sessions or ship next to
+a paper.  The format is plain JSON with a ``format`` version tag; the
+loader reconstructs full objects (configs included) and verifies the tag.
 """
 
 from __future__ import annotations
@@ -13,25 +12,18 @@ from pathlib import Path
 
 from ..core.config import PolyMemConfig
 from ..core.exceptions import ConfigurationError
-from ..core.patterns import PatternKind
 from ..core.schemes import Scheme
 from ..dse.explore import DsePoint, DseResult
 from ..dse.space import DesignSpace
-from ..schedule.cover import CandidateAccess
-from ..schedule.customize import Schedule
 from .output import write_text
 
 __all__ = [
     "dse_result_to_json",
     "save_dse_result",
     "load_dse_result",
-    "schedule_to_json",
-    "save_schedule",
-    "load_schedule",
 ]
 
 DSE_FORMAT = "repro.dse/1"
-SCHEDULE_FORMAT = "repro.schedule/1"
 
 
 # the single config (de)serialization surface lives on PolyMemConfig
@@ -106,51 +98,3 @@ def load_dse_result(path: Path | str) -> DseResult:
         for p in payload["points"]
     ]
     return DseResult(space=space, points=points)
-
-
-# -- schedules --------------------------------------------------------------------
-
-
-def schedule_to_json(schedule: Schedule) -> str:
-    """Serialize an access schedule."""
-    payload = {
-        "format": SCHEDULE_FORMAT,
-        "trace_name": schedule.trace_name,
-        "scheme": schedule.scheme.value,
-        "p": schedule.p,
-        "q": schedule.q,
-        "proven_optimal": schedule.proven_optimal,
-        "solver": schedule.solver,
-        "n_cells": schedule._n_cells,
-        "accesses": [
-            {"kind": a.kind.value, "i": a.i, "j": a.j}
-            for a in schedule.accesses
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def save_schedule(schedule: Schedule, path: Path | str) -> Path:
-    return write_text(path, schedule_to_json(schedule))
-
-
-def load_schedule(path: Path | str) -> Schedule:
-    """Reconstruct a schedule saved by :func:`save_schedule`."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != SCHEDULE_FORMAT:
-        raise ConfigurationError(
-            f"not a schedule file (format {payload.get('format')!r})"
-        )
-    return Schedule(
-        trace_name=payload["trace_name"],
-        scheme=Scheme(payload["scheme"]),
-        p=payload["p"],
-        q=payload["q"],
-        accesses=tuple(
-            CandidateAccess(PatternKind(a["kind"]), a["i"], a["j"])
-            for a in payload["accesses"]
-        ),
-        proven_optimal=payload["proven_optimal"],
-        solver=payload["solver"],
-        _n_cells=payload["n_cells"],
-    )

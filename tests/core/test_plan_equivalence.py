@@ -231,17 +231,6 @@ def test_compile_plan_is_cached_and_shared():
     assert pm1.plan(PatternKind.ROW) is pm1.plan(PatternKind.ROW)
 
 
-def test_reconfigure_invalidates_instance_plan_cache():
-    pm = PolyMem(PolyMemConfig(16 * 16 * 8, p=2, q=2, scheme=Scheme.ReRo,
-                               rows=16, cols=16))
-    before = pm.plan(PatternKind.ROW)
-    assert before.scheme is Scheme.ReRo
-    pm.reconfigure(Scheme.RoCo)
-    after = pm.plan(PatternKind.ROW)
-    assert after.scheme is Scheme.RoCo
-    assert after is not before
-
-
 def test_replay_rejects_bad_port_and_empty_trace_is_free():
     pm = PolyMem(PolyMemConfig(16 * 16 * 8, p=2, q=4, scheme=Scheme.ReRo,
                                rows=16, cols=16))

@@ -69,23 +69,6 @@ def test_region_isolation(seed_a, seed_b):
 # -- reconfiguration ------------------------------------------------------------
 
 
-@given(
-    st.lists(st.sampled_from(list(Scheme)), min_size=1, max_size=6),
-    st.integers(0, 2**30),
-)
-@settings(max_examples=30, deadline=None)
-def test_reconfiguration_chain_preserves_contents(schemes, seed):
-    pm = PolyMem(PolyMemConfig(2 * 1024, p=2, q=4, scheme=Scheme.ReRo))
-    m = (np.arange(pm.rows * pm.cols, dtype=np.uint64) * 2654435761 + seed).reshape(
-        pm.rows, pm.cols
-    )
-    pm.load(m)
-    for scheme in schemes:
-        pm.reconfigure(scheme)
-        assert pm.scheme is scheme
-    assert (pm.dump() == m).all()
-
-
 # -- alignment-constrained schemes ------------------------------------------------
 
 

@@ -63,12 +63,6 @@ class TestAllocation:
         with pytest.raises(PatternError):
             rm.allocate("z", 0, 4)
 
-    def test_free_rows_decreases(self, rm, pm):
-        before = rm.free_rows()
-        rm.allocate("a", 4, 8)
-        assert rm.free_rows() < before
-
-
 class TestRegionAccess:
     def test_store_load_roundtrip(self, rm):
         r = rm.allocate("m", 6, 12)
@@ -94,13 +88,6 @@ class TestRegionAccess:
         r.store(np.zeros((4, 16), dtype=np.uint64))
         r.write(PatternKind.ROW, 0, 0, np.arange(8))
         assert (r.load()[0, :8] == np.arange(8)).all()
-
-    def test_batch_reads(self, rm):
-        r = rm.allocate("m", 4, 16)
-        data = np.arange(4 * 16, dtype=np.uint64).reshape(4, 16)
-        r.store(data)
-        out = r.read_batch(PatternKind.ROW, np.arange(4), np.zeros(4, int))
-        assert (out == data[:, :8]).all()
 
     def test_bounds_check(self, rm):
         r = rm.allocate("m", 4, 8)

@@ -11,7 +11,7 @@ describe-only writes, ``forbid`` collisions, …), recording why.
 The suite drives randomized programs — including deliberately invalid
 anchors, strides, multi-port reads and every collision policy — through
 both paths on twin memories, pins every production lowering (the five
-kernels, the PRF machine, the schedule executor) to the same serial
+kernels, the schedule executor) to the same serial
 reference, checks each fallback reason a program can reach, and
 unit-tests the content-addressed kernel cache (reuse across executions,
 LRU eviction).
@@ -357,24 +357,6 @@ class TestProductionLowerings:
         assert np.array_equal(c, a @ b)
         # 8 ROW accesses for A plus 64 COLUMN accesses for B
         assert rep.cycles == 8 + 64
-
-    def test_prf_machine_pins(self):
-        from repro.prf.machine import PrfMachine
-        from repro.prf.registers import RegisterFile
-
-        rf = RegisterFile(capacity_kb=4)
-        m = PrfMachine(rf)
-        ra = rf.define("R0", 4, 8)
-        rb = rf.define("R1", 4, 8)
-        rd = rf.define("R2", 4, 8)
-        va = np.arange(32, dtype=np.float64).reshape(4, 8)
-        vb = np.full((4, 8), 2.0)
-        ra.store(va)
-        rb.store(vb)
-        m.vadd("R2", "R0", "R1")
-        assert np.array_equal(rd.load(), va + vb)
-        # 32 elements / 8 lanes on dual read ports: 4 streaming cycles
-        assert m.stats.cycles == 4
 
     def test_schedule_executor_pin(self):
         from repro.schedule import customize, row_trace

@@ -73,7 +73,8 @@ class TestDerivedValues:
             "program.fusion.kernel_cache.hits": 1,
             "program.fusion.kernel_cache.misses": 3,
         })))
-        assert got["plan-cache hit rate"] == "90.0%"
+        assert got["access plans compiled"] == "1 (10 lookups)"
+        assert "plan-cache hit rate" not in got
         assert got["fusion kernel-cache hit rate"] == "25.0%"
 
     def test_achieved_vs_peak_bandwidth(self):

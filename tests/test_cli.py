@@ -308,7 +308,7 @@ class TestTelemetryFlags:
         assert "telemetry summary" in out
         assert "scalar-fallback cycles" in out
         assert "stall cycles" in out
-        assert "plan-cache hit rate" in out
+        assert "access plans compiled" in out
         assert "achieved vs peak bandwidth" in out
         # a Perfetto-loadable trace with nested host->pcie->kernel->segment
         doc = json.loads(trace.read_text())

@@ -1,4 +1,4 @@
-"""Tests for JSON persistence of DSE sweeps and schedules."""
+"""Tests for JSON persistence of DSE sweeps."""
 
 import json
 
@@ -7,13 +7,7 @@ import pytest
 from repro.core.exceptions import ConfigurationError
 from repro.core.schemes import Scheme
 from repro.dse import DesignSpace, explore
-from repro.schedule import execute_schedule, random_trace, row_trace, schedule_trace
-from repro.util import (
-    load_dse_result,
-    load_schedule,
-    save_dse_result,
-    save_schedule,
-)
+from repro.util import load_dse_result, save_dse_result
 
 
 @pytest.fixture(scope="module")
@@ -58,27 +52,3 @@ class TestDsePersistence:
         assert payload["format"] == "repro.dse/1"
         assert payload["points"][0]["config"]["scheme"] in ("ReRo", "ReTr")
 
-
-class TestSchedulePersistence:
-    def test_roundtrip(self, tmp_path):
-        trace = random_trace(10, 10, density=0.3, seed=2)
-        schedule = schedule_trace(trace, Scheme.ReRo, 2, 4)
-        path = save_schedule(schedule, tmp_path / "sched.json")
-        loaded = load_schedule(path)
-        assert loaded.accesses == schedule.accesses
-        assert loaded.scheme is schedule.scheme
-        assert loaded.speedup == schedule.speedup
-        assert loaded.proven_optimal == schedule.proven_optimal
-
-    def test_loaded_schedule_executes(self, tmp_path):
-        trace = row_trace(4, 16)
-        schedule = schedule_trace(trace, Scheme.ReRo, 2, 4)
-        loaded = load_schedule(save_schedule(schedule, tmp_path / "s.json"))
-        result = execute_schedule(trace, loaded)
-        assert result.covered and result.matches_prediction
-
-    def test_format_tag_checked(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"format": "repro.dse/1"}))
-        with pytest.raises(ConfigurationError, match="format"):
-            load_schedule(bad)
